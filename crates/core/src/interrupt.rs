@@ -12,7 +12,7 @@ use crate::map::NUM_IRQS;
 use ulp_sim::telemetry::Log2Histogram;
 use ulp_sim::Cycles;
 
-/// The interrupt arbiter: one pending flag per interrupt id.
+/// The interrupt arbiter: one pending bit per interrupt id.
 ///
 /// For observability the arbiter also timestamps each raise and, when
 /// timing is enabled via [`set_timing`](InterruptArbiter::set_timing),
@@ -23,12 +23,12 @@ use ulp_sim::Cycles;
 /// stepped cycle).
 #[derive(Debug, Clone)]
 pub struct InterruptArbiter {
-    pending: [bool; NUM_IRQS],
+    /// Bit `i` set ⇔ id `i` is pending (NUM_IRQS = 64 fits a u64 exactly).
+    pending: u64,
     pending_since: [Cycles; NUM_IRQS],
     raised_by_irq: [u64; NUM_IRQS],
     now: Cycles,
-    /// Bitmask of ids raised since the last `take_newly_raised` drain
-    /// (NUM_IRQS = 64 fits a u64 exactly).
+    /// Bitmask of ids raised since the last `take_newly_raised` drain.
     newly: u64,
     timing: bool,
     service: Log2Histogram,
@@ -48,7 +48,7 @@ impl InterruptArbiter {
     /// An arbiter with nothing pending.
     pub fn new() -> InterruptArbiter {
         InterruptArbiter {
-            pending: [false; NUM_IRQS],
+            pending: 0,
             pending_since: [Cycles::ZERO; NUM_IRQS],
             raised_by_irq: [0; NUM_IRQS],
             now: Cycles::ZERO,
@@ -99,33 +99,37 @@ impl InterruptArbiter {
     ///
     /// Panics if `id` is not a valid 6-bit interrupt id.
     pub fn raise(&mut self, id: u8) {
-        let slot = &mut self.pending[id as usize];
-        if *slot {
+        let bit = line(id);
+        if self.pending & bit != 0 {
             self.dropped += 1;
         } else {
-            *slot = true;
+            self.pending |= bit;
             self.raised += 1;
             self.raised_by_irq[id as usize] += 1;
             self.pending_since[id as usize] = self.now;
-            self.newly |= 1 << id;
+            self.newly |= bit;
         }
     }
 
     /// Whether any interrupt is pending.
     pub fn any_pending(&self) -> bool {
-        self.pending.iter().any(|&p| p)
+        self.pending != 0
     }
 
     /// Number of currently pending (raised, not yet taken) interrupts.
     /// Together with the counters this pins event conservation:
     /// `raised == taken + cleared + pending_count`.
     pub fn pending_count(&self) -> u64 {
-        self.pending.iter().filter(|&&p| p).count() as u64
+        self.pending.count_ones() as u64
     }
 
     /// Whether a specific interrupt is pending.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a valid 6-bit interrupt id.
     pub fn is_pending(&self, id: u8) -> bool {
-        self.pending[id as usize]
+        self.pending & line(id) != 0
     }
 
     /// Arbitrate: take the lowest-numbered pending interrupt, clearing
@@ -140,8 +144,11 @@ impl InterruptArbiter {
     /// wait is recorded into the service-latency histogram when timing
     /// is enabled.
     pub fn take_with_latency(&mut self) -> Option<(u8, u64)> {
-        let id = self.pending.iter().position(|&p| p)?;
-        self.pending[id] = false;
+        if self.pending == 0 {
+            return None;
+        }
+        let id = self.pending.trailing_zeros() as usize;
+        self.pending &= self.pending - 1;
         self.taken += 1;
         let waited = self.now.0.saturating_sub(self.pending_since[id].0);
         if self.timing {
@@ -160,9 +167,9 @@ impl InterruptArbiter {
     ///
     /// Panics if `id` is not a valid 6-bit interrupt id.
     pub fn clear_pending(&mut self, id: u8) -> bool {
-        let slot = &mut self.pending[id as usize];
-        if *slot {
-            *slot = false;
+        let bit = line(id);
+        if self.pending & bit != 0 {
+            self.pending &= !bit;
             self.cleared += 1;
             true
         } else {
@@ -174,13 +181,8 @@ impl InterruptArbiter {
     /// resets the latch array). Returns how many edges were lost; each
     /// is counted in [`cleared`](InterruptArbiter::cleared).
     pub fn clear_all_pending(&mut self) -> u64 {
-        let mut n = 0;
-        for slot in &mut self.pending {
-            if *slot {
-                *slot = false;
-                n += 1;
-            }
-        }
+        let n = self.pending_count();
+        self.pending = 0;
         self.cleared += n;
         n
     }
@@ -205,6 +207,16 @@ impl InterruptArbiter {
     pub fn taken(&self) -> u64 {
         self.taken
     }
+}
+
+/// The pending-mask bit of interrupt `id`.
+///
+/// # Panics
+///
+/// Panics if `id` is not a valid 6-bit interrupt id.
+fn line(id: u8) -> u64 {
+    assert!((id as usize) < NUM_IRQS, "interrupt id {id} out of range");
+    1 << id
 }
 
 #[cfg(test)]

@@ -4,7 +4,16 @@
 //! interrupt at zero. Timers can be *chained*: a chained timer counts
 //! parent underflows instead of clock cycles, so intervals up to
 //! 2³²⁺ cycles are reachable (the Great Duck Island period of 70 s is
-//! 7 M cycles at 100 kHz — beyond one 16-bit timer).
+//! 7 M cycles at 100 kHz — beyond one 16-bit timer). Timer 0 has no
+//! parent, so `CHAIN` on it is ignored: it always counts cycles.
+//!
+//! The block is simulated lazily. Between underflows nothing observable
+//! happens except that the cycle-counting timers count down, so the block
+//! keeps the cycles to its next underflow and a lag of cycles not yet
+//! applied to the counters. A cycle is then one increment and compare;
+//! the counters are brought up to date at an underflow, on a register
+//! write, and on a power change, and a register read subtracts the lag
+//! from a counter it reads. The timers are integers, so this is exact.
 
 use crate::map;
 
@@ -21,7 +30,8 @@ pub mod ctrl {
     pub const ENABLE: u8 = 1 << 0;
     /// Reload and continue after firing (periodic mode).
     pub const REPEAT: u8 = 1 << 1;
-    /// Count underflows of the previous timer instead of cycles.
+    /// Count underflows of the previous timer instead of cycles (ignored
+    /// on timer 0, which has no previous timer).
     pub const CHAIN: u8 = 1 << 2;
     /// Raise the alarm interrupt on underflow.
     pub const IRQ_EN: u8 = 1 << 3;
@@ -38,9 +48,6 @@ impl SubTimer {
     fn counting(&self) -> bool {
         self.ctrl & ctrl::ENABLE != 0 && self.reload != 0
     }
-    fn chained(&self) -> bool {
-        self.ctrl & ctrl::CHAIN != 0
-    }
 }
 
 /// The four-timer subsystem.
@@ -49,6 +56,15 @@ pub struct TimerBlock {
     timers: [SubTimer; 4],
     powered: bool,
     alarms: u64,
+    /// Cycles elapsed since the counters were last brought up to date;
+    /// always below `next` (no underflow hides in the lag).
+    lag: u64,
+    /// Cycles from the last update to the next underflow (`u64::MAX`
+    /// when none is coming). The update that finds a counting timer at
+    /// zero leaves 0 here: that timer underflows on the very next tick.
+    next: u64,
+    /// Timers counting as of the last update.
+    active: u8,
 }
 
 impl Default for TimerBlock {
@@ -64,6 +80,9 @@ impl TimerBlock {
             timers: Default::default(),
             powered: true,
             alarms: 0,
+            lag: 0,
+            next: u64::MAX,
+            active: 0,
         }
     }
 
@@ -74,19 +93,18 @@ impl TimerBlock {
 
     /// Power the block on or off. Powering off clears all counters.
     pub fn set_powered(&mut self, on: bool) {
+        self.catch_up();
         if self.powered && !on {
             self.timers = Default::default();
         }
         self.powered = on;
+        self.refresh();
     }
 
     /// Number of timers currently counting (for power accounting: a
     /// counting decrementer switches every cycle).
     pub fn active_count(&self) -> usize {
-        if !self.powered {
-            return 0;
-        }
-        self.timers.iter().filter(|t| t.counting()).count()
+        self.active as usize
     }
 
     /// Fraction of the block's active power drawn by background counting
@@ -102,14 +120,28 @@ impl TimerBlock {
 
     /// Advance one cycle; calls `fire(i)` for each timer whose alarm goes
     /// off this cycle and has interrupts enabled.
-    pub fn tick(&mut self, mut fire: impl FnMut(usize)) {
+    pub fn tick(&mut self, fire: impl FnMut(usize)) {
         if !self.powered {
             return;
         }
+        self.lag += 1;
+        if self.lag >= self.next {
+            // An underflow is due this cycle: catch up on the cycles
+            // before it, then step this one timer by timer.
+            self.lag -= 1;
+            self.catch_up();
+            self.underflow_cycle(fire);
+            self.refresh();
+        }
+    }
+
+    /// Step the one cycle in which an underflow is due. A timer counts
+    /// a clock cycle, or with `CHAIN` (timers 1–3) an underflow of the
+    /// timer below it in this same cycle.
+    fn underflow_cycle(&mut self, mut fire: impl FnMut(usize)) {
         let mut parent_underflow = false;
-        for i in 0..4 {
-            let t = &mut self.timers[i];
-            let should_count = if t.chained() { parent_underflow } else { true };
+        for (i, t) in self.timers.iter_mut().enumerate() {
+            let should_count = !chained(t, i) || parent_underflow;
             parent_underflow = false;
             if !t.counting() || !should_count {
                 continue;
@@ -130,6 +162,41 @@ impl TimerBlock {
         }
     }
 
+    /// Apply the lag to the cycle-counting timers. Chained timers move
+    /// only on an underflow, and none falls inside the lag.
+    fn catch_up(&mut self) {
+        let lag = std::mem::take(&mut self.lag);
+        if lag == 0 {
+            return;
+        }
+        for (i, t) in self.timers.iter_mut().enumerate() {
+            if t.counting() && !chained(t, i) {
+                t.count -= lag as u16;
+            }
+        }
+    }
+
+    /// Recompute `next` and `active` from up-to-date counters.
+    fn refresh(&mut self) {
+        debug_assert_eq!(self.lag, 0, "refresh on stale counters");
+        self.next = u64::MAX;
+        self.active = 0;
+        if !self.powered {
+            return;
+        }
+        for (i, t) in self.timers.iter().enumerate() {
+            if t.counting() {
+                self.active += 1;
+                // Chained timers move only on an underflow of the timer
+                // below, so the earliest underflow is always one of the
+                // cycle-counting timers'.
+                if !chained(t, i) {
+                    self.next = self.next.min(t.count as u64);
+                }
+            }
+        }
+    }
+
     /// Advance `cycles` cycles, assuming (and asserting in debug builds)
     /// that no alarm fires within the span — the idle-skip fast path.
     pub fn skip(&mut self, cycles: u64) {
@@ -140,13 +207,7 @@ impl TimerBlock {
             self.cycles_to_next_alarm().is_none_or(|c| c > cycles),
             "skip({cycles}) would cross an alarm"
         );
-        // Only un-chained timers advance with wall-clock cycles; a chained
-        // timer moves on parent underflow, which would be an alarm.
-        for t in &mut self.timers {
-            if t.counting() && !t.chained() {
-                t.count -= cycles as u16;
-            }
-        }
+        self.lag += cycles;
     }
 
     /// Cycles until the next *underflow* of any timer — including silent
@@ -155,50 +216,24 @@ impl TimerBlock {
     /// must not cross silent underflows either, since they drive chained
     /// counters; the engine simply wakes, ticks once, and skips on.
     pub fn cycles_to_next_alarm(&self) -> Option<u64> {
-        if !self.powered {
-            return None;
-        }
-        let mut best: Option<u64> = None;
-        for i in 0..4 {
-            if let Some(c) = self.cycles_to_fire(i) {
-                best = Some(best.map_or(c, |b| b.min(c)));
-            }
-        }
-        best
-    }
-
-    /// Cycles until timer `i` next fires.
-    fn cycles_to_fire(&self, i: usize) -> Option<u64> {
-        let t = &self.timers[i];
-        if !t.counting() {
-            return None;
-        }
-        if !t.chained() || i == 0 {
-            // A chained timer 0 has no parent; treat as unchained.
-            return Some(t.count as u64);
-        }
-        // Chained: needs `count` parent underflows.
-        let first = self.cycles_to_fire(i - 1)?;
-        if t.count <= 1 {
-            return Some(first);
-        }
-        let parent = &self.timers[i - 1];
-        if parent.ctrl & ctrl::REPEAT == 0 {
-            return None; // parent fires once; we need more underflows
-        }
-        Some(first + (t.count as u64 - 1) * parent.reload as u64)
+        (self.next != u64::MAX).then(|| self.next - self.lag)
     }
 
     /// Register read within the timer window.
     pub fn read(&self, offset: u16) -> u8 {
         let (i, reg) = split(offset);
         let t = &self.timers[i];
+        let count = if t.counting() && !chained(t, i) {
+            t.count - self.lag as u16
+        } else {
+            t.count
+        };
         match reg {
             map::TIMER_RELOAD_LO => t.reload as u8,
             map::TIMER_RELOAD_HI => (t.reload >> 8) as u8,
             map::TIMER_CTRL => t.ctrl,
-            map::TIMER_COUNT_LO => t.count as u8,
-            map::TIMER_COUNT_HI => (t.count >> 8) as u8,
+            map::TIMER_COUNT_LO => count as u8,
+            map::TIMER_COUNT_HI => (count >> 8) as u8,
             _ => 0,
         }
     }
@@ -207,6 +242,7 @@ impl TimerBlock {
     /// register with `ENABLE` (re)loads the counter.
     pub fn write(&mut self, offset: u16, value: u8) {
         let (i, reg) = split(offset);
+        self.catch_up();
         let t = &mut self.timers[i];
         match reg {
             map::TIMER_RELOAD_LO => t.reload = (t.reload & 0xFF00) | value as u16,
@@ -220,6 +256,7 @@ impl TimerBlock {
             }
             _ => {}
         }
+        self.refresh();
     }
 
     /// Convenience: configure timer `i` as a periodic alarm every
@@ -261,6 +298,12 @@ impl TimerBlock {
             ctrl::ENABLE | ctrl::REPEAT | ctrl::CHAIN | ctrl::IRQ_EN,
         );
     }
+}
+
+/// Whether timer `i` counts underflows of timer `i - 1` rather than
+/// cycles. Timer 0 has nothing below it, so its `CHAIN` bit is ignored.
+fn chained(t: &SubTimer, i: usize) -> bool {
+    i > 0 && t.ctrl & ctrl::CHAIN != 0
 }
 
 fn split(offset: u16) -> (usize, u16) {
@@ -314,6 +357,34 @@ mod tests {
         t.configure_chained(1, 100, 7);
         let fires = fires_in(&mut t, 1500);
         assert_eq!(fires, vec![(700, 1), (1400, 1)]);
+    }
+
+    #[test]
+    fn chain_bit_on_timer_zero_is_ignored() {
+        // Timer 0 has no parent: with CHAIN set it still counts cycles,
+        // so it fires where it is predicted to, and a chained timer 1
+        // above it counts its underflows.
+        let mut t = TimerBlock::new();
+        t.write(map::TIMER_RELOAD_LO, 10);
+        t.write(
+            map::TIMER_CTRL,
+            ctrl::ENABLE | ctrl::REPEAT | ctrl::CHAIN | ctrl::IRQ_EN,
+        );
+        let t1 = map::TIMER_STRIDE;
+        t.write(t1 + map::TIMER_RELOAD_LO, 3);
+        t.write(
+            t1 + map::TIMER_CTRL,
+            ctrl::ENABLE | ctrl::REPEAT | ctrl::CHAIN | ctrl::IRQ_EN,
+        );
+        assert_eq!(t.cycles_to_next_alarm(), Some(10));
+        let fires = fires_in(&mut t, 35);
+        assert_eq!(fires, vec![(10, 0), (20, 0), (30, 0), (30, 1)]);
+        let mut skipped = TimerBlock::new();
+        skipped.write(map::TIMER_RELOAD_LO, 10);
+        skipped.write(map::TIMER_CTRL, ctrl::ENABLE | ctrl::CHAIN);
+        skipped.skip(4);
+        assert_eq!(skipped.read(map::TIMER_COUNT_LO), 6, "skip counts it too");
+        assert_eq!(skipped.cycles_to_next_alarm(), Some(6));
     }
 
     #[test]

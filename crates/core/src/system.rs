@@ -564,98 +564,27 @@ impl System {
             }
         }
 
-        // Masters: the microcontroller owns the bus while powered; the
-        // event processor otherwise (and waits on the bus meanwhile).
-        let mut ep_active = false;
-        let mut compute_busy = false;
-        let _masters_span = self
-            .prof
-            .as_ref()
-            .map(|p| p.profiler.enter(p.fetch_decode_execute));
-        if self.mcu.powered() {
-            compute_busy = true;
-            if let Err(e) = self.mcu.step(&mut self.slaves) {
-                self.fault = Some(SystemFault::Mcu(e));
-                return StepOutcome::Halted;
-            }
-            // Post-instruction system latches (honoured once the
-            // requesting instruction's cycles have fully elapsed).
-            if !self.mcu.mid_instruction() {
-                if self.slaves.sys.mcu_sleep_requested {
-                    self.slaves.sys.mcu_sleep_requested = false;
-                    self.mcu.sleep();
-                    self.trace.record(now, "mcu", TraceKind::McuSleep);
-                }
-                let requests = std::mem::take(&mut self.slaves.sys.power_requests);
-                for (on, id) in requests {
-                    if let Err(e) = self.slaves.set_power(id, on, &self.config.wake) {
-                        self.fault = Some(SystemFault::Bus(e));
+        let (ep_active, compute_busy) = {
+            let _span = self
+                .prof
+                .as_ref()
+                .map(|p| p.profiler.enter(p.fetch_decode_execute));
+            // On a quiescent cycle the EP would step READY → READY and
+            // nothing would count the cycle busy, so the masters are not
+            // stepped (their span still opens, keeping profiled call
+            // counts those of a stepped cycle).
+            if self.is_quiescent() {
+                (false, false)
+            } else {
+                match self.step_masters(now) {
+                    Ok(activity) => activity,
+                    Err(fault) => {
+                        self.fault = Some(fault);
                         return StepOutcome::Halted;
                     }
-                    if let Some(kind) = map::power_trace_kind(id, on) {
-                        self.trace.record(now, "power", kind);
-                    }
                 }
             }
-            // The EP burns a WAIT_BUS cycle if an interrupt is pending.
-            match self.ep.step(
-                &mut self.slaves,
-                false,
-                &self.config.wake,
-                &mut self.trace,
-                now,
-            ) {
-                Ok(a) => ep_active = a != EpAction::Idle,
-                Err(e) => {
-                    self.fault = Some(SystemFault::Bus(e));
-                    return StepOutcome::Halted;
-                }
-            }
-        } else {
-            match self.ep.step(
-                &mut self.slaves,
-                true,
-                &self.config.wake,
-                &mut self.trace,
-                now,
-            ) {
-                Ok(EpAction::Idle) => {}
-                Ok(EpAction::Busy) => {
-                    ep_active = true;
-                    compute_busy = true;
-                }
-                Ok(EpAction::WakeMcu { handler, cause }) => {
-                    ep_active = true;
-                    compute_busy = true;
-                    self.slaves.sys.wake_cause = cause;
-                    if let Err(e) = self.mcu.wake(handler, self.config.wake.mcu.0) {
-                        self.fault = Some(SystemFault::Mcu(e));
-                        return StepOutcome::Halted;
-                    }
-                    self.trace
-                        .record(now, "mcu", TraceKind::McuWake { handler, cause });
-                    if self.telemetry {
-                        // Raise → µC running: arbiter wait + EP ISR time
-                        // since dispatch + the µC wake-handshake stall.
-                        let (taken_at, waited) = self.ep.last_dispatch();
-                        let isr = now.0.saturating_sub(taken_at.0);
-                        self.mcu_wake_hist
-                            .record(waited + isr + self.config.wake.mcu.0);
-                    }
-                }
-                Err(e) => {
-                    self.fault = Some(SystemFault::Bus(e));
-                    return StepOutcome::Halted;
-                }
-            }
-        }
-
-        drop(_masters_span);
-
-        if self.slaves.msgproc.busy() || self.slaves.sensor.busy() || self.slaves.irqs.any_pending()
-        {
-            compute_busy = true;
-        }
+        };
 
         self.charge_cycle(ep_active);
         if compute_busy {
@@ -668,10 +597,105 @@ impl System {
             self.trace.record(now, "radio", TraceKind::RadioTxStart);
         }
         self.prev_transmitting = transmitting;
+        let sent = self.slaves.radio.take_outbox();
+        if !sent.is_empty() {
+            self.collect_sent(now, sent);
+        }
 
-        // Collect completed transmissions. Injected radio byte errors
-        // corrupt one byte per outgoing frame while the burst lasts.
-        let mut sent = self.slaves.radio.take_outbox();
+        if compute_busy || transmitting {
+            StepOutcome::Busy
+        } else {
+            StepOutcome::Idle
+        }
+    }
+
+    /// Step the masters one cycle: the microcontroller owns the bus while
+    /// powered; the event processor otherwise (and waits on the bus
+    /// meanwhile). Returns whether the EP was active and whether any
+    /// compute component was busy this cycle.
+    fn step_masters(&mut self, now: Cycles) -> Result<(bool, bool), SystemFault> {
+        let mut ep_active = false;
+        let mut compute_busy = false;
+        if self.mcu.powered() {
+            compute_busy = true;
+            self.mcu.step(&mut self.slaves).map_err(SystemFault::Mcu)?;
+            // Post-instruction system latches (honoured once the
+            // requesting instruction's cycles have fully elapsed).
+            if !self.mcu.mid_instruction() {
+                if self.slaves.sys.mcu_sleep_requested {
+                    self.slaves.sys.mcu_sleep_requested = false;
+                    self.mcu.sleep();
+                    self.trace.record(now, "mcu", TraceKind::McuSleep);
+                }
+                let requests = std::mem::take(&mut self.slaves.sys.power_requests);
+                for (on, id) in requests {
+                    self.slaves
+                        .set_power(id, on, &self.config.wake)
+                        .map_err(SystemFault::Bus)?;
+                    if let Some(kind) = map::power_trace_kind(id, on) {
+                        self.trace.record(now, "power", kind);
+                    }
+                }
+            }
+            // The EP burns a WAIT_BUS cycle if an interrupt is pending.
+            let action = self
+                .ep
+                .step(
+                    &mut self.slaves,
+                    false,
+                    &self.config.wake,
+                    &mut self.trace,
+                    now,
+                )
+                .map_err(SystemFault::Bus)?;
+            ep_active = action != EpAction::Idle;
+        } else {
+            let action = self
+                .ep
+                .step(
+                    &mut self.slaves,
+                    true,
+                    &self.config.wake,
+                    &mut self.trace,
+                    now,
+                )
+                .map_err(SystemFault::Bus)?;
+            match action {
+                EpAction::Idle => {}
+                EpAction::Busy => {
+                    ep_active = true;
+                    compute_busy = true;
+                }
+                EpAction::WakeMcu { handler, cause } => {
+                    ep_active = true;
+                    compute_busy = true;
+                    self.slaves.sys.wake_cause = cause;
+                    self.mcu
+                        .wake(handler, self.config.wake.mcu.0)
+                        .map_err(SystemFault::Mcu)?;
+                    self.trace
+                        .record(now, "mcu", TraceKind::McuWake { handler, cause });
+                    if self.telemetry {
+                        // Raise → µC running: arbiter wait + EP ISR time
+                        // since dispatch + the µC wake-handshake stall.
+                        let (taken_at, waited) = self.ep.last_dispatch();
+                        let isr = now.0.saturating_sub(taken_at.0);
+                        self.mcu_wake_hist
+                            .record(waited + isr + self.config.wake.mcu.0);
+                    }
+                }
+            }
+        }
+        if self.slaves.msgproc.busy() || self.slaves.sensor.busy() || self.slaves.irqs.any_pending()
+        {
+            compute_busy = true;
+        }
+        Ok((ep_active, compute_busy))
+    }
+
+    /// Collect completed transmissions. Injected radio byte errors
+    /// corrupt one byte per outgoing frame while the burst lasts.
+    fn collect_sent(&mut self, now: Cycles, mut sent: Vec<(Cycles, Vec<u8>)>) {
         if self.tx_corrupt_remaining > 0 {
             for (_, bytes) in sent.iter_mut() {
                 if self.tx_corrupt_remaining == 0 {
@@ -696,86 +720,49 @@ impl System {
         if self.config.collect_outbox {
             self.outbox.extend(sent);
         }
-
-        let skippable = !compute_busy && !self.slaves.radio.transmitting();
-        if skippable {
-            StepOutcome::Idle
-        } else {
-            StepOutcome::Busy
-        }
     }
 
-    /// Per-cycle energy accounting from observed component activity.
+    /// Per-cycle energy accounting from observed component activity,
+    /// on the one-cycle quantities the meter caches.
     fn charge_cycle(&mut self, ep_active: bool) {
-        let one = Cycles(1);
         let touched = self.slaves.take_touched();
         let ids = self.ids;
-        self.meter.charge(
-            ids.ep,
-            if ep_active {
-                PowerMode::Active
-            } else {
-                PowerMode::Idle
-            },
-            one,
-        );
-        if self.slaves.timer.powered() {
+        let slaves = &self.slaves;
+        let m = &mut self.meter;
+        m.charge_cycle(ids.ep, mode(true, ep_active));
+        if slaves.timer.powered() {
             let frac = if touched.timer {
                 1.0
             } else {
-                self.slaves.timer.counting_fraction()
+                slaves.timer.counting_fraction()
             };
-            self.meter.charge_fraction(ids.timer, frac, one);
+            m.charge_fraction_interval(ids.timer, frac, m.cycle());
         } else {
-            self.meter.charge(ids.timer, PowerMode::Gated, one);
+            m.charge_cycle(ids.timer, PowerMode::Gated);
         }
-        self.charge_simple(
-            ids.filter,
-            self.slaves.filter.powered(),
-            touched.filter,
-            one,
-        );
-        self.charge_simple(
+        m.charge_cycle(ids.filter, mode(slaves.filter.powered(), touched.filter));
+        m.charge_cycle(
             ids.msgproc,
-            self.slaves.msgproc.powered(),
-            self.slaves.msgproc.busy() || touched.msgproc,
-            one,
+            mode(
+                slaves.msgproc.powered(),
+                slaves.msgproc.busy() || touched.msgproc,
+            ),
         );
-        self.meter.charge(
-            ids.mcu,
-            if self.mcu.powered() {
-                PowerMode::Active
-            } else {
-                PowerMode::Gated
-            },
-            one,
-        );
-        self.charge_simple(
+        m.charge_cycle(ids.mcu, mode(self.mcu.powered(), true));
+        m.charge_cycle(
             ids.radio,
-            self.slaves.radio.powered(),
-            self.slaves.radio.transmitting() || self.slaves.radio.listening(),
-            one,
+            mode(
+                slaves.radio.powered(),
+                slaves.radio.transmitting() || slaves.radio.listening(),
+            ),
         );
-        self.charge_simple(
+        m.charge_cycle(
             ids.sensor,
-            self.slaves.sensor.powered(),
-            self.slaves.sensor.powered(),
-            one,
+            mode(slaves.sensor.powered(), slaves.sensor.powered()),
         );
-        self.meter.charge(ids.memory, PowerMode::Idle, one); // time base only
-        self.slaves.mem.tick(one);
+        m.charge_cycle(ids.memory, PowerMode::Idle); // time base only
+        self.slaves.mem.tick(Cycles(1));
         self.sync_memory_energy();
-    }
-
-    fn charge_simple(&mut self, id: MeterId, powered: bool, active: bool, cycles: Cycles) {
-        let mode = if !powered {
-            PowerMode::Gated
-        } else if active {
-            PowerMode::Active
-        } else {
-            PowerMode::Idle
-        };
-        self.meter.charge(id, mode, cycles);
     }
 
     fn sync_memory_energy(&mut self) {
@@ -785,32 +772,34 @@ impl System {
         self.meter.charge_energy(self.ids.memory, delta);
     }
 
-    /// Energy accounting for a fast-forwarded idle span.
+    /// Energy accounting for a fast-forwarded idle span, converted to
+    /// seconds once for every component.
     fn charge_idle_span(&mut self, cycles: Cycles) {
         let ids = self.ids;
-        self.meter.charge(ids.ep, PowerMode::Idle, cycles);
-        if self.slaves.timer.powered() {
-            let frac = self.slaves.timer.counting_fraction();
-            self.meter.charge_fraction(ids.timer, frac, cycles);
+        let slaves = &self.slaves;
+        let m = &mut self.meter;
+        let span = m.interval(cycles);
+        m.charge_interval(ids.ep, PowerMode::Idle, span);
+        if slaves.timer.powered() {
+            let frac = slaves.timer.counting_fraction();
+            m.charge_fraction_interval(ids.timer, frac, span);
         } else {
-            self.meter.charge(ids.timer, PowerMode::Gated, cycles);
+            m.charge_interval(ids.timer, PowerMode::Gated, span);
         }
-        self.charge_simple(ids.filter, self.slaves.filter.powered(), false, cycles);
-        self.charge_simple(ids.msgproc, self.slaves.msgproc.powered(), false, cycles);
-        self.meter.charge(ids.mcu, PowerMode::Gated, cycles);
-        self.charge_simple(
+        m.charge_interval(ids.filter, mode(slaves.filter.powered(), false), span);
+        m.charge_interval(ids.msgproc, mode(slaves.msgproc.powered(), false), span);
+        m.charge_interval(ids.mcu, PowerMode::Gated, span);
+        m.charge_interval(
             ids.radio,
-            self.slaves.radio.powered(),
-            self.slaves.radio.listening(),
-            cycles,
+            mode(slaves.radio.powered(), slaves.radio.listening()),
+            span,
         );
-        self.charge_simple(
+        m.charge_interval(
             ids.sensor,
-            self.slaves.sensor.powered(),
-            self.slaves.sensor.powered(),
-            cycles,
+            mode(slaves.sensor.powered(), slaves.sensor.powered()),
+            span,
         );
-        self.meter.charge(ids.memory, PowerMode::Idle, cycles); // time base only
+        m.charge_interval(ids.memory, PowerMode::Idle, span); // time base only
         self.slaves.mem.tick(cycles);
         self.sync_memory_energy();
     }
@@ -926,6 +915,17 @@ impl System {
                 FaultDisposition::Degraded
             }
         }
+    }
+}
+
+/// The power mode of a block that is `powered` and, if so, `active`.
+fn mode(powered: bool, active: bool) -> PowerMode {
+    if !powered {
+        PowerMode::Gated
+    } else if active {
+        PowerMode::Active
+    } else {
+        PowerMode::Idle
     }
 }
 

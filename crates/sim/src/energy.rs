@@ -5,9 +5,26 @@
 //! measured in the cycle-accurate simulator. [`EnergyMeter`] performs that
 //! bookkeeping continuously: every cycle (or every fast-forwarded span) each
 //! registered component is charged for the mode it was in.
+//!
+//! Charging is on the simulator's hot path, so the meter converts cycles to
+//! seconds as rarely as it can: the one-cycle energy of every component in
+//! every mode is computed once at registration ([`EnergyMeter::charge_cycle`]),
+//! and a fast-forwarded span is converted once and charged to every
+//! component as an [`Interval`]. Each cached value is the very product the
+//! per-call formula forms, so the accumulated bits do not depend on which
+//! path charged them.
 
 use crate::power::{PowerMode, PowerSpec};
 use crate::units::{Cycles, Energy, Frequency, Power, Seconds};
+
+/// A cycle count together with its duration on a meter's clock (made by
+/// [`EnergyMeter::interval`]), so one span charged to many components is
+/// converted to seconds once.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Interval {
+    cycles: Cycles,
+    seconds: Seconds,
+}
 
 /// Handle to a component registered with an [`EnergyMeter`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -78,7 +95,12 @@ fn mode_index(mode: PowerMode) -> usize {
 #[derive(Debug, Clone)]
 pub struct EnergyMeter {
     clock: Frequency,
+    /// One cycle on `clock`.
+    cycle: Interval,
     components: Vec<ComponentStats>,
+    /// Per component, `spec.draw(mode) * cycle` indexed by mode: the
+    /// energy [`charge`](EnergyMeter::charge) would add for one cycle.
+    quanta: Vec<[Energy; 3]>,
 }
 
 impl EnergyMeter {
@@ -86,7 +108,12 @@ impl EnergyMeter {
     pub fn new(clock: Frequency) -> EnergyMeter {
         EnergyMeter {
             clock,
+            cycle: Interval {
+                cycles: Cycles(1),
+                seconds: Cycles(1).at(clock),
+            },
             components: Vec::new(),
+            quanta: Vec::new(),
         }
     }
 
@@ -95,8 +122,24 @@ impl EnergyMeter {
         self.clock
     }
 
+    /// One cycle as an [`Interval`] on this meter's clock.
+    pub fn cycle(&self) -> Interval {
+        self.cycle
+    }
+
+    /// `cycles` as an [`Interval`] on this meter's clock.
+    pub fn interval(&self, cycles: Cycles) -> Interval {
+        Interval {
+            cycles,
+            seconds: cycles.at(self.clock),
+        }
+    }
+
     /// Register a component; the returned id is used for charging.
     pub fn register(&mut self, name: impl Into<String>, spec: PowerSpec) -> MeterId {
+        let t = self.cycle.seconds;
+        self.quanta
+            .push(PowerMode::ALL.map(|mode| spec.draw(mode) * t));
         self.components.push(ComponentStats {
             name: name.into(),
             spec,
@@ -108,13 +151,26 @@ impl EnergyMeter {
 
     /// Charge `cycles` of time in `mode` to a component.
     pub fn charge(&mut self, id: MeterId, mode: PowerMode, cycles: Cycles) {
-        if cycles == Cycles::ZERO {
+        self.charge_interval(id, mode, self.interval(cycles));
+    }
+
+    /// Charge an [`Interval`] of time in `mode` to a component.
+    pub fn charge_interval(&mut self, id: MeterId, mode: PowerMode, span: Interval) {
+        if span.cycles == Cycles::ZERO {
             return;
         }
-        let t = cycles.at(self.clock);
         let c = &mut self.components[id.0];
-        c.energy += c.spec.draw(mode) * t;
-        c.mode_cycles[mode_index(mode)] += cycles;
+        c.energy += c.spec.draw(mode) * span.seconds;
+        c.mode_cycles[mode_index(mode)] += span.cycles;
+    }
+
+    /// Charge one cycle in `mode` to a component, adding the precomputed
+    /// one-cycle energy: bit-identical to `charge(id, mode, Cycles(1))`.
+    pub fn charge_cycle(&mut self, id: MeterId, mode: PowerMode) {
+        let m = mode_index(mode);
+        let c = &mut self.components[id.0];
+        c.energy += self.quanta[id.0][m];
+        c.mode_cycles[m] += Cycles(1);
     }
 
     /// Charge a one-off energy cost (e.g. a per-access SRAM charge) without
@@ -133,17 +189,27 @@ impl EnergyMeter {
     ///
     /// Panics if `fraction` is not within `[0, 1]`.
     pub fn charge_fraction(&mut self, id: MeterId, fraction: f64, cycles: Cycles) {
+        self.charge_fraction_interval(id, fraction, self.interval(cycles));
+    }
+
+    /// [`charge_fraction`](EnergyMeter::charge_fraction) over an
+    /// [`Interval`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fraction` is not within `[0, 1]`.
+    pub fn charge_fraction_interval(&mut self, id: MeterId, fraction: f64, span: Interval) {
         assert!(
             (0.0..=1.0).contains(&fraction),
             "active fraction {fraction} out of [0, 1]"
         );
+        let cycles = span.cycles;
         if cycles == Cycles::ZERO {
             return;
         }
-        let t = cycles.at(self.clock);
         let c = &mut self.components[id.0];
         let w = c.spec.active.watts() * fraction + c.spec.idle.watts() * (1.0 - fraction);
-        c.energy += Power::from_watts(w) * t;
+        c.energy += Power::from_watts(w) * span.seconds;
         // Utilization reporting counts only fully-engaged cycles as
         // active; background fractional activity (a lone counting timer)
         // is idle-with-extra-energy. The energy above is always exact.
@@ -262,6 +328,60 @@ mod tests {
         m.charge_energy(id, Energy(1e-9));
         m.charge_energy(id, Energy(2e-9));
         assert!((m.stats(id).energy.joules() - 3e-9).abs() < 1e-18);
+    }
+
+    /// The cached one-cycle quanta and the interval paths add exactly the
+    /// bits the per-call formula `draw × cycles.at(clock)` adds, for every
+    /// mode and for every fraction the timer block charges (0–4 of its
+    /// four timers counting, plus a register access at full activity).
+    #[test]
+    fn cached_paths_are_bit_exact() {
+        // `ulp_core::slaves::COUNTING_ACTIVITY`: one counting timer
+        // switches about 1/8 of the block.
+        const COUNTING_ACTIVITY: f64 = 0.125;
+        let spec = PowerSpec::new(
+            Power::from_uw(1.13),
+            Power::from_nw(0.07),
+            Power::from_pw(3.0),
+        );
+        let fractions: Vec<f64> = (0..=4)
+            .map(|k| k as f64 / 4.0 * COUNTING_ACTIVITY)
+            .chain([1.0])
+            .collect();
+        for clock in [100.0, 4_000.0, 7_372.8].map(Frequency::from_khz) {
+            let one = Cycles(1).at(clock);
+            for mode in PowerMode::ALL {
+                let mut m = EnergyMeter::new(clock);
+                let id = m.register("x", spec);
+                let mut want = Energy::ZERO;
+                for _ in 0..1000 {
+                    m.charge_cycle(id, mode);
+                    want += spec.draw(mode) * one;
+                }
+                assert_eq!(m.stats(id).energy.0.to_bits(), want.0.to_bits());
+                for n in [1, 9_999, 7_000_000] {
+                    m.charge_interval(id, mode, m.interval(Cycles(n)));
+                    want += spec.draw(mode) * Cycles(n).at(clock);
+                    assert_eq!(m.stats(id).energy.0.to_bits(), want.0.to_bits());
+                }
+            }
+            for &f in &fractions {
+                let w = Power::from_watts(spec.active.watts() * f + spec.idle.watts() * (1.0 - f));
+                let mut m = EnergyMeter::new(clock);
+                let id = m.register("timer", spec);
+                let mut want = Energy::ZERO;
+                for _ in 0..1000 {
+                    m.charge_fraction_interval(id, f, m.cycle());
+                    want += w * one;
+                }
+                assert_eq!(m.stats(id).energy.0.to_bits(), want.0.to_bits());
+                for n in [1, 9_999, 7_000_000] {
+                    m.charge_fraction_interval(id, f, m.interval(Cycles(n)));
+                    want += w * Cycles(n).at(clock);
+                    assert_eq!(m.stats(id).energy.0.to_bits(), want.0.to_bits());
+                }
+            }
+        }
     }
 
     #[test]

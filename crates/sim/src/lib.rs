@@ -43,7 +43,7 @@ pub mod telemetry;
 pub mod trace;
 pub mod units;
 
-pub use energy::{ComponentStats, EnergyMeter, MeterId};
+pub use energy::{ComponentStats, EnergyMeter, Interval, MeterId};
 pub use engine::{Engine, RunStats, Simulatable, StepOutcome};
 pub use fault::{FaultDisposition, FaultEvent, FaultKind, FaultPlan, FaultStats};
 pub use perf::{PerfSnapshot, Profiler};

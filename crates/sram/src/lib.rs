@@ -16,6 +16,8 @@
 //! The model is *functional* (it stores bytes and refuses access to gated
 //! banks) and *power-accurate at the architecture level* (it integrates
 //! leakage over ticked cycles and charges per-access active energy).
+//! Ticking is O(1): the array's leakage is summed only when a bank changes
+//! state, and the per-access energy once at construction.
 //!
 //! # Example
 //!
@@ -171,13 +173,39 @@ pub struct BankStats {
     pub gated_cycles: u64,
 }
 
+/// Leakage of the whole array given bank states, summed bank by bank in
+/// index order (so the f64 result is the same wherever it is formed).
+fn leakage(config: &SramConfig, states: &[BankState]) -> Power {
+    let mut leak = Power::ZERO;
+    for state in states {
+        leak += match state {
+            BankState::On => config.bank_idle,
+            BankState::Gated => config.bank_gated,
+        };
+    }
+    leak
+}
+
 /// The banked SRAM: functional storage plus energy integration.
 #[derive(Debug, Clone)]
 pub struct BankedSram {
     config: SramConfig,
     data: Vec<u8>,
     states: Vec<BankState>,
+    /// Per bank; `gated_cycles` excludes the current gated stretch, which
+    /// [`bank_stats`](BankedSram::bank_stats) adds from `gated_at`.
     stats: Vec<BankStats>,
+    /// Per bank, the value of `ticked` when it was last gated.
+    gated_at: Vec<u64>,
+    /// Cycles ticked since construction.
+    ticked: u64,
+    /// `leakage(&config, &states)`, refreshed on every state change.
+    leak: Power,
+    /// Energy of one access: the bank's active-vs-idle delta plus the
+    /// array overhead, for one cycle.
+    access_energy: Energy,
+    /// One cycle at the configured clock.
+    cycle: Seconds,
     energy: Energy,
     access_energy_this_tick: Energy,
 }
@@ -187,10 +215,18 @@ impl BankedSram {
     pub fn new(config: SramConfig) -> BankedSram {
         config.validate();
         let banks = config.banks();
+        let states = vec![BankState::On; banks];
+        let delta_w = (config.effective_bank_active().watts() - config.bank_idle.watts()).max(0.0)
+            + config.array_overhead_active.watts();
         BankedSram {
             data: vec![0; config.total_bytes],
-            states: vec![BankState::On; banks],
+            leak: leakage(&config, &states),
+            states,
             stats: vec![BankStats::default(); banks],
+            gated_at: vec![0; banks],
+            ticked: 0,
+            access_energy: Power::from_watts(delta_w) * config.clock.period(),
+            cycle: Cycles(1).at(config.clock),
             energy: Energy::ZERO,
             access_energy_this_tick: Energy::ZERO,
             config,
@@ -243,7 +279,11 @@ impl BankedSram {
     ///
     /// Panics if `bank` is out of range.
     pub fn bank_stats(&self, bank: usize) -> BankStats {
-        self.stats[bank]
+        let mut stats = self.stats[bank];
+        if self.states[bank] == BankState::Gated {
+            stats.gated_cycles += self.ticked - self.gated_at[bank];
+        }
+        stats
     }
 
     /// Read one byte.
@@ -331,7 +371,11 @@ impl BankedSram {
     ///
     /// Panics if `bank` is out of range.
     pub fn gate_bank(&mut self, bank: usize) {
-        self.states[bank] = BankState::Gated;
+        if self.states[bank] == BankState::On {
+            self.states[bank] = BankState::Gated;
+            self.gated_at[bank] = self.ticked;
+            self.leak = leakage(&self.config, &self.states);
+        }
     }
 
     /// Un-gate a bank, returning the wake-up latency in cycles the caller
@@ -344,6 +388,8 @@ impl BankedSram {
     pub fn ungate_bank(&mut self, bank: usize) -> Cycles {
         if self.states[bank] == BankState::Gated {
             self.states[bank] = BankState::On;
+            self.stats[bank].gated_cycles += self.ticked - self.gated_at[bank];
+            self.leak = leakage(&self.config, &self.states);
             let base = bank * self.config.bank_bytes;
             self.data[base..base + self.config.bank_bytes].fill(0);
             self.config.wake_cycles()
@@ -357,18 +403,13 @@ impl BankedSram {
     /// [`read`](Self::read)/[`write`](Self::write) since the previous tick
     /// is folded in here.
     pub fn tick(&mut self, cycles: Cycles) {
-        let t = cycles.at(self.config.clock);
-        let mut leak = Power::ZERO;
-        for (state, stats) in self.states.iter().zip(&mut self.stats) {
-            match state {
-                BankState::On => leak += self.config.bank_idle,
-                BankState::Gated => {
-                    leak += self.config.bank_gated;
-                    stats.gated_cycles += cycles.0;
-                }
-            }
-        }
-        self.energy += leak * t;
+        let t = if cycles == Cycles(1) {
+            self.cycle
+        } else {
+            cycles.at(self.config.clock)
+        };
+        self.ticked += cycles.0;
+        self.energy += self.leak * t;
         self.energy += self.access_energy_this_tick;
         self.access_energy_this_tick = Energy::ZERO;
     }
@@ -380,13 +421,7 @@ impl BankedSram {
 
     /// Current leakage power given bank states (no accesses).
     pub fn idle_power(&self) -> Power {
-        self.states
-            .iter()
-            .map(|s| match s {
-                BankState::On => self.config.bank_idle,
-                BankState::Gated => self.config.bank_gated,
-            })
-            .sum()
+        self.leak
     }
 
     /// Power of the whole array if one bank is accessed every cycle (the
@@ -406,14 +441,8 @@ impl BankedSram {
         Ok(bank)
     }
 
-    /// One access adds the active-vs-idle delta for the bank plus the
-    /// array overhead for one cycle.
     fn charge_access(&mut self) {
-        let period = self.config.clock.period();
-        let delta_w = (self.config.effective_bank_active().watts() - self.config.bank_idle.watts())
-            .max(0.0)
-            + self.config.array_overhead_active.watts();
-        self.access_energy_this_tick += Power::from_watts(delta_w) * period;
+        self.access_energy_this_tick += self.access_energy;
     }
 }
 
@@ -536,6 +565,54 @@ mod tests {
         gated.tick(Cycles(1_000_000));
         assert!(gated.energy() < all_on.energy());
         assert_eq!(gated.bank_stats(1).gated_cycles, 1_000_000);
+    }
+
+    #[test]
+    fn gated_cycles_track_each_gated_stretch() {
+        let mut m = sram();
+        m.tick(Cycles(10));
+        m.gate_bank(2);
+        m.tick(Cycles(5));
+        m.gate_bank(2); // already gated: the stretch continues
+        m.tick(Cycles(1));
+        assert_eq!(m.bank_stats(2).gated_cycles, 6);
+        m.ungate_bank(2);
+        m.tick(Cycles(100));
+        m.gate_bank(2);
+        m.tick(Cycles(3));
+        assert_eq!(m.bank_stats(2).gated_cycles, 9);
+        assert_eq!(m.bank_stats(1).gated_cycles, 0);
+    }
+
+    #[test]
+    fn cached_leakage_is_bit_exact_across_state_changes() {
+        // The per-tick formula the cache replaces: sum every bank's
+        // leakage in index order, times the span's duration.
+        fn reference(m: &BankedSram, cycles: Cycles) -> Energy {
+            let c = m.config();
+            let mut leak = Power::ZERO;
+            for b in 0..c.banks() {
+                leak += match m.bank_state(b) {
+                    BankState::On => c.bank_idle,
+                    BankState::Gated => c.bank_gated,
+                };
+            }
+            leak * cycles.at(c.clock)
+        }
+        let mut m = sram();
+        let mut want = Energy::ZERO;
+        for (step, bank) in [3usize, 0, 7, 3, 5, 0].into_iter().enumerate() {
+            if m.bank_state(bank) == BankState::On {
+                m.gate_bank(bank);
+            } else {
+                m.ungate_bank(bank);
+            }
+            for cycles in [1, 1, 9_999, step as u64 + 1] {
+                want += reference(&m, Cycles(cycles));
+                m.tick(Cycles(cycles));
+                assert_eq!(m.energy().0.to_bits(), want.0.to_bits());
+            }
+        }
     }
 
     #[test]

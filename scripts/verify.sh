@@ -139,6 +139,14 @@ ULP_BENCH_DIR="$trace_out" cargo test -q --benches --workspace --offline > /dev/
 cargo run -q -p ulp-bench --bin benchcheck --offline -- \
   "$trace_out"/BENCH_*.json BENCH_*.json > /dev/null
 
+echo "== benchmark: pinned output digests and goldens must match =="
+# One short run of every benchmark workload. It exits 1 when an output
+# differs from its seed-0 digest in examples/benchmark/expected.txt or
+# from a golden file, so a hot-path change that alters a single output
+# byte fails here, not only in a timed benchmark run.
+cargo run -q --release --offline --manifest-path examples/benchmark/Cargo.toml -- \
+  --seed 0 --seconds 1 > /dev/null
+
 echo "== dependency closure must be in-tree only =="
 external=$(cargo tree --workspace --edges normal,build --prefix none --offline \
   | awk '{print $1}' | sort -u | grep -v '^ulp-' || true)
