@@ -242,30 +242,32 @@ pub fn run_cosim_event(cfg: &CosimConfig) -> CosimSummary {
     summarize(&medium, &nodes, heard)
 }
 
-/// Advance one node to `target` using the engine's idle-skip policy:
-/// step busy cycles one at a time, lump idle spans with `skip_to`
-/// clamped to the next wakeup. Returns the outcome of the last step
-/// (`Idle` if the node was already at `target`).
-fn advance_node(node: &mut System, target: Cycles, endpoint: usize) -> StepOutcome {
+/// Advance one node to `target` the way the engine does: step busy
+/// cycles one at a time, and after an idle step hand the node its idle
+/// advance toward `target`. Returns the outcome of the last step (`Idle`
+/// if the node was already at `target`), stopping at `Halted`.
+pub(crate) fn advance(node: &mut System, target: Cycles) -> StepOutcome {
     let mut outcome = StepOutcome::Idle;
     while node.now() < target {
         outcome = node.step();
         match outcome {
             StepOutcome::Busy => {}
-            StepOutcome::Halted => panic!("node at endpoint {endpoint} halted"),
+            StepOutcome::Halted => break,
             StepOutcome::Idle => {
-                let now = node.now();
-                let skip = match node.next_wakeup() {
-                    Some(w) if w > now => w.min(target),
-                    Some(_) => continue, // wakeup due now: keep stepping
-                    None => target,
-                };
-                if skip > now {
-                    node.skip_to(skip);
-                }
+                node.idle_advance(target, target, None);
             }
         }
     }
+    outcome
+}
+
+/// [`advance`] a node that must not halt.
+fn advance_node(node: &mut System, target: Cycles, endpoint: usize) -> StepOutcome {
+    let outcome = advance(node, target);
+    assert!(
+        outcome != StepOutcome::Halted,
+        "node at endpoint {endpoint} halted"
+    );
     outcome
 }
 

@@ -47,7 +47,7 @@ use ulp_net::{ChannelConfig, EventWheel, SpatialMedium};
 use ulp_sim::{Cycles, Simulatable, StepOutcome};
 use ulp_testkit::Rng;
 
-use crate::cosim::SLOT_US;
+use crate::cosim::{advance, SLOT_US};
 use crate::fleet::{Cell, Coords, Sweep, SweepResults};
 
 /// Maximum nodes per tile: the shard unit. Small enough that one tile
@@ -351,28 +351,13 @@ pub fn run_tile(cfg: &DenseConfig, tile: usize) -> DenseSummary {
     s
 }
 
-/// Engine-style advance: step busy cycles, lump idle spans with
-/// `skip_to`, stop at `target`.
+/// [`advance`] a node of tile `tile` that must not halt.
 fn advance_to(node: &mut System, target: Cycles, tile: usize, i: usize) -> StepOutcome {
-    let mut outcome = StepOutcome::Idle;
-    while node.now() < target {
-        outcome = node.step();
-        match outcome {
-            StepOutcome::Busy => {}
-            StepOutcome::Halted => panic!("tile {tile}, node {i} halted"),
-            StepOutcome::Idle => {
-                let now = node.now();
-                let skip = match node.next_wakeup() {
-                    Some(w) if w > now => w.min(target),
-                    Some(_) => continue,
-                    None => target,
-                };
-                if skip > now {
-                    node.skip_to(skip);
-                }
-            }
-        }
-    }
+    let outcome = advance(node, target);
+    assert!(
+        outcome != StepOutcome::Halted,
+        "tile {tile}, node {i} halted"
+    );
     outcome
 }
 

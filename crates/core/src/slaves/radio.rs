@@ -126,13 +126,16 @@ impl Radio {
         }
     }
 
-    /// Advance `cycles` cycles with no TX in flight (idle-skip path).
+    /// Advance `cycles` cycles short of any TX completion (idle-skip
+    /// path). The check holds in release builds too: an over-skip would
+    /// lose the completion.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the span reaches the in-flight transmission's end.
     pub fn skip(&mut self, cycles: u64) {
-        debug_assert!(
-            self.tx_remaining.is_none_or(|r| r > cycles),
-            "skip would cross a TX completion"
-        );
         if let Some(rem) = &mut self.tx_remaining {
+            assert!(*rem > cycles, "skip({cycles}) would cross a TX completion");
             *rem -= cycles;
         }
     }
@@ -328,6 +331,16 @@ mod tests {
         let before = r.cycles_to_tx_done().unwrap();
         r.skip(10);
         assert_eq!(r.cycles_to_tx_done(), Some(before - 10));
+    }
+
+    #[test]
+    #[should_panic(expected = "would cross a TX completion")]
+    fn over_skip_panics() {
+        let mut r = on();
+        r.write(map::RADIO_BASE + map::RADIO_TX_LEN, 5);
+        r.write(map::RADIO_BASE + map::RADIO_CTRL, 1);
+        let remaining = r.cycles_to_tx_done().unwrap();
+        r.skip(remaining);
     }
 
     #[test]

@@ -13,10 +13,10 @@ use ulp_sim::fault::{FaultDisposition, FaultKind, FaultPlan, FaultStats};
 use ulp_sim::perf::{PhaseId, Profiler};
 use ulp_sim::telemetry::{Log2Histogram, Metrics};
 use ulp_sim::{
-    Cycles, Energy, EnergyMeter, Frequency, MeterId, Power, PowerMode, PowerSpec, Simulatable,
-    StepOutcome, TraceBuffer, TraceKind,
+    skip_target, ChargeBatch, Cycles, Draw, Energy, EnergyMeter, Frequency, IdleAdvance, Interval,
+    MeterId, Power, PowerMode, PowerSpec, Simulatable, StepOutcome, TraceBuffer, TraceKind,
 };
-use ulp_sram::{BankedSram, SramConfig};
+use ulp_sram::{BankedSram, QuietTicks, SramConfig};
 
 /// Configuration of a system instance.
 #[derive(Debug, Clone)]
@@ -767,41 +767,86 @@ impl System {
 
     fn sync_memory_energy(&mut self) {
         let total = self.slaves.mem.energy();
-        let delta = total - self.mem_energy_mark;
-        self.mem_energy_mark = total;
+        let delta = settle(&mut self.mem_energy_mark, total);
         self.meter.charge_energy(self.ids.memory, delta);
     }
 
-    /// Energy accounting for a fast-forwarded idle span, converted to
-    /// seconds once for every component.
-    fn charge_idle_span(&mut self, cycles: Cycles) {
+    /// Every component's draw in a quiet cycle (quiescent, no register
+    /// touched) or an idle span, memory last: the modes `charge_cycle`
+    /// picks for such a cycle, which are the modes of a skipped span.
+    fn quiet_draws(&self) -> [(MeterId, Draw); 8] {
         let ids = self.ids;
         let slaves = &self.slaves;
-        let m = &mut self.meter;
-        let span = m.interval(cycles);
-        m.charge_interval(ids.ep, PowerMode::Idle, span);
-        if slaves.timer.powered() {
-            let frac = slaves.timer.counting_fraction();
-            m.charge_fraction_interval(ids.timer, frac, span);
+        let timer = if slaves.timer.powered() {
+            Draw::Fraction(slaves.timer.counting_fraction())
         } else {
-            m.charge_interval(ids.timer, PowerMode::Gated, span);
+            Draw::Mode(PowerMode::Gated)
+        };
+        [
+            (ids.ep, Draw::Mode(PowerMode::Idle)),
+            (ids.timer, timer),
+            (ids.filter, Draw::Mode(mode(slaves.filter.powered(), false))),
+            (
+                ids.msgproc,
+                Draw::Mode(mode(slaves.msgproc.powered(), false)),
+            ),
+            (ids.mcu, Draw::Mode(PowerMode::Gated)),
+            (
+                ids.radio,
+                Draw::Mode(mode(slaves.radio.powered(), slaves.radio.listening())),
+            ),
+            (
+                ids.sensor,
+                Draw::Mode(mode(slaves.sensor.powered(), slaves.sensor.powered())),
+            ),
+            (ids.memory, Draw::Mode(PowerMode::Idle)), // time base only
+        ]
+    }
+
+    /// Check the meter and the SRAM out for quiet charging.
+    fn open_quiet(&self) -> Quiet {
+        Quiet {
+            batch: self.meter.batch(self.quiet_draws()),
+            sram: self.slaves.mem.quiet_ticks(),
+            mark: self.mem_energy_mark,
+            timers_counting: self.slaves.timer.active_count(),
         }
-        m.charge_interval(ids.filter, mode(slaves.filter.powered(), false), span);
-        m.charge_interval(ids.msgproc, mode(slaves.msgproc.powered(), false), span);
-        m.charge_interval(ids.mcu, PowerMode::Gated, span);
-        m.charge_interval(
-            ids.radio,
-            mode(slaves.radio.powered(), slaves.radio.listening()),
-            span,
-        );
-        m.charge_interval(
-            ids.sensor,
-            mode(slaves.sensor.powered(), slaves.sensor.powered()),
-            span,
-        );
-        m.charge_interval(ids.memory, PowerMode::Idle, span); // time base only
-        self.slaves.mem.tick(cycles);
-        self.sync_memory_energy();
+    }
+
+    fn close_quiet(&mut self, quiet: Quiet) {
+        self.meter.commit(quiet.batch);
+        self.slaves.mem.commit_quiet(quiet.sram);
+        self.mem_energy_mark = quiet.mark;
+    }
+
+    /// Fast-forward to `target` (strictly after `now`), charging the span
+    /// to `quiet`.
+    fn skip_quiet(&mut self, target: Cycles, quiet: &mut Quiet) {
+        debug_assert!(target > self.now, "skip must move forward");
+        let span = target - self.now;
+        self.slaves.skip(span);
+        quiet.span(self.meter.interval(span));
+        self.now = target;
+        if self.telemetry {
+            self.idle_skip_hist.record(span.0);
+        }
+    }
+
+    /// Whether the next cycle is a silent underflow: the timers'
+    /// next tick underflows without raising an interrupt, no rx frame
+    /// or fault is due, and the node is quiescent. Such a cycle steps as
+    /// a quiet one — no master runs, nothing is traced, nothing is
+    /// busy — and returns `Idle`.
+    fn silent_next(&self) -> bool {
+        let next = self.now.0 + 1;
+        self.slaves.timer.next_tick_is_silent_underflow()
+            && self.rx_queue.front().is_none_or(|(at, _)| at.0 > next)
+            && self
+                .fault_plan
+                .as_ref()
+                .and_then(FaultPlan::next_at)
+                .is_none_or(|at| at.0 > next)
+            && self.is_quiescent()
     }
 
     // ------------------------------------------------------------------
@@ -929,6 +974,47 @@ fn mode(powered: bool, active: bool) -> PowerMode {
     }
 }
 
+/// Accumulators of quiet charging (see `System::open_quiet`): the eight
+/// meter components at their quiet draws, the SRAM's running total, and
+/// the mark the memory meter is synced to.
+struct Quiet {
+    batch: ChargeBatch<8>,
+    sram: QuietTicks,
+    mark: Energy,
+    /// Timers counting when the batch was opened (the timer's draw).
+    timers_counting: usize,
+}
+
+/// Memory slot in `System::quiet_draws`.
+const QUIET_MEMORY: usize = 7;
+
+impl Quiet {
+    /// Charge one quiet cycle, as `System::charge_cycle` does.
+    #[inline]
+    fn cycle(&mut self) {
+        self.batch.cycle();
+        let total = self.sram.tick(Cycles(1));
+        self.batch.add(QUIET_MEMORY, settle(&mut self.mark, total));
+    }
+
+    /// Charge an idle span.
+    #[inline]
+    fn span(&mut self, span: Interval) {
+        self.batch.span(span);
+        let total = self.sram.tick(span.cycles());
+        self.batch.add(QUIET_MEMORY, settle(&mut self.mark, total));
+    }
+}
+
+/// The SRAM energy since `mark`, moving `mark` to `total`: what the
+/// memory meter is charged after each SRAM tick.
+#[inline]
+fn settle(mark: &mut Energy, total: Energy) -> Energy {
+    let delta = total - *mark;
+    *mark = total;
+    delta
+}
+
 impl Simulatable for System {
     fn now(&self) -> Cycles {
         self.now
@@ -959,14 +1045,68 @@ impl Simulatable for System {
     }
 
     fn skip_to(&mut self, target: Cycles) {
-        debug_assert!(target > self.now, "skip must move forward");
-        let span = target - self.now;
-        self.slaves.skip(span);
-        self.charge_idle_span(span);
-        self.now = target;
-        if self.telemetry {
-            self.idle_skip_hist.record(span.0);
+        let mut quiet = self.open_quiet();
+        self.skip_quiet(target, &mut quiet);
+        self.close_quiet(quiet);
+    }
+
+    /// The engine's idle skip, then a chain: while the next cycle is a
+    /// silent underflow (the GDI base timer's, 699 of every 700 wakes),
+    /// step it and skip on, exactly as the engine would one wake at a
+    /// time — the same `step_cycle` state changes, the same energy
+    /// addends in the same order — but with the eight component totals
+    /// and the SRAM's held in a `Quiet` batch and written back once,
+    /// and the profiler's calls counted in bulk.
+    fn idle_advance(
+        &mut self,
+        deadline: Cycles,
+        horizon: Cycles,
+        mut stop: Option<&mut dyn FnMut(&Self) -> bool>,
+    ) -> IdleAdvance {
+        let mut run = IdleAdvance::default();
+        let mut quiet = self.open_quiet();
+        loop {
+            let now = self.now;
+            if let Some(target) = skip_target(now, self.next_wakeup(), deadline) {
+                self.skip_quiet(target, &mut quiet);
+                run.skipped += target - now;
+            }
+            if self.now >= horizon || !self.silent_next() {
+                break;
+            }
+            if let Some(stop) = stop.as_deref_mut() {
+                // The predicate sees the machine up to date.
+                self.close_quiet(quiet);
+                run.stopped = stop(self);
+                quiet = self.open_quiet();
+                if run.stopped {
+                    break;
+                }
+            }
+            // The silent cycle, as `step_cycle` steps it.
+            self.now += Cycles(1);
+            let now = self.now;
+            self.slaves.irqs.set_now(now);
+            self.slaves.tick(now);
+            if self.slaves.timer.active_count() != quiet.timers_counting {
+                // A timer without `REPEAT` stopped: the timer block's
+                // draw changes from this cycle on.
+                self.close_quiet(quiet);
+                quiet = self.open_quiet();
+            }
+            quiet.cycle();
+            run.stepped += Cycles(1);
         }
+        self.close_quiet(quiet);
+        if let Some(p) = &self.prof {
+            let n = run.stepped.0;
+            if self.fault_plan.is_some() {
+                p.profiler.add_calls(p.fault_apply, n);
+            }
+            p.profiler.add_calls(p.event_dispatch, n);
+            p.profiler.add_calls(p.fetch_decode_execute, n);
+        }
+        run
     }
 
     fn on_epoch(&mut self, _index: u64) {

@@ -13,6 +13,12 @@
 //! component as an [`Interval`]. Each cached value is the very product the
 //! per-call formula forms, so the accumulated bits do not depend on which
 //! path charged them.
+//!
+//! A machine that charges a run of quiet cycles and spans, in which every
+//! component's draw stays put, can sum them in a [`ChargeBatch`] instead:
+//! the running totals live in the batch (in registers, in a tight loop)
+//! and go back to the meter once. The batch adds exactly the addends the
+//! per-call methods add, in the same order, so the bits do not change.
 
 use crate::power::{PowerMode, PowerSpec};
 use crate::units::{Cycles, Energy, Frequency, Power, Seconds};
@@ -24,6 +30,24 @@ use crate::units::{Cycles, Energy, Frequency, Power, Seconds};
 pub struct Interval {
     cycles: Cycles,
     seconds: Seconds,
+}
+
+impl Interval {
+    /// The span's length in cycles.
+    pub fn cycles(&self) -> Cycles {
+        self.cycles
+    }
+}
+
+/// How a component draws power while charged: in one [`PowerMode`], or
+/// with a `fraction` of its logic active and the rest idle (see
+/// [`EnergyMeter::charge_fraction`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Draw {
+    /// The whole component in one mode.
+    Mode(PowerMode),
+    /// A fraction in `[0, 1]` of the component active, the rest idle.
+    Fraction(f64),
 }
 
 /// Handle to a component registered with an [`EnergyMeter`].
@@ -76,6 +100,31 @@ fn mode_index(mode: PowerMode) -> usize {
         PowerMode::Active => 0,
         PowerMode::Idle => 1,
         PowerMode::Gated => 2,
+    }
+}
+
+/// The power `spec` draws under `draw`, and the `mode_cycles` slot its
+/// cycles count in. Every charge multiplies this power by the charged
+/// span's seconds, so this is the one place a draw is formed.
+///
+/// # Panics
+///
+/// Panics if a fraction is not within `[0, 1]`.
+fn resolve(spec: &PowerSpec, draw: Draw) -> (usize, Power) {
+    match draw {
+        Draw::Mode(mode) => (mode_index(mode), spec.draw(mode)),
+        Draw::Fraction(fraction) => {
+            assert!(
+                (0.0..=1.0).contains(&fraction),
+                "active fraction {fraction} out of [0, 1]"
+            );
+            let w = spec.active.watts() * fraction + spec.idle.watts() * (1.0 - fraction);
+            // Utilization reporting counts only fully-engaged cycles as
+            // active; background fractional activity (a lone counting
+            // timer) is idle-with-extra-energy. The energy is always exact.
+            let slot = if fraction >= 1.0 { 0 } else { 1 };
+            (slot, Power::from_watts(w))
+        }
     }
 }
 
@@ -139,7 +188,7 @@ impl EnergyMeter {
     pub fn register(&mut self, name: impl Into<String>, spec: PowerSpec) -> MeterId {
         let t = self.cycle.seconds;
         self.quanta
-            .push(PowerMode::ALL.map(|mode| spec.draw(mode) * t));
+            .push(PowerMode::ALL.map(|mode| resolve(&spec, Draw::Mode(mode)).1 * t));
         self.components.push(ComponentStats {
             name: name.into(),
             spec,
@@ -156,12 +205,18 @@ impl EnergyMeter {
 
     /// Charge an [`Interval`] of time in `mode` to a component.
     pub fn charge_interval(&mut self, id: MeterId, mode: PowerMode, span: Interval) {
+        self.charge_draw(id, Draw::Mode(mode), span);
+    }
+
+    /// Charge an [`Interval`] at `draw` to a component.
+    fn charge_draw(&mut self, id: MeterId, draw: Draw, span: Interval) {
+        let c = &mut self.components[id.0];
+        let (slot, power) = resolve(&c.spec, draw);
         if span.cycles == Cycles::ZERO {
             return;
         }
-        let c = &mut self.components[id.0];
-        c.energy += c.spec.draw(mode) * span.seconds;
-        c.mode_cycles[mode_index(mode)] += span.cycles;
+        c.energy += power * span.seconds;
+        c.mode_cycles[slot] += span.cycles;
     }
 
     /// Charge one cycle in `mode` to a component, adding the precomputed
@@ -199,24 +254,56 @@ impl EnergyMeter {
     ///
     /// Panics if `fraction` is not within `[0, 1]`.
     pub fn charge_fraction_interval(&mut self, id: MeterId, fraction: f64, span: Interval) {
-        assert!(
-            (0.0..=1.0).contains(&fraction),
-            "active fraction {fraction} out of [0, 1]"
-        );
-        let cycles = span.cycles;
-        if cycles == Cycles::ZERO {
-            return;
+        self.charge_draw(id, Draw::Fraction(fraction), span);
+    }
+
+    /// Check out the running totals of the components in `draws` into a
+    /// [`ChargeBatch`] that charges each at its fixed draw. Charge nothing
+    /// else to those components until the batch is
+    /// [`commit`](EnergyMeter::commit)ted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a fraction is not within `[0, 1]`.
+    pub fn batch<const N: usize>(&self, draws: [(MeterId, Draw); N]) -> ChargeBatch<N> {
+        let t = self.cycle.seconds;
+        let mut slot = [0; N];
+        let mut power = [Power::ZERO; N];
+        let mut quantum = [Energy::ZERO; N];
+        let mut energy = [Energy::ZERO; N];
+        for (i, &(id, draw)) in draws.iter().enumerate() {
+            let c = &self.components[id.0];
+            (slot[i], power[i]) = resolve(&c.spec, draw);
+            quantum[i] = power[i] * t;
+            energy[i] = c.energy;
         }
-        let c = &mut self.components[id.0];
-        let w = c.spec.active.watts() * fraction + c.spec.idle.watts() * (1.0 - fraction);
-        c.energy += Power::from_watts(w) * span.seconds;
-        // Utilization reporting counts only fully-engaged cycles as
-        // active; background fractional activity (a lone counting timer)
-        // is idle-with-extra-energy. The energy above is always exact.
-        if fraction >= 1.0 {
-            c.mode_cycles[0] += cycles;
-        } else {
-            c.mode_cycles[1] += cycles;
+        ChargeBatch {
+            ids: draws.map(|(id, _)| id),
+            slot,
+            power,
+            quantum,
+            opened: energy,
+            energy,
+            cycles: Cycles::ZERO,
+        }
+    }
+
+    /// Write a batch's running totals and cycle counts back.
+    ///
+    /// # Panics
+    ///
+    /// Panics if one of the batch's components was charged since the
+    /// batch was opened.
+    pub fn commit<const N: usize>(&mut self, batch: ChargeBatch<N>) {
+        for (i, id) in batch.ids.iter().enumerate() {
+            let c = &mut self.components[id.0];
+            assert!(
+                c.energy.0.to_bits() == batch.opened[i].0.to_bits(),
+                "{} was charged while a batch held it",
+                c.name
+            );
+            c.energy = batch.energy[i];
+            c.mode_cycles[batch.slot[i]] += batch.cycles;
         }
     }
 
@@ -259,6 +346,55 @@ impl EnergyMeter {
             .iter()
             .position(|c| c.name == name)
             .map(MeterId)
+    }
+}
+
+/// Charges to a fixed set of components, each at a fixed [`Draw`], summed
+/// outside the meter (made by [`EnergyMeter::batch`], written back by
+/// [`EnergyMeter::commit`]). A cycle adds each component's cached
+/// one-cycle quantum, as [`charge_cycle`](EnergyMeter::charge_cycle)
+/// does; a span adds `power × seconds`, as
+/// [`charge_interval`](EnergyMeter::charge_interval) does; so the
+/// totals are bit-identical to charging the same sequence call by call.
+#[derive(Debug, Clone)]
+pub struct ChargeBatch<const N: usize> {
+    ids: [MeterId; N],
+    slot: [usize; N],
+    power: [Power; N],
+    quantum: [Energy; N],
+    opened: [Energy; N],
+    energy: [Energy; N],
+    cycles: Cycles,
+}
+
+impl<const N: usize> ChargeBatch<N> {
+    /// Charge one cycle to every component.
+    #[inline]
+    pub fn cycle(&mut self) {
+        for i in 0..N {
+            self.energy[i] += self.quantum[i];
+        }
+        self.cycles += Cycles(1);
+    }
+
+    /// Charge `span` to every component.
+    #[inline]
+    pub fn span(&mut self, span: Interval) {
+        if span.cycles == Cycles::ZERO {
+            return;
+        }
+        for i in 0..N {
+            self.energy[i] += self.power[i] * span.seconds;
+        }
+        self.cycles += span.cycles;
+    }
+
+    /// Add a one-off energy to the component in slot `slot` (the order
+    /// of `draws`), as [`charge_energy`](EnergyMeter::charge_energy)
+    /// does.
+    #[inline]
+    pub fn add(&mut self, slot: usize, energy: Energy) {
+        self.energy[slot] += energy;
     }
 }
 

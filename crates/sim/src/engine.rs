@@ -48,6 +48,37 @@ pub trait Simulatable {
     /// the last [`step`](Simulatable::step) returned [`StepOutcome::Idle`].
     fn skip_to(&mut self, target: Cycles);
 
+    /// Advance after a [`step`](Simulatable::step) returned
+    /// [`StepOutcome::Idle`] (with fast-forwarding on). The default makes
+    /// the engine's one idle skip: to the next wakeup clamped to
+    /// `deadline` (see [`skip_target`]).
+    ///
+    /// A machine may go on from there, one wake after another, for as
+    /// long as each further cycle it steps is one whose step would
+    /// return `Idle` and each skip is the one the engine would make. It
+    /// must stop, before stepping again, once [`now`](Simulatable::now)
+    /// reaches `horizon` (at most `deadline`: the engine's next epoch
+    /// boundary or the deadline), and when `stop` — called with the
+    /// machine up to date after a skip, before each further step —
+    /// returns `true`. The result counts the further steps (each one an
+    /// `Idle` step and one idle skip to the engine) and every skipped
+    /// cycle.
+    fn idle_advance(
+        &mut self,
+        deadline: Cycles,
+        horizon: Cycles,
+        stop: Option<&mut dyn FnMut(&Self) -> bool>,
+    ) -> IdleAdvance {
+        let _ = (horizon, stop);
+        let now = self.now();
+        let mut run = IdleAdvance::default();
+        if let Some(target) = skip_target(now, self.next_wakeup(), deadline) {
+            self.skip_to(target);
+            run.skipped = target - now;
+        }
+        run
+    }
+
     /// Periodic telemetry hook. When an epoch length is configured via
     /// [`Engine::set_epoch`], the engine calls this once per elapsed epoch
     /// (in order, with a monotonically increasing `index`), including
@@ -57,6 +88,30 @@ pub trait Simulatable {
     fn on_epoch(&mut self, index: u64) {
         let _ = index;
     }
+}
+
+/// Where the engine's idle skip from `now` lands: the next wakeup clamped
+/// to `deadline`, or `deadline` with no wakeup scheduled. `None` when
+/// there is nothing to skip — a wakeup due now (keep stepping) or the
+/// deadline reached.
+pub fn skip_target(now: Cycles, wakeup: Option<Cycles>, deadline: Cycles) -> Option<Cycles> {
+    let target = match wakeup {
+        Some(w) if w > now => w.min(deadline),
+        Some(_) => return None,
+        None => deadline,
+    };
+    (target > now).then_some(target)
+}
+
+/// What one [`Simulatable::idle_advance`] covered.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IdleAdvance {
+    /// Cycles stepped after the first skip (each a silent `Idle` step).
+    pub stepped: Cycles,
+    /// Cycles covered by skips.
+    pub skipped: Cycles,
+    /// Whether `stop` returned `true`.
+    pub stopped: bool,
 }
 
 /// Statistics from one engine run.
@@ -223,7 +278,7 @@ impl<M: Simulatable> Engine<M> {
                 }
                 StepOutcome::Idle => {
                     stats.stepped += Cycles(1);
-                    self.idle_skip(deadline, &mut stats);
+                    self.idle_skip(deadline, &mut stats, None);
                 }
             }
             self.fire_epochs(&stats);
@@ -255,7 +310,10 @@ impl<M: Simulatable> Engine<M> {
                 }
                 StepOutcome::Idle => {
                     stats.stepped += Cycles(1);
-                    self.idle_skip(deadline, &mut stats);
+                    if self.idle_skip(deadline, &mut stats, Some(&mut pred)) {
+                        satisfied = true;
+                        break;
+                    }
                 }
             }
             self.fire_epochs(&stats);
@@ -270,30 +328,39 @@ impl<M: Simulatable> Engine<M> {
 
     /// The idle-skip fast-forward step, shared by [`run_until_cycle`] and
     /// [`run_until`] so policy changes (and the epoch machinery) live in
-    /// exactly one place. Jumps to the next scheduled activity, clamped to
-    /// the deadline; with no scheduled activity, to the deadline. A wakeup
-    /// due now (or in the past) means "keep stepping", so nothing happens.
+    /// exactly one place: the machine's [`Simulatable::idle_advance`],
+    /// bounded by the deadline and the next epoch boundary. Its further
+    /// steps count as stepped cycles and, to the profiler, as that many
+    /// `engine.step` and `engine.idle_skip` calls. Returns whether `stop`
+    /// ended it (the caller's predicate then holds).
     ///
     /// [`run_until_cycle`]: Engine::run_until_cycle
     /// [`run_until`]: Engine::run_until
-    fn idle_skip(&mut self, deadline: Cycles, stats: &mut RunStats) {
+    fn idle_skip(
+        &mut self,
+        deadline: Cycles,
+        stats: &mut RunStats,
+        stop: Option<&mut dyn FnMut(&M) -> bool>,
+    ) -> bool {
         if !self.fast_forward {
-            return;
+            return false;
         }
         let _span = self
             .prof
             .as_ref()
             .map(|p| p.profiler.enter(p.idle_skip));
-        let now = self.machine.now();
-        let target = match self.machine.next_wakeup() {
-            Some(w) if w > now => w.min(deadline),
-            Some(_) => return, // wakeup due now: keep stepping
+        let horizon = match self.epoch_len {
+            Some(_) => deadline.min(Cycles(self.epoch_next)),
             None => deadline,
         };
-        if target > now {
-            self.machine.skip_to(target);
-            stats.skipped += target - now;
+        let run = self.machine.idle_advance(deadline, horizon, stop);
+        stats.stepped += run.stepped;
+        stats.skipped += run.skipped;
+        if let Some(p) = &self.prof {
+            p.profiler.add_calls(p.step, run.stepped.0);
+            p.profiler.add_calls(p.idle_skip, run.stepped.0);
         }
+        run.stopped
     }
 
     /// Fire every epoch boundary at or before the machine's current time.

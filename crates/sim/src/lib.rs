@@ -43,8 +43,8 @@ pub mod telemetry;
 pub mod trace;
 pub mod units;
 
-pub use energy::{ComponentStats, EnergyMeter, Interval, MeterId};
-pub use engine::{Engine, RunStats, Simulatable, StepOutcome};
+pub use energy::{ChargeBatch, ComponentStats, Draw, EnergyMeter, Interval, MeterId};
+pub use engine::{skip_target, Engine, IdleAdvance, RunStats, Simulatable, StepOutcome};
 pub use fault::{FaultDisposition, FaultEvent, FaultKind, FaultPlan, FaultStats};
 pub use perf::{PerfSnapshot, Profiler};
 pub use power::{PowerMode, PowerSpec};

@@ -176,6 +176,13 @@ impl Profiler {
         }
     }
 
+    /// Count `n` more calls of a phase without opening spans (no clock
+    /// reads): for work a machine did in bulk that would otherwise have
+    /// been `n` spans, whose time stays with the span enclosing it.
+    pub fn add_calls(&self, id: PhaseId, n: u64) {
+        self.inner.borrow_mut().phases[id.0].calls += n;
+    }
+
     /// Convenience: register-and-enter in one call (setup-time code; hot
     /// paths should pre-register with [`phase`](Profiler::phase)).
     pub fn span(&self, name: &str) -> SpanGuard {

@@ -186,6 +186,41 @@ fn leakage(config: &SramConfig, states: &[BankState]) -> Power {
     leak
 }
 
+/// The leakage energy of `cycles` at `leak`; `cycle` is one cycle at
+/// `clock`, the exact value `Cycles(1).at(clock)` gives.
+#[inline]
+fn leak_over(leak: Power, cycle: Seconds, clock: Frequency, cycles: Cycles) -> Energy {
+    let t = if cycles == Cycles(1) {
+        cycle
+    } else {
+        cycles.at(clock)
+    };
+    leak * t
+}
+
+/// A run of quiet ticks of a [`BankedSram`] summed outside it (see
+/// [`BankedSram::quiet_ticks`]), so a simulator's tight loop keeps the
+/// running total in a register.
+#[derive(Debug, Clone, Copy)]
+pub struct QuietTicks {
+    leak: Power,
+    cycle: Seconds,
+    clock: Frequency,
+    opened: Energy,
+    energy: Energy,
+    ticked: u64,
+}
+
+impl QuietTicks {
+    /// Tick `cycles` quiet cycles; returns the array's total energy.
+    #[inline]
+    pub fn tick(&mut self, cycles: Cycles) -> Energy {
+        self.ticked += cycles.0;
+        self.energy += leak_over(self.leak, self.cycle, self.clock, cycles);
+        self.energy
+    }
+}
+
 /// The banked SRAM: functional storage plus energy integration.
 #[derive(Debug, Clone)]
 pub struct BankedSram {
@@ -403,15 +438,49 @@ impl BankedSram {
     /// [`read`](Self::read)/[`write`](Self::write) since the previous tick
     /// is folded in here.
     pub fn tick(&mut self, cycles: Cycles) {
-        let t = if cycles == Cycles(1) {
-            self.cycle
-        } else {
-            cycles.at(self.config.clock)
-        };
         self.ticked += cycles.0;
-        self.energy += self.leak * t;
+        self.energy += leak_over(self.leak, self.cycle, self.config.clock, cycles);
         self.energy += self.access_energy_this_tick;
         self.access_energy_this_tick = Energy::ZERO;
+    }
+
+    /// Check the array out for a run of quiet ticks — no access and no
+    /// bank state change — summed in a [`QuietTicks`] and written back by
+    /// [`commit_quiet`](Self::commit_quiet). Each quiet tick adds exactly
+    /// what [`tick`](Self::tick) would: the leakage, and a zero access
+    /// energy, which leaves the (never negative) total unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an access has been charged since the last tick.
+    pub fn quiet_ticks(&self) -> QuietTicks {
+        assert!(
+            self.access_energy_this_tick == Energy::ZERO,
+            "quiet ticks with an access pending"
+        );
+        QuietTicks {
+            leak: self.leak,
+            cycle: self.cycle,
+            clock: self.config.clock,
+            opened: self.energy,
+            energy: self.energy,
+            ticked: 0,
+        }
+    }
+
+    /// Write a run of quiet ticks back.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the array was ticked or changed state since the run was
+    /// checked out.
+    pub fn commit_quiet(&mut self, quiet: QuietTicks) {
+        assert!(
+            self.energy.0.to_bits() == quiet.opened.0.to_bits() && self.leak == quiet.leak,
+            "SRAM ticked or changed state during a quiet run"
+        );
+        self.energy = quiet.energy;
+        self.ticked += quiet.ticked;
     }
 
     /// Total energy consumed so far.

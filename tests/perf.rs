@@ -21,7 +21,11 @@ use ulp_bench::chaos::{campaign, campaign_summary, cells, run_chaos, ChaosApp, C
 use ulp_bench::fleet::Coords;
 use ulp_bench::perf::ProgressMeter;
 use ulp_bench::tracegen;
+use ulp_node::apps::ulp::{stages, SamplePeriod};
+use ulp_node::core_arch::slaves::RandomWalkSensor;
+use ulp_node::core_arch::SystemConfig;
 use ulp_sim::telemetry::validate_json;
+use ulp_sim::{Cycles, Engine, Profiler};
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -130,6 +134,57 @@ fn stage4_perf_counts_are_deterministic_and_golden() {
     assert_eq!(snap_a.samples, snap_b.samples, "epoch samples drifted");
     assert_eq!(a.json, b.json, "profiled trace JSON drifted");
     assert_golden("perf_stage4_counts.txt", &snap_a.counts_table());
+}
+
+/// Five simulated minutes of the stage-1 Great Duck Island program
+/// (timer 0 underflows silently every 10,000 cycles; chained timer 1
+/// raises the sample interrupt every 700 of them), profiled with
+/// telemetry, tracing, and 10-s epochs on. Almost every wake is a silent
+/// underflow, so the pinned counts are those of the idle path: one
+/// `engine.step`, `sys.event_dispatch` and `sys.fetch_decode_execute`
+/// per stepped cycle and one `engine.idle_skip` per idle step, however
+/// the system advances through its silent underflows. The epoch samples
+/// pin the cumulative stepped/skipped counts at every boundary.
+#[test]
+fn gdi_perf_counts_are_golden() {
+    let run = || {
+        let program = stages::app1(SamplePeriod::Chained {
+            base: 10_000,
+            count: 700,
+        });
+        let mut sys = program.build_system(
+            SystemConfig::default(),
+            Box::new(RandomWalkSensor::new(120, 7)),
+        );
+        sys.trace_mut().set_enabled(true);
+        sys.set_telemetry(true);
+        let profiler = Profiler::new();
+        sys.set_profiler(&profiler);
+        let mut engine = Engine::new(sys);
+        engine.set_profiler(&profiler);
+        engine.set_epoch(Cycles(1_000_000));
+        engine.run_for(Cycles(5 * 60 * 100_000));
+        let sys = engine.into_machine();
+        assert!(sys.fault().is_none(), "GDI run faulted: {:?}", sys.fault());
+        ulp_bench::perf::attach_guest_counters(&profiler, &sys);
+        let snap = profiler.snapshot();
+        let mut out = snap.counts_table();
+        let row = |name: &str, at: &dyn std::fmt::Display, value: &dyn std::fmt::Display| {
+            format!("{name:<16} {at:>14} {value:>14}\n")
+        };
+        out.push_str(&row("epoch sample", &"at", &"value"));
+        for s in &snap.samples {
+            out.push_str(&row(&s.name, &s.at.0, &s.value));
+        }
+        out
+    };
+    let counts = run();
+    assert_eq!(
+        counts,
+        run(),
+        "GDI perf counts drifted between identical runs"
+    );
+    assert_golden("perf_gdi_counts.txt", &counts);
 }
 
 /// Shared capture sink for a [`ProgressMeter`] under test.

@@ -5,11 +5,17 @@
 //! side by side with a straightforward eager model that decrements every
 //! counter on every cycle, and every observable must agree. The interrupt
 //! arbiter keeps its pending lines as a bitmask; it is checked against a
-//! flag-per-line model.
+//! flag-per-line model. The system chains silent timer wakes inside its
+//! idle advance; a whole node run through the engine is checked against
+//! the engine's loop taken one wake at a time.
 
-use ulp_node::core_arch::map;
-use ulp_node::core_arch::slaves::{timer_ctrl as ctrl, TimerBlock};
-use ulp_node::core_arch::InterruptArbiter;
+use ulp_node::apps::ulp::{stages, SamplePeriod};
+use ulp_node::core_arch::map::{self, Irq};
+use ulp_node::core_arch::slaves::{timer_ctrl as ctrl, RandomWalkSensor, TimerBlock};
+use ulp_node::core_arch::{InterruptArbiter, System, SystemConfig};
+use ulp_node::isa::ep::{encode_program, Instruction};
+use ulp_node::net::Frame;
+use ulp_node::sim::{Cycles, Engine, FaultPlan, RunStats, Simulatable, StepOutcome};
 use ulp_testkit::{any_bool, any_u8, prop_assert, prop_assert_eq, props, vec_of};
 
 // ---------------------------------------------------------------------
@@ -336,4 +342,276 @@ props! {
             prop_assert_eq!(arb.raised(), arb.taken() + arb.cleared() + arb.pending_count());
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Chained idle advance vs the engine loop one wake at a time
+// ---------------------------------------------------------------------
+
+/// The engine's loop as a literal reading of its contract: step; after
+/// an idle step, skip once to the next wakeup clamped to the deadline
+/// (nothing when a wakeup is due now); fire every epoch boundary reached
+/// after each iteration; check the predicate before each step.
+struct WakeByWake {
+    sys: System,
+    epoch: Option<u64>,
+    epoch_next: u64,
+    epoch_index: u64,
+}
+
+impl WakeByWake {
+    fn new(sys: System, epoch: Option<u64>) -> WakeByWake {
+        let epoch_next = sys.now().0 + epoch.unwrap_or(0);
+        WakeByWake {
+            sys,
+            epoch,
+            epoch_next,
+            epoch_index: 0,
+        }
+    }
+
+    fn run_until(
+        &mut self,
+        max: Cycles,
+        mut pred: impl FnMut(&System) -> bool,
+    ) -> (RunStats, bool) {
+        let deadline = self.sys.now() + max;
+        let mut stats = RunStats::default();
+        let mut satisfied = false;
+        while self.sys.now() < deadline {
+            if pred(&self.sys) {
+                satisfied = true;
+                break;
+            }
+            let outcome = self.sys.step();
+            stats.stepped += Cycles(1);
+            match outcome {
+                StepOutcome::Busy => {}
+                StepOutcome::Halted => {
+                    stats.halted = true;
+                    self.fire_epochs();
+                    break;
+                }
+                StepOutcome::Idle => {
+                    let now = self.sys.now();
+                    let target = match self.sys.next_wakeup() {
+                        Some(w) if w > now => Some(w.min(deadline)),
+                        Some(_) => None,
+                        None => Some(deadline),
+                    };
+                    if let Some(t) = target.filter(|&t| t > now) {
+                        self.sys.skip_to(t);
+                        stats.skipped += t - now;
+                    }
+                }
+            }
+            self.fire_epochs();
+        }
+        if !satisfied && pred(&self.sys) {
+            satisfied = true;
+        }
+        (stats, satisfied)
+    }
+
+    fn fire_epochs(&mut self) {
+        let Some(len) = self.epoch else { return };
+        while self.epoch_next <= self.sys.now().0 {
+            self.sys.on_epoch(self.epoch_index);
+            self.epoch_index += 1;
+            self.epoch_next += len;
+        }
+    }
+}
+
+/// A randomised GDI-style node: the stage-3 program (it listens, so rx
+/// frames are delivered) on a chained period, then each timer optionally
+/// reprogrammed from `(enable?, reload, ctrl)` — chained or counting
+/// cycles, with or without `IRQ_EN` and `REPEAT`, `CHAIN` on timer 0
+/// included. Every timer interrupt has an ISR (the sampling chain for
+/// timer 1, a bare `TERMINATE` for the others).
+#[allow(clippy::type_complexity)]
+fn random_node(
+    base: u16,
+    count: u16,
+    timers: &[(bool, u16, u8)],
+    rx: &[(u32, u8)],
+    faults: (u64, u8),
+    horizon: u64,
+    telemetry: bool,
+) -> System {
+    let program = stages::app3(SamplePeriod::Chained { base, count }, 0);
+    let mut sys = program.build_system(
+        SystemConfig::default(),
+        Box::new(RandomWalkSensor::new(100, base as u64)),
+    );
+    let terminate = encode_program(&[Instruction::Terminate]).unwrap();
+    sys.load(0x07F0, &terminate);
+    for i in [0, 2, 3] {
+        sys.install_ep_isr(Irq::timer(i), 0x07F0);
+    }
+    for (i, &(reprogram, reload, bits)) in timers.iter().enumerate() {
+        if !reprogram {
+            continue;
+        }
+        let t = &mut sys.slaves_mut().timer;
+        let b = i as u16 * map::TIMER_STRIDE;
+        t.write(b + map::TIMER_CTRL, 0);
+        t.write(b + map::TIMER_RELOAD_LO, reload as u8);
+        t.write(b + map::TIMER_RELOAD_HI, (reload >> 8) as u8);
+        t.write(b + map::TIMER_CTRL, bits & 0x0F);
+    }
+    // Half the frames and faults land on a base-timer underflow (while
+    // timer 0 keeps the program's period), right where a chain steps.
+    let on_underflow = |at: u64| (1 + at % (horizon / base as u64)) * base as u64;
+    for (seq, &(at, byte)) in rx.iter().enumerate() {
+        let frame = Frame::data(0x22, 0x0009, 0x0001, seq as u8, &[byte]).unwrap();
+        let at = if byte & 1 == 1 {
+            on_underflow(at as u64)
+        } else {
+            1 + at as u64 % horizon
+        };
+        sys.schedule_rx(Cycles(at), frame.encode());
+    }
+    let (fault_seed, fault_count) = faults;
+    let mut plan = FaultPlan::new();
+    let generated = FaultPlan::generate(fault_seed, horizon, fault_count as usize);
+    for (k, e) in generated.events().iter().enumerate() {
+        let at = if k % 2 == 0 {
+            on_underflow(e.at.0)
+        } else {
+            e.at.0
+        };
+        plan.push(Cycles(at), e.kind);
+    }
+    sys.set_fault_plan(plan);
+    sys.trace_mut().set_enabled(true);
+    sys.set_telemetry(telemetry);
+    sys
+}
+
+/// Every guest observable the two runs could differ in.
+fn assert_same_node(a: &System, b: &System) {
+    prop_assert_eq!(a.now(), b.now());
+    prop_assert_eq!(a.busy_cycles(), b.busy_cycles());
+    for (x, y) in a.meter().all().iter().zip(b.meter().all()) {
+        prop_assert_eq!(
+            x.energy.joules().to_bits(),
+            y.energy.joules().to_bits(),
+            "{} energy",
+            x.name
+        );
+        prop_assert_eq!(x.mode_cycles, y.mode_cycles, "{} mode cycles", &x.name);
+    }
+    prop_assert_eq!(
+        a.slaves().mem.energy().joules().to_bits(),
+        b.slaves().mem.energy().joules().to_bits()
+    );
+    prop_assert_eq!(a.slaves().timer.alarms(), b.slaves().timer.alarms());
+    prop_assert_eq!(
+        a.slaves().timer.cycles_to_next_alarm(),
+        b.slaves().timer.cycles_to_next_alarm()
+    );
+    prop_assert_eq!(a.idle_skip_spans(), b.idle_skip_spans());
+    prop_assert_eq!(a.bus_occupancy(), b.bus_occupancy());
+    prop_assert_eq!(a.mcu_wake_latency(), b.mcu_wake_latency());
+    prop_assert_eq!(a.fault_stats(), b.fault_stats());
+    prop_assert_eq!(a.fault(), b.fault());
+    prop_assert_eq!(a.slaves().radio.stats(), b.slaves().radio.stats());
+    let trace = |s: &System| s.trace().events().cloned().collect::<Vec<_>>();
+    prop_assert_eq!(trace(a), trace(b));
+    prop_assert_eq!(
+        a.telemetry_snapshot().summary(),
+        b.telemetry_snapshot().summary()
+    );
+}
+
+props! {
+    #![cases(24)]
+
+    /// One node driven through `Engine` (whose idle advance chains
+    /// silent underflows) and through the engine's loop one wake at a
+    /// time agree bit for bit: every component's energy and mode cycles,
+    /// the run statistics of each segment, alarms, both telemetry
+    /// histograms, and the trace. Segments end at random deadlines, the
+    /// last one at a predicate on `now()`, so chains are cut by
+    /// deadlines, epoch boundaries, the predicate, rx frames, faults,
+    /// and interrupting underflows.
+    #[test]
+    fn chained_idle_advance_matches_wake_by_wake(
+        period in (1u16..3_000, 1u16..12),
+        timers in vec_of((any_bool(), 1u16..4_000, any_u8()), 4..5),
+        rx in vec_of((ulp_testkit::any_u32(), any_u8()), 0..4),
+        faults in (ulp_testkit::any_u64(), 0u8..4),
+        epoch in (any_bool(), 1u64..40_000),
+        telemetry in any_bool(),
+        segments in vec_of(1u32..60_000, 1..4),
+    ) {
+        let horizon: u64 = segments.iter().map(|&n| n as u64).sum::<u64>() + 60_000;
+        let node = || random_node(period.0, period.1, &timers, &rx, faults, horizon, telemetry);
+        let epoch = epoch.0.then_some(epoch.1);
+        let mut engine = Engine::new(node());
+        if let Some(len) = epoch {
+            engine.set_epoch(Cycles(len));
+        }
+        let mut reference = WakeByWake::new(node(), epoch);
+        for &n in &segments {
+            let a = engine.run_for(Cycles(n as u64));
+            let (b, _) = reference.run_until(Cycles(n as u64), |_| false);
+            prop_assert_eq!(a, b);
+            assert_same_node(engine.machine(), &reference.sys);
+        }
+        // A predicate on `now()` that turns true partway through.
+        let at = engine.machine().now() + Cycles(segments[0] as u64);
+        let (mut calls_a, mut calls_b) = (0u64, 0u64);
+        let a = engine.run_until(Cycles(60_000), |s| {
+            calls_a += 1;
+            s.now() >= at
+        });
+        let b = reference.run_until(Cycles(60_000), |s| {
+            calls_b += 1;
+            s.now() >= at
+        });
+        prop_assert_eq!(a, b);
+        prop_assert_eq!(calls_a, calls_b, "predicate calls");
+        assert_same_node(engine.machine(), &reference.sys);
+    }
+}
+
+/// `run_until` checks its predicate after every stepped cycle and every
+/// skip, chained or not: a predicate on `now()` that turns true in the
+/// middle of a chain of silent GDI wakes stops the run at the first skip
+/// that reaches it, with the same calls, statistics and energy as the
+/// engine's loop one wake at a time.
+#[test]
+fn run_until_stops_partway_through_a_chain() {
+    let node = || {
+        let program = stages::app1(SamplePeriod::Chained {
+            base: 10_000,
+            count: 700,
+        });
+        program.build_system(
+            SystemConfig::default(),
+            Box::new(RandomWalkSensor::new(120, 7)),
+        )
+    };
+    let mut engine = Engine::new(node());
+    let mut reference = WakeByWake::new(node(), None);
+    // The first alarm is at 7,000,000; 123,456 falls in the 13th of its
+    // silent base-timer wakes, whose skip lands on 129,999.
+    let at = Cycles(123_456);
+    let (mut calls_a, mut calls_b) = (0u64, 0u64);
+    let a = engine.run_until(Cycles(1_000_000), |s| {
+        calls_a += 1;
+        s.now() >= at
+    });
+    let b = reference.run_until(Cycles(1_000_000), |s| {
+        calls_b += 1;
+        s.now() >= at
+    });
+    assert!(a.1, "predicate satisfied");
+    assert_eq!(engine.machine().now(), Cycles(129_999));
+    assert_eq!(a, b);
+    assert_eq!(calls_a, calls_b);
+    assert_eq!(calls_a, 14, "once before each of 13 steps, then true");
+    assert_same_node(engine.machine(), &reference.sys);
 }
