@@ -4,9 +4,8 @@
 //! over time. Byte-identity across thread counts is asserted elsewhere
 //! (`tests/fleet.rs`); here only the wall-clock is interesting.
 //!
-//! Runs on the in-tree `ulp_testkit::bench` harness by default (offline,
-//! zero external crates); enable the non-default `criterion-bench`
-//! feature of `ulp-bench` for Criterion statistics.
+//! Runs on the in-tree `ulp_testkit::bench` harness (offline, zero
+//! external crates).
 
 use ulp_bench::cosim::{run_cosim, CosimConfig};
 use ulp_bench::fleet::{self, Cell, Coords, Sweep};
@@ -42,7 +41,6 @@ fn run_small_fleet(sweep: &Sweep<CosimConfig>, threads: usize) -> usize {
     results.rows().len()
 }
 
-#[cfg(not(feature = "criterion-bench"))]
 fn main() {
     use ulp_testkit::bench::{Harness, Throughput};
     let sweep = build_small_cosim_sweep();
@@ -54,34 +52,4 @@ fn main() {
         run_small_fleet(&sweep, fleet::fleet_threads())
     });
     h.finish();
-}
-
-#[cfg(feature = "criterion-bench")]
-mod with_criterion {
-    use super::*;
-    use criterion::{criterion_group, Criterion, Throughput};
-
-    fn bench_fleet(c: &mut Criterion) {
-        let mut g = c.benchmark_group("fleet");
-        let sweep = build_small_cosim_sweep();
-        g.sample_size(10);
-        g.throughput(Throughput::Elements(sweep.len() as u64));
-        g.bench_function("cosim_small/serial", |b| {
-            b.iter(|| run_small_fleet(&sweep, 1))
-        });
-        g.bench_function("cosim_small/parallel", |b| {
-            b.iter(|| run_small_fleet(&sweep, fleet::fleet_threads()))
-        });
-        g.finish();
-    }
-
-    criterion_group!(benches, bench_fleet);
-}
-
-#[cfg(feature = "criterion-bench")]
-fn main() {
-    with_criterion::benches();
-    criterion::Criterion::default()
-        .configure_from_args()
-        .final_summary();
 }

@@ -3,11 +3,8 @@
 //! idle-skip engine buys on low-duty-cycle workloads — the property that
 //! makes the lifetime studies (years of simulated time) tractable.
 //!
-//! By default this runs on the in-tree `ulp_testkit::bench` harness so
-//! `cargo bench` works offline with zero external crates. Enable the
-//! non-default `criterion-bench` feature of `ulp-bench` (and restore the
-//! commented-out criterion dev-dependency in its Cargo.toml) to get full
-//! Criterion statistics instead.
+//! Runs on the in-tree `ulp_testkit::bench` harness, so `cargo bench`
+//! works offline with zero external crates.
 
 use ulp_apps::mica as mapps;
 use ulp_apps::ulp::{stages, SamplePeriod};
@@ -74,7 +71,6 @@ fn run_lifetime_day() -> ulp_sim::Power {
     sys.average_power()
 }
 
-#[cfg(not(feature = "criterion-bench"))]
 fn main() {
     use ulp_testkit::bench::{Harness, Throughput};
     let horizon = 1_000_000u64;
@@ -90,56 +86,4 @@ fn main() {
         .bench("run/sampling_every_tick_decode", || run_mica_decode(horizon));
     h.group("lifetime").bench("one_simulated_day_gdi", run_lifetime_day);
     h.finish();
-}
-
-#[cfg(feature = "criterion-bench")]
-mod with_criterion {
-    use super::*;
-    use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
-
-    fn bench_ulp_system(c: &mut Criterion) {
-        let mut g = c.benchmark_group("ulp_system");
-        let horizon = 1_000_000u64;
-        for (name, period) in [("busy_1k", 1_000u64), ("idle_100k", 100_000u64)] {
-            g.throughput(Throughput::Elements(horizon));
-            g.bench_with_input(BenchmarkId::new("run", name), &period, |b, &period| {
-                b.iter(|| run_ulp(period, horizon))
-            });
-        }
-        g.bench_function("run/idle_100k_no_skip", |b| b.iter(run_ulp_no_skip));
-        g.finish();
-    }
-
-    fn bench_mica_board(c: &mut Criterion) {
-        let mut g = c.benchmark_group("mica_board");
-        let horizon = 1_000_000u64;
-        g.throughput(Throughput::Elements(horizon));
-        g.bench_function("run/sampling_every_tick", |b| b.iter(|| run_mica(horizon)));
-        g.bench_function("run/sampling_every_tick_decode", |b| {
-            b.iter(|| run_mica_decode(horizon))
-        });
-        g.finish();
-    }
-
-    fn bench_lifetime_study(c: &mut Criterion) {
-        let mut g = c.benchmark_group("lifetime");
-        g.sample_size(10);
-        g.bench_function("one_simulated_day_gdi", |b| b.iter(run_lifetime_day));
-        g.finish();
-    }
-
-    criterion_group!(
-        benches,
-        bench_ulp_system,
-        bench_mica_board,
-        bench_lifetime_study
-    );
-}
-
-#[cfg(feature = "criterion-bench")]
-fn main() {
-    with_criterion::benches();
-    criterion::Criterion::default()
-        .configure_from_args()
-        .final_summary();
 }

@@ -1,9 +1,8 @@
 //! Benches of the substrate libraries: assemblers, the frame codec, the
 //! SRAM model, and the technology sweep.
 //!
-//! Runs on the in-tree `ulp_testkit::bench` harness by default (offline,
-//! zero external crates); the non-default `criterion-bench` feature of
-//! `ulp-bench` swaps in Criterion.
+//! Runs on the in-tree `ulp_testkit::bench` harness (offline, zero
+//! external crates).
 
 use ulp_isa::asm::Assembler;
 use ulp_isa::ep::{decode_isr, encode_program, ComponentId, EpIsa, Instruction as I};
@@ -48,7 +47,6 @@ fn ep_program() -> [I; 6] {
     ]
 }
 
-#[cfg(not(feature = "criterion-bench"))]
 fn main() {
     use ulp_testkit::bench::{Harness, Throughput};
     let mut h = Harness::from_args("substrates");
@@ -91,84 +89,4 @@ fn main() {
 
     h.group("tech").bench("figure3_sweep", || ulp_tech::figure3_sweep(25.0));
     h.finish();
-}
-
-#[cfg(feature = "criterion-bench")]
-mod with_criterion {
-    use super::*;
-    use criterion::{criterion_group, Criterion, Throughput};
-
-    fn bench_assemblers(c: &mut Criterion) {
-        let mut g = c.benchmark_group("assembler");
-        let runtime = runtime_builder();
-        g.throughput(Throughput::Bytes(runtime.source().len() as u64));
-        g.bench_function("avr_runtime", |b| {
-            b.iter(|| runtime.build().expect("assembles"))
-        });
-        g.bench_function("ep_isr", |b| {
-            b.iter(|| Assembler::new(EpIsa).assemble(EP_SRC).expect("assembles"))
-        });
-        g.finish();
-    }
-
-    fn bench_ep_codec(c: &mut Criterion) {
-        let program = ep_program();
-        let bytes = encode_program(&program).unwrap();
-        let mut g = c.benchmark_group("ep_codec");
-        g.throughput(Throughput::Bytes(bytes.len() as u64));
-        g.bench_function("encode", |b| b.iter(|| encode_program(&program)));
-        g.bench_function("decode", |b| b.iter(|| decode_isr(&bytes).unwrap()));
-        g.finish();
-    }
-
-    fn bench_frames(c: &mut Criterion) {
-        let payload = [0xA5u8; 21];
-        let frame = Frame::data(0x22, 1, 0, 7, &payload).unwrap();
-        let bytes = frame.encode();
-        let mut g = c.benchmark_group("frame_codec");
-        g.throughput(Throughput::Bytes(bytes.len() as u64));
-        g.bench_function("encode", |b| b.iter(|| frame.encode()));
-        g.bench_function("decode", |b| b.iter(|| Frame::decode(&bytes).unwrap()));
-        g.bench_function("crc16_32B", |b| b.iter(|| crc16(&bytes)));
-        g.finish();
-    }
-
-    fn bench_sram(c: &mut Criterion) {
-        let mut g = c.benchmark_group("sram");
-        g.throughput(Throughput::Elements(2048));
-        g.bench_function("sweep_read_tick", |b| {
-            let mut mem = BankedSram::new(SramConfig::paper());
-            b.iter(|| {
-                for a in 0..2048u16 {
-                    let _ = mem.read(a).unwrap();
-                }
-                mem.tick(Cycles(2048));
-                mem.energy()
-            })
-        });
-        g.finish();
-    }
-
-    fn bench_tech_sweep(c: &mut Criterion) {
-        c.bench_function("tech/figure3_sweep", |b| {
-            b.iter(|| ulp_tech::figure3_sweep(25.0))
-        });
-    }
-
-    criterion_group!(
-        benches,
-        bench_assemblers,
-        bench_ep_codec,
-        bench_frames,
-        bench_sram,
-        bench_tech_sweep
-    );
-}
-
-#[cfg(feature = "criterion-bench")]
-fn main() {
-    with_criterion::benches();
-    criterion::Criterion::default()
-        .configure_from_args()
-        .final_summary();
 }

@@ -15,7 +15,7 @@
 //! Flags:
 //!
 //! * `--nodes A[,B,…]` — node counts to sweep (default `64`; `1024`
-//!   with `--dense`)
+//!   with `--dense`); at most 65,533, the addresses 2..=0xFFFE
 //! * `--loss  A[,B,…]` — loss probabilities to sweep (default `0.1`)
 //! * `--seeds N`       — seeds `0..N` per cell (default `8`; `1` with
 //!   `--dense`)
@@ -58,7 +58,7 @@
 
 use std::process::exit;
 
-use ulp_bench::cosim::{run_cosim, CosimConfig, CosimSummary};
+use ulp_bench::cosim::{run_cosim, CosimConfig, CosimSummary, MAX_NODES};
 use ulp_bench::dense::{self, DenseConfig};
 use ulp_bench::fleet::{self, Cell, Coords, Sweep, SweepResults};
 use ulp_bench::store::{drive, DriveConfig, Shard};
@@ -222,6 +222,10 @@ fn main() {
     if nodes.is_empty() || losses.is_empty() || densities.is_empty() || duties.is_empty() || seeds == 0
     {
         eprintln!("empty grid");
+        usage();
+    }
+    if let Some(n) = nodes.iter().find(|&&n| n > MAX_NODES) {
+        eprintln!("--nodes: {n} nodes do not fit in addresses 2..=0xFFFE (at most {MAX_NODES})");
         usage();
     }
     if (shard.is_some() || merge) && store_dir.is_none() {

@@ -39,15 +39,21 @@
 //! listen — the density study measures channel contention and sender
 //! energy, not routing — so medium deliveries to sender endpoints are
 //! classified by the channel and then discarded.
+//!
+//! A tile runs on the co-simulation event loop shared with
+//! [`crate::cosim::run_cosim_event`], with its senders not listening.
+//! The spatial channel produces deliveries only when [`run_tile`]
+//! drains it after the loop, so no sender would hear a frame mid-run
+//! anyway; the drain, the sink count and the conservation assert stay
+//! here.
 
 use ulp_apps::ulp::{monitoring, AppStage, MonitoringConfig, SamplePeriod};
 use ulp_core::slaves::RandomWalkSensor;
 use ulp_core::{System, SystemConfig};
-use ulp_net::{ChannelConfig, EventWheel, SpatialMedium};
-use ulp_sim::{Cycles, Simulatable, StepOutcome};
+use ulp_net::{ChannelConfig, SpatialMedium};
 use ulp_testkit::Rng;
 
-use crate::cosim::{advance, SLOT_US};
+use crate::cosim::{node_address, run_events, SLOT_US};
 use crate::fleet::{Cell, Coords, Sweep, SweepResults};
 
 /// Maximum nodes per tile: the shard unit. Small enough that one tile
@@ -217,9 +223,12 @@ impl DenseSummary {
 ///
 /// # Panics
 ///
-/// Panics if a node faults or halts, or if the drained channel violates
-/// its conservation invariant — a broken tile must abort the sweep with
-/// its coordinates, not leak a bad row.
+/// Panics if `cfg.nodes` exceeds [`MAX_NODES`], if a node faults or
+/// halts, or if the drained channel violates its conservation invariant
+/// — a broken tile must abort the sweep with its coordinates, not leak
+/// a bad row.
+///
+/// [`MAX_NODES`]: crate::cosim::MAX_NODES
 pub fn run_tile(cfg: &DenseConfig, tile: usize) -> DenseSummary {
     let k = cfg.tile_nodes(tile);
     if k == 0 {
@@ -241,7 +250,7 @@ pub fn run_tile(cfg: &DenseConfig, tile: usize) -> DenseSummary {
                 threshold: 0,
             });
             let config = SystemConfig {
-                address: 2 + (tile * TILE_NODES + i) as u16,
+                address: node_address(cfg.nodes, tile * TILE_NODES + i),
                 dest: 0x0000,
                 ..SystemConfig::default()
             };
@@ -254,55 +263,8 @@ pub fn run_tile(cfg: &DenseConfig, tile: usize) -> DenseSummary {
         })
         .collect();
 
-    // Event-driven node schedule: only wake a node for its next timer
-    // event or to continue a busy span. Senders never receive, so the
-    // channel never wakes anyone.
     let horizon = cfg.horizon_slots;
-    let mut pending: Vec<Option<u64>> = vec![None; k];
-    let mut wheel: EventWheel<usize> = EventWheel::new();
-    let mut activations = 0u64;
-    let schedule_act =
-        |wheel: &mut EventWheel<usize>, pending: &mut Vec<Option<u64>>, i: usize, c: u64| {
-            if c <= horizon && pending[i].is_none_or(|c0| c < c0) {
-                pending[i] = Some(c);
-                wheel.schedule(c, i);
-            }
-        };
-    for i in 0..k {
-        schedule_act(&mut wheel, &mut pending, i, 1); // boot
-    }
-    while let Some(c) = wheel.peek_time() {
-        let mut batch: Vec<usize> = Vec::new();
-        while wheel.peek_time() == Some(c) {
-            let (_, i) = wheel.pop().expect("peeked entry must pop");
-            if pending[i] == Some(c) {
-                batch.push(i);
-            }
-        }
-        batch.sort_unstable();
-        batch.dedup();
-        for i in batch {
-            pending[i] = None;
-            activations += 1;
-            let (med_id, node) = &mut nodes[i];
-            let outcome = advance_to(node, Cycles(c), tile, i);
-            for (at, bytes) in node.take_outbox() {
-                medium.transmit(*med_id, at.0 * SLOT_US, &bytes);
-            }
-            let next = match outcome {
-                StepOutcome::Busy => Some(c + 1),
-                _ => node.next_wakeup().map(|w| w.0.max(c) + 1),
-            };
-            if let Some(n) = next {
-                schedule_act(&mut wheel, &mut pending, i, n);
-            }
-        }
-    }
-    // Idle tails: sleep energy accrues to the horizon even when nothing
-    // else happens there.
-    for (i, (_, node)) in nodes.iter_mut().enumerate() {
-        advance_to(node, Cycles(horizon), tile, i);
-    }
+    let activations = run_events(&mut medium, &mut nodes, horizon, false);
     // Resolve every in-flight CSMA retry and TX so the conservation
     // invariant holds over the drained channel; the sink only counts
     // arrivals inside the horizon.
@@ -349,16 +311,6 @@ pub fn run_tile(cfg: &DenseConfig, tile: usize) -> DenseSummary {
         s.energy_j += node.meter().total_energy().joules();
     }
     s
-}
-
-/// [`advance`] a node of tile `tile` that must not halt.
-fn advance_to(node: &mut System, target: Cycles, tile: usize, i: usize) -> StepOutcome {
-    let outcome = advance(node, target);
-    assert!(
-        outcome != StepOutcome::Halted,
-        "tile {tile}, node {i} halted"
-    );
-    outcome
 }
 
 /// Run a whole scenario serially: fold every tile in tile order.
@@ -623,6 +575,20 @@ mod tests {
             "hidden terminals must corrupt wide layouts: sparse {} dense {}",
             sparse.delivery_ratio(),
             dense.delivery_ratio()
+        );
+    }
+
+    /// Global node index `i` gets address `2 + i`, so a population past
+    /// the address space is refused before any tile node is built.
+    #[test]
+    #[should_panic(expected = "65534 nodes do not fit in addresses 2..=0xFFFE (at most 65533)")]
+    fn population_beyond_the_address_space_is_refused() {
+        run_tile(
+            &DenseConfig {
+                nodes: crate::cosim::MAX_NODES + 1,
+                ..tiny()
+            },
+            0,
         );
     }
 

@@ -1,6 +1,6 @@
 #![warn(missing_docs)]
 //! Shared measurement harness for the table/figure regeneration binaries
-//! and the Criterion benches.
+//! and the benches.
 //!
 //! Every table and figure of the paper's evaluation has a binary in
 //! `src/bin/` that prints the paper's rows next to our measured values:

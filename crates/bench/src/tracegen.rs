@@ -12,14 +12,16 @@
 use std::fmt::Write as _;
 
 use ulp_apps::mica as mapps;
-use ulp_apps::ulp::{monitoring, stages, AppStage, MonitoringConfig, SamplePeriod};
+use ulp_apps::ulp::{stages, SamplePeriod};
 use ulp_core::slaves::RandomWalkSensor;
-use ulp_core::{System, SystemConfig};
+use ulp_core::SystemConfig;
 use ulp_mica::io::CPU_HZ;
-use ulp_net::{Frame, Medium, MediumConfig, NetEventKind};
+use ulp_net::{Frame, NetEventKind};
 use ulp_sim::telemetry::csv_timeline;
-use ulp_sim::{ChromeTrace, Cycles, Engine, Metrics, PerfSnapshot, Profiler, Simulatable, StepOutcome};
+use ulp_sim::{ChromeTrace, Cycles, Engine, Metrics, PerfSnapshot, Profiler, Simulatable};
 use ulp_testkit::Rng;
+
+use crate::cosim::{build_population, run_slots, CosimConfig};
 
 /// Perfetto process id of the host-perf counter track appended by
 /// [`run_perf`] (the guest machine keeps its usual pids).
@@ -187,56 +189,21 @@ fn mica2_run(cycles: u64, seed: u64, profiler: Option<&Profiler>) -> TraceExport
 }
 
 /// Four forwarding ULP nodes flooding towards a listening base station
-/// through a 10%-loss medium (the co-simulation of
-/// `tests/determinism.rs` / `examples/multihop.rs`), with the medium
-/// event log enabled. One Perfetto process per node plus one for the
-/// shared medium; the summary merges every node's telemetry into a
-/// fleet-wide registry alongside the channel counters.
+/// through a 10%-loss medium ([`CosimConfig::four_node_flood`], the
+/// co-simulation `tests/determinism.rs` double-runs) on the slot-stepped
+/// loop, with node traces and the medium event log enabled. One
+/// Perfetto process per node plus one for the shared medium; the
+/// summary merges every node's telemetry into a fleet-wide registry
+/// alongside the channel counters.
 pub fn net(horizon: u64, seed: u64) -> TraceExport {
-    const SLOT_US: u64 = 10;
-    let mut medium = Medium::new(MediumConfig {
-        loss_probability: 0.1,
-        propagation_delay_us: 30,
-        seed,
-    });
+    let (mut medium, mut nodes, base) =
+        build_population(&CosimConfig::four_node_flood(seed, horizon));
     medium.set_event_log(true);
-    let mut nodes: Vec<(usize, System)> = (0..4u16)
-        .map(|i| {
-            let program = monitoring(&MonitoringConfig {
-                stage: AppStage::Forwarding,
-                period: SamplePeriod::Cycles(if i == 0 { 9_000 } else { 40_000 }),
-                samples_per_packet: 1,
-                threshold: 0,
-            });
-            let config = SystemConfig {
-                address: 2 + i,
-                dest: 0x0000,
-                ..SystemConfig::default()
-            };
-            let mut sys =
-                program.build_system(config, Box::new(RandomWalkSensor::new(90, seed ^ i as u64)));
-            sys.trace_mut().set_enabled(true);
-            sys.set_telemetry(true);
-            (medium.register(), sys)
-        })
-        .collect();
-    let base = medium.register();
-    for cycle in 1..=horizon {
-        let now_us = cycle * SLOT_US;
-        for (endpoint, node) in nodes.iter_mut() {
-            for d in medium.poll(*endpoint, now_us) {
-                node.schedule_rx(Cycles(cycle + 1), d.bytes);
-            }
-            if node.now() < Cycles(cycle) {
-                let outcome = node.step();
-                assert!(!matches!(outcome, StepOutcome::Halted), "node halted");
-            }
-            for (at, bytes) in node.take_outbox() {
-                medium.transmit(*endpoint, at.0 * SLOT_US, &bytes);
-            }
-        }
-        let _ = medium.poll(base, now_us); // the base station just listens
+    for (_, node) in nodes.iter_mut() {
+        node.trace_mut().set_enabled(true);
     }
+    // The base station just listens.
+    run_slots(&mut medium, &mut nodes, base, horizon, |_| {});
 
     let hz = nodes[0].1.config().clock.hz();
     let mut ct = ChromeTrace::new();

@@ -1,15 +1,14 @@
-//! A plain `std::time::Instant` micro-benchmark harness: the default,
+//! A plain `std::time::Instant` micro-benchmark harness: the
 //! network-free stand-in for Criterion.
 //!
-//! `ulp-bench`'s bench targets (`cargo bench`) use this harness unless the
-//! non-default `criterion-bench` feature is enabled. It auto-scales the
-//! iteration count to a small wall-clock budget, reports best/median
-//! per-iteration times and optional throughput, and understands the
-//! harness arguments Cargo passes: `cargo bench` invokes the binary with
-//! `--bench` (measure), while `cargo test --benches` passes nothing (or
-//! `--test`), in which case every benchmark runs exactly once so the
-//! test sweep stays fast and hermetic — the same protocol Criterion
-//! speaks.
+//! `ulp-bench`'s bench targets (`cargo bench`) use this harness. It
+//! auto-scales the iteration count to a small wall-clock budget, reports
+//! best/median per-iteration times and optional throughput, and
+//! understands the harness arguments Cargo passes: `cargo bench` invokes
+//! the binary with `--bench` (measure), while `cargo test --benches`
+//! passes nothing (or `--test`), in which case every benchmark runs
+//! exactly once so the test sweep stays fast and hermetic — the same
+//! protocol Criterion speaks.
 //!
 //! Environment knobs:
 //!
@@ -280,9 +279,7 @@ impl Harness {
             println!("\n{}: all benchmarks ran once (test mode)", self.name);
         } else {
             println!(
-                "\n{}: {} benchmarks measured with the in-tree Instant \
-                 harness (enable the `criterion-bench` feature of ulp-bench \
-                 for Criterion statistics)",
+                "\n{}: {} benchmarks measured with the in-tree Instant harness",
                 self.name,
                 self.results.len()
             );

@@ -14,14 +14,13 @@
 //! cargo run --example multihop
 //! ```
 
+use ulp_bench::cosim::run_slots;
 use ulp_node::apps::ulp::{monitoring, AppStage, MonitoringConfig, SamplePeriod};
 use ulp_node::core_arch::slaves::ConstSensor;
 use ulp_node::core_arch::{System, SystemConfig};
 use ulp_node::net::{Frame, Medium, MediumConfig};
-use ulp_node::sim::{Cycles, Simulatable, StepOutcome};
 
 const NODES: u16 = 4;
-const SLOT_US: u64 = 10; // one 100 kHz cycle
 
 fn make_node(address: u16, sampler: bool) -> System {
     let program = monitoring(&MonitoringConfig {
@@ -57,36 +56,15 @@ fn main() {
     let base_endpoint = medium.register();
     let mut base_received: Vec<Frame> = Vec::new();
 
-    // Lock-step co-simulation: one cycle per node per iteration, frames
-    // exchanged through the medium with real propagation timestamps.
+    // Lock-step co-simulation: one cycle per node per slot, frames
+    // exchanged through the medium with real propagation timestamps;
+    // the base station just listens.
     const HORIZON: u64 = 200_000; // 2 s
-    for cycle in 1..=HORIZON {
-        let now_us = cycle * SLOT_US;
-        for (endpoint, node) in nodes.iter_mut() {
-            // Deliver due frames from the medium into this node's radio.
-            for d in medium.poll(*endpoint, now_us) {
-                let at = Cycles(cycle + 1);
-                node.schedule_rx(at, d.bytes);
-            }
-            if node.now() < Cycles(cycle) {
-                let outcome = node.step();
-                assert!(
-                    !matches!(outcome, StepOutcome::Halted),
-                    "node fault: {:?}",
-                    node.fault()
-                );
-            }
-            for (at, bytes) in node.take_outbox() {
-                medium.transmit(*endpoint, at.0 * SLOT_US, &bytes);
-            }
+    run_slots(&mut medium, &mut nodes, base_endpoint, HORIZON, |d| {
+        if let Ok(f) = Frame::decode(&d.bytes) {
+            base_received.push(f);
         }
-        // The base station just listens.
-        for d in medium.poll(base_endpoint, now_us) {
-            if let Ok(f) = Frame::decode(&d.bytes) {
-                base_received.push(f);
-            }
-        }
-    }
+    });
 
     let stats = medium.stats();
     println!(

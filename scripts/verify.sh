@@ -66,6 +66,8 @@ cargo run -q -p ulp-bench --bin trace --offline -- \
 test -s "$trace_out/trace.json"
 cargo run -q -p ulp-bench --bin trace --offline -- \
   --app mica2 --cycles 120000 --check > /dev/null
+cargo run -q -p ulp-bench --bin trace --offline -- \
+  --app net --cycles 20000 --check > /dev/null
 
 echo "== trace --perf: profiling must have no observer effect =="
 # The profiled --check additionally double-runs with the profiler

@@ -6,13 +6,14 @@
 //! meaningful at all: nothing in the stack may read wall-clock time,
 //! OS entropy, or iteration order of an unordered container.
 
+use ulp_bench::cosim::{build_population, run_slots, CosimConfig};
 use ulp_node::apps::mica as mapps;
 use ulp_node::apps::ulp::{stages, SamplePeriod};
 use ulp_node::core_arch::slaves::RandomWalkSensor;
-use ulp_node::core_arch::{System, SystemConfig};
+use ulp_node::core_arch::SystemConfig;
 use ulp_node::mica::power::Mica2Power;
-use ulp_node::net::{Frame, Medium, MediumConfig};
-use ulp_node::sim::{Cycles, Engine, Simulatable, StepOutcome};
+use ulp_node::net::Frame;
+use ulp_node::sim::{Cycles, Engine, Simulatable};
 use ulp_testkit::Rng;
 
 /// FNV-1a over arbitrary bytes: the trace digest. In-tree, stable, and
@@ -174,53 +175,15 @@ fn mica2_predecoded_stepping_matches_decode_per_step() {
 // 3. Multi-node co-simulation over the lossy medium
 // ---------------------------------------------------------------------
 
-/// A condensed version of `examples/multihop.rs`: four forwarding nodes
-/// flooding towards a listening base station through a 10%-loss medium.
+/// Four forwarding nodes flooding towards a listening base station
+/// through a 10%-loss medium, on the slot-stepped co-simulation loop.
 fn multihop(seed: u64, horizon: u64) -> (Vec<String>, u64, u64, u64, u64) {
-    use ulp_node::apps::ulp::{monitoring, AppStage, MonitoringConfig};
-    const SLOT_US: u64 = 10;
-    let mut medium = Medium::new(MediumConfig {
-        loss_probability: 0.1,
-        propagation_delay_us: 30,
-        seed,
-    });
-    let mut nodes: Vec<(usize, System)> = (0..4u16)
-        .map(|i| {
-            let program = monitoring(&MonitoringConfig {
-                stage: AppStage::Forwarding,
-                period: SamplePeriod::Cycles(if i == 0 { 9_000 } else { 40_000 }),
-                samples_per_packet: 1,
-                threshold: 0,
-            });
-            let config = SystemConfig {
-                address: 2 + i,
-                dest: 0x0000,
-                ..SystemConfig::default()
-            };
-            let sys = program.build_system(config, Box::new(RandomWalkSensor::new(90, seed ^ i as u64)));
-            (medium.register(), sys)
-        })
-        .collect();
-    let base = medium.register();
+    let (mut medium, mut nodes, base) =
+        build_population(&CosimConfig::four_node_flood(seed, horizon));
     let mut heard = Vec::new();
-    for cycle in 1..=horizon {
-        let now_us = cycle * SLOT_US;
-        for (endpoint, node) in nodes.iter_mut() {
-            for d in medium.poll(*endpoint, now_us) {
-                node.schedule_rx(Cycles(cycle + 1), d.bytes);
-            }
-            if node.now() < Cycles(cycle) {
-                let outcome = node.step();
-                assert!(!matches!(outcome, StepOutcome::Halted));
-            }
-            for (at, bytes) in node.take_outbox() {
-                medium.transmit(*endpoint, at.0 * SLOT_US, &bytes);
-            }
-        }
-        for d in medium.poll(base, now_us) {
-            heard.push(format!("{}:{:02x?}", d.at_us, d.bytes));
-        }
-    }
+    run_slots(&mut medium, &mut nodes, base, horizon, |d| {
+        heard.push(format!("{}:{:02x?}", d.at_us, d.bytes))
+    });
     let stats = medium.stats();
     let energy_bits = nodes
         .iter()

@@ -187,6 +187,68 @@ fn dense_network_sweep_is_pinned() {
 }
 
 #[test]
+fn cosim_driver_outputs_are_pinned() {
+    // Both multi-node loops on one small flood — the slot-stepped
+    // reference and the event wheel — plus one spatial tile on the
+    // wheel, with every energy total as raw f64 bits: the two drivers
+    // must keep every output bit, not just the integer counters.
+    use std::fmt::Write as _;
+    use ulp_bench::cosim::{run_cosim, run_cosim_event, CosimConfig};
+    use ulp_bench::dense::{run_tile, DenseConfig};
+    let cfg = CosimConfig {
+        nodes: 8,
+        horizon_slots: 9_000,
+        ..CosimConfig::default()
+    };
+    let mut out = format!("{}\n", cfg.store_key());
+    for (driver, s) in [("slot", run_cosim(&cfg)), ("event", run_cosim_event(&cfg))] {
+        let _ = writeln!(
+            out,
+            "{driver}: sent={} delivered={} lost={} heard={} radio_tx={} mcu_wakeups={} \
+             service_p99={} irqs_serviced={} energy_j={:e} bits={:#018x}",
+            s.sent,
+            s.delivered,
+            s.lost,
+            s.heard,
+            s.radio_tx,
+            s.mcu_wakeups,
+            s.service_p99,
+            s.irqs_serviced,
+            s.energy_j,
+            s.energy_j.to_bits()
+        );
+    }
+    let tile = DenseConfig {
+        nodes: 48,
+        density_per_ha: 50.0,
+        duty: 2_000,
+        horizon_slots: 8_000,
+        seed: 3,
+    };
+    let s = run_tile(&tile, 0);
+    let _ = writeln!(out, "tile: {s:?} bits={:#018x}", s.energy_j.to_bits());
+    assert_golden("cosim_drivers.txt", &out);
+}
+
+#[test]
+fn net_trace_is_pinned() {
+    // The 4-node flood behind `trace --app net`: the merged metrics
+    // summary verbatim, and digests of the CSV timeline and Perfetto
+    // JSON (too bulky to pin as files).
+    use ulp_testkit::digest::{digest64, hex16};
+    let net = ulp_bench::tracegen::net(30_000, 7);
+    let out = format!(
+        "csv: {} lines, digest {}\njson: {} bytes, digest {}\n{}",
+        net.csv.lines().count(),
+        hex16(digest64(net.csv.as_bytes())),
+        net.json.len(),
+        hex16(digest64(net.json.as_bytes())),
+        net.summary
+    );
+    assert_golden("trace_net_summary.txt", &out);
+}
+
+#[test]
 fn mcu8check_reports_are_pinned_and_deterministic() {
     // Same contract for the whole-firmware mcu8 analyzer: every shipped
     // Mica2 image verifies clean (pinning each vector's stack depth and
