@@ -39,19 +39,6 @@ fn run_mica(horizon: u64) -> u64 {
     engine.machine().adc_conversions()
 }
 
-fn run_mica_decode(horizon: u64) -> u64 {
-    // Same workload with the shared predecoded table disabled: the CPU
-    // fetches and decodes every instruction on every step. The gap
-    // between this and `sampling_every_tick` is what the table buys.
-    let app = mapps::app1(1);
-    let (mut board, _) = app.board(Box::new(|_| 42));
-    board.set_predecode(false);
-    let mut engine = Engine::new(board);
-    engine.run_until_cycle(Cycles(horizon));
-    assert!(!engine.machine().halted());
-    engine.machine().adc_conversions()
-}
-
 fn run_lifetime_day() -> ulp_sim::Power {
     // A whole simulated day at GDI cadence (one sample per 70 s): the
     // workload the idle-skip engine exists for.
@@ -82,8 +69,7 @@ fn main() {
     h.bench("run/idle_100k_no_skip", run_ulp_no_skip);
     h.group("mica_board")
         .throughput(Throughput::Elements(horizon))
-        .bench("run/sampling_every_tick", || run_mica(horizon))
-        .bench("run/sampling_every_tick_decode", || run_mica_decode(horizon));
+        .bench("run/sampling_every_tick", || run_mica(horizon));
     h.group("lifetime").bench("one_simulated_day_gdi", run_lifetime_day);
     h.finish();
 }

@@ -1,28 +1,30 @@
 #![warn(missing_docs)]
-//! Shared measurement harness for the table/figure regeneration binaries
-//! and the benches.
+//! Shared measurement harness for the reproduction binaries and the
+//! benches.
 //!
-//! Every table and figure of the paper's evaluation has a binary in
-//! `src/bin/` that prints the paper's rows next to our measured values:
+//! Every table and figure of the paper's evaluation is a named artifact in
+//! [`report::ARTIFACTS`]; the `repro` binary prints the paper's rows next
+//! to our measured values (`repro table4 fig6`, or `repro all`):
 //!
-//! | Binary | Reproduces |
+//! | Artifact | Reproduces |
 //! |---|---|
 //! | `table1` | Mica2 current draw |
 //! | `table2` | Event-processor instruction set |
 //! | `table3` | SRAM bank power |
 //! | `table4` | Cycle-count comparison (plus code size and max rate) |
-//! | `table5` | Component power estimates |
-//! | `fig3`   | Process-technology study (Equation 1 surface) |
+//! | `fig2`   | Event-processor state walk for one send event |
+//! | `table5`, `table5_live` | Component power estimates; the extremes simulated live |
+//! | `fig3`, `fig3.csv` | Process-technology study (Equation 1 surface) |
 //! | `fig5`   | Monitoring-application ISR listing |
-//! | `fig6`   | Power vs duty cycle (plus Atmel/MSP430 comparisons) |
-//! | `snap_compare` | blink/sense vs published SNAP numbers |
+//! | `fig6`, `fig6.csv`, `fig6_crosscheck` | Power vs duty cycle (plus Atmel/MSP430 comparisons); full-simulation cross-check |
+//! | `snap`   | blink/sense vs published SNAP numbers |
 //! | `ablations` | Design-choice ablations (§4.2, §5.2) |
 //!
 //! Four binaries are not tied to a single paper table: `trace` runs a
 //! reference workload with the telemetry layer enabled and dumps
 //! deterministic Chrome/Perfetto trace JSON, CSV timelines, and metrics
 //! summaries (see [`tracegen`]); `epcheck` statically verifies the event
-//! processor ISR programs the other binaries load (see [`epcheck`]) and,
+//! processor ISR programs the artifacts load (see [`epcheck`]) and,
 //! in `--mcu8` mode, the shipped Mica2 firmware images with the
 //! whole-firmware `ulp-verify` analyzer (see [`mcu8check`]);
 //! `fleet` scales the lossy co-simulation (see [`cosim`]) across a
@@ -33,9 +35,9 @@
 //! engine, asserting the graceful-degradation invariants per grid point.
 //!
 //! The measurement functions live here so integration tests can assert
-//! on the same numbers the binaries print, and the deterministic report
-//! text lives in [`report`] so `tests/golden.rs` can pin the binaries'
-//! output byte-for-byte against checked-in golden files.
+//! on the same numbers `repro` prints, and the deterministic report text
+//! lives in [`report`] so `tests/golden.rs` can pin every artifact
+//! byte-for-byte against its checked-in golden file.
 //!
 //! Because every sweep point is a pure function of its scenario, the
 //! campaign layer caches them: [`store`] is a content-addressed on-disk
@@ -45,6 +47,7 @@
 //! identical to a cold run — campaigns become resumable and re-runs
 //! touch only the dirty points.
 
+pub mod ablations;
 pub mod chaos;
 pub mod cosim;
 pub mod dense;

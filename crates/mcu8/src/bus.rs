@@ -10,10 +10,23 @@
 //! [`FlatBus`] is a simple Harvard implementation used by tests and as the
 //! base of the Mica2 platform model.
 
+use crate::insn::{decode, DecodedInsn};
+
 /// The CPU's window onto program memory, data memory, I/O, and interrupts.
 pub trait Bus {
     /// Fetch the program word at word address `pc`.
     fn fetch(&mut self, pc: u16) -> u16;
+
+    /// The instruction whose first word sits at word address `pc`. The
+    /// default fetches both candidate words and decodes them. A bus whose
+    /// fetch is side-effect free may answer from a
+    /// [`Predecoded`](crate::Predecoded) table instead; it must return
+    /// exactly what the default would.
+    fn decode(&mut self, pc: u16) -> DecodedInsn {
+        let w0 = self.fetch(pc);
+        let w1 = self.fetch(pc.wrapping_add(1));
+        decode(w0, w1)
+    }
 
     /// Read a data-space byte (addresses ≥ 0x60; registers and I/O below
     /// that are handled inside the CPU).
@@ -71,18 +84,7 @@ impl FlatBus {
     ///
     /// Panics on odd-sized/odd-origin segments or images past 128 KB.
     pub fn load_image(&mut self, image: &ulp_isa::asm::Image) {
-        for seg in image.segments() {
-            assert!(
-                seg.origin % 2 == 0 && seg.data.len() % 2 == 0,
-                "program segments must be word-aligned"
-            );
-            for (i, pair) in seg.data.chunks(2).enumerate() {
-                let word = u16::from_le_bytes([pair[0], pair[1]]);
-                let wa = seg.origin as usize / 2 + i;
-                assert!(wa < self.program.len(), "program image too large");
-                self.program[wa] = word;
-            }
-        }
+        load_words(&mut self.program, image);
     }
 
     /// The RAM contents.
@@ -98,6 +100,27 @@ impl FlatBus {
     /// The I/O latch values.
     pub fn io(&self) -> &[u8; 64] {
         &self.io
+    }
+}
+
+/// Copy an assembled image (byte-addressed, little-endian words) into a
+/// word-addressed program store.
+///
+/// # Panics
+///
+/// Panics on odd-sized/odd-origin segments or words past the end of
+/// `program`.
+pub fn load_words(program: &mut [u16], image: &ulp_isa::asm::Image) {
+    for seg in image.segments() {
+        assert!(
+            seg.origin % 2 == 0 && seg.data.len() % 2 == 0,
+            "program segments must be word-aligned"
+        );
+        for (i, pair) in seg.data.chunks(2).enumerate() {
+            let wa = seg.origin as usize / 2 + i;
+            let slot = program.get_mut(wa).expect("program image too large");
+            *slot = u16::from_le_bytes([pair[0], pair[1]]);
+        }
     }
 }
 

@@ -1,8 +1,7 @@
 //! The AVR-subset CPU core: architectural state and instruction execution.
 
 use crate::bus::Bus;
-use crate::insn::{decode, DecodedInsn, Insn, Ptr, PtrMode};
-use crate::predecode::Predecoded;
+use crate::insn::{Insn, Ptr, PtrMode};
 
 /// SREG carry flag bit.
 pub const SREG_C: u8 = 0;
@@ -121,26 +120,6 @@ impl Cpu {
     /// cycles consumed. A halted CPU consumes nothing; a sleeping CPU
     /// with no pending interrupt consumes one idle cycle.
     pub fn step<B: Bus>(&mut self, bus: &mut B) -> u8 {
-        self.step_inner(bus, None)
-    }
-
-    /// [`step`](Cpu::step), but decoding from a shared [`Predecoded`]
-    /// table instead of fetching and decoding per instruction.
-    ///
-    /// Architecturally bit-identical to `step` **provided** the table
-    /// was built from the same words `bus.fetch` would return and the
-    /// bus's fetch is side-effect free (true of [`FlatBus`] and the
-    /// Mica2 flash; *not* true of the `ulp-core` unified bus, which
-    /// must keep the fetch path). The bus's [`fetch_penalty`] is still
-    /// charged per word, so timing models survive the switch.
-    ///
-    /// [`FlatBus`]: crate::FlatBus
-    /// [`fetch_penalty`]: Bus::fetch_penalty
-    pub fn step_predecoded<B: Bus>(&mut self, bus: &mut B, table: &Predecoded) -> u8 {
-        self.step_inner(bus, Some(table))
-    }
-
-    fn step_inner<B: Bus>(&mut self, bus: &mut B, table: Option<&Predecoded>) -> u8 {
         if self.halted {
             return 0;
         }
@@ -162,39 +141,15 @@ impl Cpu {
             return 1;
         }
         let penalty = bus.fetch_penalty();
-        let d = self.decode_at(bus, table, self.pc);
+        let d = bus.decode(self.pc);
         let mut cycles = d.cycles + d.words * penalty;
         self.pc = self.pc.wrapping_add(d.words as u16);
-        cycles += self.execute(bus, table, d.insn, penalty);
+        cycles += self.execute(bus, d.insn, penalty);
         self.total_cycles += cycles as u64;
         cycles
     }
 
-    /// Decode the instruction at word address `pc`: table lookup when a
-    /// predecoded image is supplied, fetch-and-decode otherwise.
-    fn decode_at<B: Bus>(
-        &mut self,
-        bus: &mut B,
-        table: Option<&Predecoded>,
-        pc: u16,
-    ) -> DecodedInsn {
-        match table {
-            Some(t) => t.get(pc),
-            None => {
-                let w0 = bus.fetch(pc);
-                let w1 = bus.fetch(pc.wrapping_add(1));
-                decode(w0, w1)
-            }
-        }
-    }
-
-    fn execute<B: Bus>(
-        &mut self,
-        bus: &mut B,
-        table: Option<&Predecoded>,
-        insn: Insn,
-        penalty: u8,
-    ) -> u8 {
+    fn execute<B: Bus>(&mut self, bus: &mut B, insn: Insn, penalty: u8) -> u8 {
         let mut extra = 0u8;
         match insn {
             Insn::Nop | Insn::Wdr => {}
@@ -245,7 +200,7 @@ impl Cpu {
             }
             Insn::Cpse { d, r } => {
                 if self.regs[d as usize] == self.regs[r as usize] {
-                    extra += self.skip_next(bus, table, penalty);
+                    extra += self.skip_next(bus, penalty);
                 }
             }
             Insn::Mul { d, r } => {
@@ -413,22 +368,22 @@ impl Cpu {
             }
             Insn::Sbrc { r, b } => {
                 if self.regs[r as usize] & (1 << b) == 0 {
-                    extra += self.skip_next(bus, table, penalty);
+                    extra += self.skip_next(bus, penalty);
                 }
             }
             Insn::Sbrs { r, b } => {
                 if self.regs[r as usize] & (1 << b) != 0 {
-                    extra += self.skip_next(bus, table, penalty);
+                    extra += self.skip_next(bus, penalty);
                 }
             }
             Insn::Sbic { a, b } => {
                 if self.io_read(bus, a) & (1 << b) == 0 {
-                    extra += self.skip_next(bus, table, penalty);
+                    extra += self.skip_next(bus, penalty);
                 }
             }
             Insn::Sbis { a, b } => {
                 if self.io_read(bus, a) & (1 << b) != 0 {
-                    extra += self.skip_next(bus, table, penalty);
+                    extra += self.skip_next(bus, penalty);
                 }
             }
             Insn::Sbi { a, b } => {
@@ -540,8 +495,8 @@ impl Cpu {
 
     /// Skip the next instruction; returns the extra cycles (its length,
     /// plus the fetch penalty it would have incurred).
-    fn skip_next<B: Bus>(&mut self, bus: &mut B, table: Option<&Predecoded>, penalty: u8) -> u8 {
-        let d = self.decode_at(bus, table, self.pc);
+    fn skip_next<B: Bus>(&mut self, bus: &mut B, penalty: u8) -> u8 {
+        let d = bus.decode(self.pc);
         self.pc = self.pc.wrapping_add(d.words as u16);
         d.words * (1 + penalty)
     }

@@ -46,7 +46,7 @@ mod insn;
 mod isa;
 mod predecode;
 
-pub use bus::{Bus, FlatBus};
+pub use bus::{load_words, Bus, FlatBus};
 pub use cpu::{Cpu, SREG_C, SREG_H, SREG_I, SREG_N, SREG_S, SREG_T, SREG_V, SREG_Z};
 pub use disasm::{disassemble, DisasmLine};
 pub use insn::{decode, DecodedInsn, Insn, Ptr, PtrMode};

@@ -1,27 +1,19 @@
 //! Shared predecoded instruction table.
 //!
-//! The interpreter's hot loop historically re-decoded every instruction
-//! on every step. Decoding is a pure function of the program words, so
-//! for buses whose `fetch` is side-effect free (Harvard-style flash:
-//! [`FlatBus`](crate::FlatBus), the Mica2 board) the whole image can be
-//! decoded **once** into a dense table — one [`DecodedInsn`] per 16-bit
-//! program word — and the step loop becomes a table lookup.
+//! Decoding is a pure function of the program words, so a bus whose
+//! `fetch` is side-effect free (Harvard-style flash, as on the Mica2
+//! board) can decode the whole image **once** into a dense table — one
+//! [`DecodedInsn`] per 16-bit program word — and answer
+//! [`Bus::decode`](crate::Bus::decode) with a table lookup.
 //!
 //! The same table is the substrate for *static* consumers: the
 //! `ulp-verify` firmware analyzer walks it to recover the control-flow
-//! graph, and an eventual AOT translator (ROADMAP item 1) would lower
-//! straight from it. Keeping one decode output shared between the
-//! simulator and the analyzer guarantees they can never disagree about
-//! what a word means.
+//! graph. Keeping one decode output shared between the simulator and the
+//! analyzer guarantees they can never disagree about what a word means.
 //!
-//! Predecoding is *not* sound for buses whose fetch has side effects
-//! (the unified bus of `ulp-core` charges energy and can fault per
-//! fetch); those keep the decode-per-step path. [`Cpu::step`] and
-//! [`Cpu::step_predecoded`](crate::Cpu::step_predecoded) are
-//! bit-identical in architectural effect — cycles, registers, memory —
-//! which the determinism suite pins.
-//!
-//! [`Cpu::step`]: crate::Cpu::step
+//! A table is *not* sound for buses whose fetch has side effects (the
+//! unified bus of `ulp-core` charges energy and can fault per fetch);
+//! those keep the default fetch-and-decode `Bus::decode`.
 
 use crate::insn::{decode, DecodedInsn};
 

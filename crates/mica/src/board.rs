@@ -5,7 +5,7 @@
 use crate::io;
 use std::collections::VecDeque;
 use ulp_isa::asm::Image;
-use ulp_mcu8::{Bus, Cpu, Predecoded};
+use ulp_mcu8::{Bus, Cpu, DecodedInsn, Predecoded};
 use ulp_net::PhyTiming;
 use ulp_sim::fault::{FaultDisposition, FaultKind};
 use ulp_sim::telemetry::{Log2Histogram, Metrics};
@@ -102,6 +102,9 @@ impl TickTimer {
 #[derive(Debug)]
 struct MicaBus {
     program: Vec<u16>,
+    /// `program` decoded once: flash fetches are side-effect free, so
+    /// [`Bus::decode`] is a table lookup.
+    predecoded: Predecoded,
     ram: Vec<u8>,
     led: u8,
     power_ctrl: u8,
@@ -135,9 +138,12 @@ struct MicaBus {
 }
 
 impl MicaBus {
-    fn new() -> MicaBus {
+    fn new(image: &Image) -> MicaBus {
+        let mut program = vec![0; 65_536];
+        ulp_mcu8::load_words(&mut program, image);
         MicaBus {
-            program: vec![0; 65_536],
+            predecoded: Predecoded::from_words(&program),
+            program,
             ram: vec![0; RAM_SIZE],
             led: 0,
             power_ctrl: 0,
@@ -199,6 +205,9 @@ impl MicaBus {
 impl Bus for MicaBus {
     fn fetch(&mut self, pc: u16) -> u16 {
         self.program[pc as usize]
+    }
+    fn decode(&mut self, pc: u16) -> DecodedInsn {
+        self.predecoded.get(pc)
     }
     fn read(&mut self, addr: u16) -> u8 {
         self.ram_read(addr)
@@ -281,8 +290,6 @@ pub struct Mica2Board {
     exec_trace: VecDeque<(u64, u16)>,
     trace: TraceBuffer,
     sent_total: u64,
-    predecoded: Predecoded,
-    use_predecode: bool,
 }
 
 impl std::fmt::Debug for Mica2Board {
@@ -297,23 +304,15 @@ impl std::fmt::Debug for Mica2Board {
 
 impl Mica2Board {
     /// A board with the given program image and ADC signal source.
+    ///
+    /// # Panics
+    ///
+    /// Panics on odd-sized/odd-origin segments or images past the 128 KB
+    /// flash.
     pub fn new(image: &Image, adc_source: Box<dyn FnMut(Cycles) -> u8 + Send>) -> Mica2Board {
-        let mut bus = MicaBus::new();
-        for seg in image.segments() {
-            assert!(
-                seg.origin % 2 == 0 && seg.data.len() % 2 == 0,
-                "program segments must be word-aligned"
-            );
-            for (i, pair) in seg.data.chunks(2).enumerate() {
-                bus.program[seg.origin as usize / 2 + i] = u16::from_le_bytes([pair[0], pair[1]]);
-            }
-        }
-        // Flash fetches are side-effect free on this board, so the
-        // whole image predecodes once; the step loop is a table lookup.
-        let predecoded = Predecoded::from_words(&bus.program);
         Mica2Board {
             cpu: Cpu::new(),
-            bus,
+            bus: MicaBus::new(image),
             now: Cycles::ZERO,
             probes: Vec::new(),
             rx_schedule: VecDeque::new(),
@@ -325,17 +324,7 @@ impl Mica2Board {
             exec_trace: VecDeque::new(),
             trace: TraceBuffer::new(65_536),
             sent_total: 0,
-            predecoded,
-            use_predecode: true,
         }
-    }
-
-    /// Select between predecoded-table stepping (default) and the
-    /// legacy fetch-and-decode-per-instruction path. The two are
-    /// bit-identical (pinned by the determinism suite); the toggle
-    /// exists so parity tests and benchmarks can compare them.
-    pub fn set_predecode(&mut self, on: bool) {
-        self.use_predecode = on;
     }
 
     /// The typed trace buffer (enable to record IRQ, radio, and CPU
@@ -420,14 +409,7 @@ impl Mica2Board {
         self.exec_trace
             .iter()
             .map(|&(cycle, pc)| {
-                let w0 = self.bus.program[pc as usize];
-                let w1 = self
-                    .bus
-                    .program
-                    .get(pc as usize + 1)
-                    .copied()
-                    .unwrap_or(0);
-                let insn = ulp_mcu8::decode(w0, w1).insn;
+                let insn = self.bus.predecoded.get(pc).insn;
                 format!("{cycle:>10}  {:04x}: {insn}", pc as u32 * 2)
             })
             .collect()
@@ -733,12 +715,7 @@ impl Simulatable for Mica2Board {
         }
         let mode_before = self.mode();
         let was_sleeping = self.cpu.sleeping();
-        let cycles = if self.use_predecode {
-            self.cpu.step_predecoded(&mut self.bus, &self.predecoded) as u64
-        } else {
-            self.cpu.step(&mut self.bus) as u64
-        };
-        let cycles = cycles.max(1);
+        let cycles = (self.cpu.step(&mut self.bus) as u64).max(1);
         self.now += Cycles(cycles);
         self.bus.now = self.now.0;
         self.bus.cpu_sleeping = self.cpu.sleeping();
@@ -849,6 +826,12 @@ mod tests {
         run_to_halt(&mut b, 100);
         assert_eq!(b.ram(0x0300), 7);
         assert!(b.now().0 >= 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "program image too large")]
+    fn image_past_flash_end_is_rejected() {
+        board(".org 0x20000\nnop");
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! inside the engine (fetch/decode/execute, event dispatch, idle-skip,
 //! fault application, telemetry export) and how fast the simulator is
 //! running (sim-cycles/sec, events/sec, sweep points/sec). That is the
-//! measurement substrate the predecode/ahead-of-time work on the roadmap
-//! will be judged against.
+//! measurement substrate any change to the step loop, dispatch or
+//! idle-skip is judged against.
 //!
 //! # Determinism contract
 //!

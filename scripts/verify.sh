@@ -150,6 +150,11 @@ ULP_BENCH_DIR="$trace_out" cargo test -q --benches --workspace --offline > /dev/
 cargo run -q -p ulp-bench --bin benchcheck --offline -- \
   "$trace_out"/BENCH_*.json BENCH_*.json > /dev/null
 
+echo "== repro: every paper artifact regenerates =="
+# tests/golden.rs pins each artifact's bytes; this runs the shipped
+# binary end to end in release.
+cargo run -q --release -p ulp-bench --bin repro --offline -- all > /dev/null
+
 echo "== benchmark: pinned output digests and goldens must match =="
 # One short run of every benchmark workload. It exits 1 when an output
 # differs from its seed-0 digest in examples/benchmark/expected.txt or

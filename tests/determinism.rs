@@ -125,52 +125,6 @@ fn mica2_double_run_is_bit_identical() {
     assert!(a.1 > 0, "the ADC must have sampled");
 }
 
-/// The predecoded-table step path (the Mica2 default) and the legacy
-/// fetch-and-decode-per-instruction path must be *mutually*
-/// bit-identical, not just self-consistent: same mode-cycle split, ADC
-/// count, energy bits, execution-trace digest, and radio output on the
-/// reference workload. This is the contract that lets the analyzer and
-/// the simulator share one decode.
-#[test]
-fn mica2_predecoded_stepping_matches_decode_per_step() {
-    let run = |predecode: bool| {
-        let app = mapps::app2(1, 100);
-        let mut rng = Rng::from_seed(0x515E);
-        let (mut board, _) = app.board(Box::new(move |_| rng.next_u64() as u8));
-        board.set_predecode(predecode);
-        board.set_exec_trace(2_048);
-        let mut engine = Engine::new(board);
-        engine.run_until_cycle(Cycles(400_000));
-        let mut board = engine.into_machine();
-        assert!(!board.halted(), "the runtime loop must keep spinning");
-        let exec = digest_lines(
-            board
-                .exec_trace()
-                .map(|(cyc, pc)| format!("{cyc}:{pc:04x}"))
-                .collect::<Vec<_>>(),
-        );
-        let sent = digest_lines(
-            board
-                .take_sent()
-                .into_iter()
-                .map(|(at, b)| format!("{}:{b:02x?}", at.0)),
-        );
-        let modes = board.mode_cycles();
-        let energy = Mica2Power::table1()
-            .board_energy(modes, 7_372_800.0)
-            .joules()
-            .to_bits();
-        (modes, board.adc_conversions(), energy, exec, sent)
-    };
-    let table = run(true);
-    let fetch = run(false);
-    assert_eq!(
-        table, fetch,
-        "predecoded stepping diverged from decode-per-step"
-    );
-    assert!(table.1 > 0, "the ADC must have sampled");
-}
-
 // ---------------------------------------------------------------------
 // 3. Multi-node co-simulation over the lossy medium
 // ---------------------------------------------------------------------

@@ -1,7 +1,7 @@
-//! Golden-output tests for the table/figure regeneration binaries.
+//! Golden-output tests for every printed artifact of the reproduction.
 //!
-//! Each generator's text lives in `ulp_bench::report` (the `src/bin/`
-//! binaries print the same strings), and this suite pins it
+//! Each artifact's text lives in `ulp_bench::report::ARTIFACTS` (the
+//! `repro` binary prints the same strings), and this suite pins it
 //! byte-for-byte against the files in `tests/golden/`. Every model
 //! behind these reports is deterministic — pure functions of the paper's
 //! constants plus cycle-accurate simulation — so any diff is a real
@@ -16,6 +16,8 @@
 //! then review the diff of `tests/golden/` like any other code change.
 
 use std::path::PathBuf;
+
+use ulp_bench::report::{Inputs, ARTIFACTS};
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -61,56 +63,60 @@ fn assert_golden(name: &str, actual: &str) {
     }
 }
 
-#[test]
-fn table1_output_is_pinned() {
-    assert_golden("table1.txt", &ulp_bench::report::table1_report());
-}
-
-#[test]
-fn table2_output_is_pinned() {
-    assert_golden("table2.txt", &ulp_bench::report::table2_report());
-}
-
-#[test]
-fn table3_output_is_pinned() {
-    assert_golden("table3.txt", &ulp_bench::report::table3_report());
-}
-
-#[test]
-fn table4_and_fig6_outputs_are_pinned() {
-    // One measurement pass feeds both reports, exactly as `fig6` derives
-    // its Atmel calibration from the Table 4 filtered-send row.
-    let rows = ulp_bench::measure_table4();
-    assert_golden("table4.txt", &ulp_bench::report::table4_report(&rows));
-    let atmel = rows
+/// Render one [`ARTIFACTS`] entry — exactly what `repro <name>` prints —
+/// and pin it against its golden file.
+fn assert_artifact(inputs: &Inputs, name: &str) {
+    let artifact = ARTIFACTS
         .iter()
-        .find(|r| r.name.contains("w/ filter"))
-        .map(|r| r.mica)
-        .unwrap();
-    assert_golden("fig6.txt", &ulp_bench::report::fig6_report(atmel));
+        .find(|a| a.name == name)
+        .unwrap_or_else(|| panic!("no artifact named `{name}`"));
+    let file = if name.contains('.') {
+        name.to_string()
+    } else {
+        format!("{name}.txt")
+    };
+    assert_golden(&file, &(artifact.render)(inputs));
+}
+
+/// One test per group of artifacts (a group shares one [`Inputs`], so
+/// `table4` and `fig6` take one Table 4 measurement between them), plus
+/// `PINNED`: every artifact some test pins.
+macro_rules! pin_artifacts {
+    ($($test:ident: [$($name:literal),+];)+) => {
+        $(
+            #[test]
+            fn $test() {
+                let inputs = Inputs::default();
+                $(assert_artifact(&inputs, $name);)+
+            }
+        )+
+        const PINNED: &[&str] = &[$($($name),+),+];
+    };
+}
+
+pin_artifacts! {
+    table1_output_is_pinned: ["table1"];
+    table2_output_is_pinned: ["table2"];
+    table3_output_is_pinned: ["table3"];
+    table4_and_fig6_outputs_are_pinned: ["table4", "fig6"];
+    fig2_state_walk_is_pinned: ["fig2"];
+    table5_output_is_pinned: ["table5"];
+    table5_live_simulations_are_pinned: ["table5_live"];
+    fig3_output_is_pinned: ["fig3", "fig3.csv"];
+    fig5_output_is_pinned: ["fig5"];
+    fig6_csv_is_pinned: ["fig6.csv"];
+    fig6_crosscheck_is_pinned: ["fig6_crosscheck"];
+    snap_comparison_is_pinned: ["snap"];
+    ablations_are_pinned: ["ablations"];
 }
 
 #[test]
-fn table5_output_is_pinned() {
-    assert_golden("table5.txt", &ulp_bench::report::table5_report());
-}
-
-#[test]
-fn fig3_output_is_pinned() {
-    assert_golden("fig3.txt", &ulp_bench::report::fig3_report());
-    assert_golden("fig3.csv", &ulp_bench::report::fig3_csv());
-}
-
-#[test]
-fn fig5_output_is_pinned() {
-    assert_golden("fig5.txt", &ulp_bench::report::fig5_report());
-}
-
-#[test]
-fn fig6_csv_is_pinned() {
-    // The CSV path uses the paper's fixed 1532-cycle calibration so the
-    // series is reproducible without a measurement pass.
-    assert_golden("fig6.csv", &ulp_bench::report::fig6_csv(1532));
+fn every_repro_artifact_is_pinned() {
+    let mut names: Vec<&str> = ARTIFACTS.iter().map(|a| a.name).collect();
+    let mut pinned = PINNED.to_vec();
+    names.sort_unstable();
+    pinned.sort_unstable();
+    assert_eq!(names, pinned, "each artifact needs exactly one golden test");
 }
 
 #[test]
