@@ -7,46 +7,50 @@
 //! Each argument must be a file produced by `ulp_testkit::bench` with
 //! `ULP_BENCH_DIR` set. A file passes when:
 //!
-//! * the in-tree JSON parser accepts it (`ulp_sim::telemetry::validate_json`),
-//!   which already rejects bare `NaN`/`Infinity` tokens;
-//! * the top level carries the `"bench"`, `"mode"` and `"results"` keys;
-//! * every result carries `"id"`, `"iters_per_sample"`, `"best_ns"` and
-//!   `"median_ns"`;
-//! * the results array is non-empty.
+//! * the strict in-tree reader (`ulp_testkit::json::parse`) accepts it,
+//!   which rejects bare `NaN`/`Infinity`, leading zeros and nesting
+//!   deeper than its fixed limit;
+//! * the top level is an object with string `"bench"` and `"mode"` and
+//!   a non-empty `"results"` array;
+//! * every result is an object with a string `"id"` and non-negative
+//!   integer `"iters_per_sample"`, `"best_ns"` and `"median_ns"`.
 //!
-//! Exits 1 on the first failing file, 2 on usage errors. Wired into
+//! Exits 1 if any file fails, 2 on usage errors. Wired into
 //! `scripts/verify.sh` and CI so a bench-harness schema drift cannot land
 //! silently under a stale baseline.
 
 use std::process::exit;
 
-use ulp_sim::telemetry::validate_json;
+use ulp_testkit::json::{self, Value};
 
-/// Keys every BENCH file must carry at the top level and per result.
-const TOP_KEYS: &[&str] = &["\"bench\"", "\"mode\"", "\"results\""];
-const RESULT_KEYS: &[&str] = &["\"id\"", "\"iters_per_sample\"", "\"best_ns\"", "\"median_ns\""];
+/// Integer fields every result must carry.
+const RESULT_COUNTS: &[&str] = &["iters_per_sample", "best_ns", "median_ns"];
 
 fn check(path: &str) -> Result<usize, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read: {e}"))?;
-    validate_json(&text).map_err(|e| format!("invalid JSON: {e}"))?;
-    for key in TOP_KEYS {
-        if !text.contains(key) {
-            return Err(format!("missing top-level key {key}"));
+    let doc = json::parse(&text).map_err(|e| format!("invalid JSON: {e}"))?;
+    for key in ["bench", "mode"] {
+        if !matches!(doc.get(key), Some(Value::String(_))) {
+            return Err(format!("top level needs a string \"{key}\""));
         }
     }
-    let results = text.matches("\"id\"").count();
-    if results == 0 {
+    let Some(Value::Array(results)) = doc.get("results") else {
+        return Err("top level needs a \"results\" array".into());
+    };
+    if results.is_empty() {
         return Err("empty results array (bench produced no measurements)".into());
     }
-    for key in RESULT_KEYS {
-        let n = text.matches(key).count();
-        if n != results {
-            return Err(format!(
-                "{key} appears {n} time(s) but there are {results} result(s)"
-            ));
+    for (i, result) in results.iter().enumerate() {
+        if !matches!(result.get("id"), Some(Value::String(_))) {
+            return Err(format!("result {i} needs a string \"id\""));
+        }
+        for key in RESULT_COUNTS {
+            if result.get(key).and_then(Value::as_u64).is_none() {
+                return Err(format!("result {i} needs a non-negative integer \"{key}\""));
+            }
         }
     }
-    Ok(results)
+    Ok(results.len())
 }
 
 fn main() {

@@ -26,8 +26,8 @@
 //!   artifact `tests/golden.rs` pins)
 //! * `--check`         — run the whole campaign twice (1 worker, then
 //!   N), assert CSV/JSON byte-identity and summary byte-identity,
-//!   validate the JSON with the in-tree parser, and report points/sec
-//!   serial vs parallel; then run it twice more through a campaign
+//!   validate the JSON with `ulp_testkit::json::parse`, and report
+//!   points/sec serial vs parallel; then run it twice more through a campaign
 //!   store (cold fill, reopened warm serve) asserting the stored passes
 //!   emit the same bytes and the warm pass executes zero points
 //! * `--progress`      — stream NDJSON heartbeats (points done/total,

@@ -34,10 +34,11 @@
 //! * `--csv PATH` / `--json PATH` — write the machine-readable results
 //! * `--check`         — run the whole sweep twice (1 worker, then N),
 //!   assert CSV and JSON byte-identity, validate the JSON with the
-//!   in-tree parser, and report points/sec serial vs parallel; then run
-//!   it twice more through a campaign store (cold fill, reopened warm
-//!   serve) asserting the stored passes emit the same bytes and the
-//!   warm pass executes zero points
+//!   strict in-tree reader (`ulp_testkit::json::parse`), and report
+//!   points/sec serial vs parallel; then run it twice more through a
+//!   campaign store (cold fill, reopened warm serve) asserting the
+//!   stored passes emit the same bytes and the warm pass executes zero
+//!   points
 //! * `--progress`      — stream NDJSON heartbeats (points done/total,
 //!   points/sec, ETA, current coordinates) on **stderr** while the grid
 //!   drains; stdout, CSV, and JSON bytes are untouched
@@ -53,8 +54,9 @@
 //! * `--merge`         — after shard fills, emit the canonical full-grid
 //!   artifacts from the store (alias for a plain `--store` run)
 //!
-//! A summary table and per-sweep wall-clock always go to stdout; a
-//! panicking grid point aborts with its scenario coordinates.
+//! A summary table always goes to stdout and the per-sweep wall-clock
+//! to stderr, so stdout stays byte-identical across runs; a panicking
+//! grid point aborts with its scenario coordinates.
 
 use std::process::exit;
 

@@ -16,7 +16,8 @@
 //! * `--csv PATH`  — write the CSV timeline here
 //! * `--summary PATH` — write the metrics summary table here
 //! * `--check`     — run the workload twice, assert the three artifacts
-//!   are byte-identical, and validate the JSON with the in-tree parser
+//!   are byte-identical, and validate the JSON with the strict in-tree
+//!   reader (`ulp_testkit::json::parse`)
 //! * `--perf`      — run with the host-side profiler attached
 //!   (`stage4`/`mica2` only): print the deterministic counts table and
 //!   the wall-clock self-time table after the summary, and append the
@@ -28,7 +29,7 @@
 use std::process::exit;
 
 use ulp_bench::{perf, tracegen};
-use ulp_sim::telemetry::validate_json;
+use ulp_testkit::json;
 
 fn usage() -> ! {
     eprintln!(
@@ -125,7 +126,7 @@ fn main() {
                 "summary must be deterministic"
             );
         }
-        if let Err(e) = validate_json(&export.json) {
+        if let Err(e) = json::parse(&export.json) {
             eprintln!("trace JSON failed validation: {e}");
             exit(1);
         }

@@ -45,6 +45,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use ulp_sim::perf::PerfSnapshot;
+use ulp_testkit::json;
 
 /// Number of worker threads a sweep should use: `ULP_FLEET_THREADS` if
 /// set to a positive integer, otherwise [`std::thread::available_parallelism`]
@@ -498,20 +499,20 @@ impl SweepResults {
     }
 
     /// Deterministic JSON serialization, validated in tests by the
-    /// in-tree parser (`ulp_sim::telemetry::validate_json`):
+    /// in-tree reader (`ulp_testkit::json::parse`):
     ///
     /// ```json
     /// {"sweep": "...", "columns": ["..."], "rows": [["...", 1, 2.5]]}
     /// ```
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"sweep\":");
-        json_string(&mut out, &self.name);
+        json::write_str(&mut out, &self.name);
         out.push_str(",\"columns\":[");
         for (i, c) in self.columns.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            json_string(&mut out, c);
+            json::write_str(&mut out, c);
         }
         out.push_str("],\"rows\":[");
         for (i, row) in self.rows.iter().enumerate() {
@@ -526,7 +527,7 @@ impl SweepResults {
                 match cell {
                     Cell::U64(n) => out.push_str(&n.to_string()),
                     Cell::F64(x) => out.push_str(&x.to_string()),
-                    Cell::Text(s) => json_string(&mut out, s),
+                    Cell::Text(s) => json::write_str(&mut out, s),
                 }
             }
             out.push(']');
@@ -542,24 +543,6 @@ fn csv_escape(s: &str) -> String {
     } else {
         s.to_string()
     }
-}
-
-pub(crate) fn json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Host-perf comparison of a serial and a parallel execution of the

@@ -16,6 +16,7 @@ use crate::fleet::{Coords, SweepObserver};
 use ulp_core::System;
 use ulp_sim::perf::{PerfSnapshot, Profiler};
 use ulp_sim::{Simulatable, TraceBuffer};
+use ulp_testkit::json::Quoted;
 
 /// Attach guest-derived totals to a profiler: simulated cycles, busy
 /// cycles, EP events serviced, and the trace ring buffer's counters.
@@ -62,7 +63,7 @@ pub fn render_report(snap: &PerfSnapshot) -> String {
 /// and ETA route through [`PerfSnapshot::rate`] — the same code path as
 /// every other points/sec figure — and are **omitted** (never rendered
 /// as NaN/Infinity) when the elapsed clock cannot support them, so the
-/// line always passes `ulp_sim::telemetry::validate_json`.
+/// line always passes `ulp_testkit::json::parse`.
 pub fn heartbeat_json(
     sweep: &str,
     done: usize,
@@ -70,23 +71,10 @@ pub fn heartbeat_json(
     elapsed: Duration,
     coords: Option<&Coords>,
 ) -> String {
-    fn esc(s: &str) -> String {
-        let mut out = String::with_capacity(s.len());
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out
-    }
     let snap = PerfSnapshot::from_host(elapsed, vec![("fleet.points".to_string(), done as u64)]);
     let mut out = format!(
-        "{{\"sweep\":\"{}\",\"done\":{done},\"total\":{total},\"elapsed_ms\":{:.3}",
-        esc(sweep),
+        "{{\"sweep\":{},\"done\":{done},\"total\":{total},\"elapsed_ms\":{:.3}",
+        Quoted(sweep),
         elapsed.as_secs_f64() * 1e3
     );
     if let Some(pps) = snap.rate("fleet.points") {
@@ -99,7 +87,7 @@ pub fn heartbeat_json(
         }
     }
     if let Some(c) = coords {
-        out.push_str(&format!(",\"coords\":\"{}\"", esc(&c.to_string())));
+        out.push_str(&format!(",\"coords\":{}", Quoted(&c.to_string())));
     }
     out.push('}');
     out
@@ -185,7 +173,7 @@ mod tests {
     use super::*;
     use crate::fleet::{Cell, Sweep};
     use std::sync::{Arc, Mutex as StdMutex};
-    use ulp_sim::telemetry::validate_json;
+    use ulp_testkit::json::parse;
 
     #[derive(Clone)]
     struct SharedBuf(Arc<StdMutex<Vec<u8>>>);
@@ -209,13 +197,13 @@ mod tests {
             Duration::from_millis(50),
             Some(&Coords::new().with("nodes", 4).with("seed", 1)),
         );
-        validate_json(&line).expect("heartbeat is valid JSON");
+        parse(&line).expect("heartbeat is valid JSON");
         assert!(line.contains("\"points_per_sec\":"));
         assert!(line.contains("\"eta_s\":"));
         assert!(line.contains("\"coords\":\"nodes=4 seed=1\""));
         // Zero elapsed: both rate fields are *omitted*, never Inf/NaN.
         let line = heartbeat_json("demo", 0, 16, Duration::ZERO, None);
-        validate_json(&line).expect("zero-clock heartbeat is valid JSON");
+        parse(&line).expect("zero-clock heartbeat is valid JSON");
         assert!(!line.contains("points_per_sec"), "{line}");
         assert!(!line.contains("eta_s"), "{line}");
         assert!(!line.contains("NaN") && !line.contains("inf"), "{line}");
@@ -242,7 +230,7 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert!(!lines.is_empty(), "at least one heartbeat");
         for line in &lines {
-            validate_json(line).unwrap_or_else(|e| panic!("bad heartbeat {line}: {e}"));
+            parse(line).unwrap_or_else(|e| panic!("bad heartbeat {line}: {e}"));
             assert!(!line.contains("NaN") && !line.contains("inf"), "{line}");
         }
         // The final heartbeat always fires and reports completion.

@@ -53,10 +53,10 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use crate::fleet::{self, json_string, Cell, Coords, FleetError, Sweep, SweepObserver, SweepResults};
+use crate::fleet::{self, Cell, Coords, FleetError, Sweep, SweepObserver, SweepResults};
 use crate::perf::ProgressMeter;
-use ulp_sim::telemetry::validate_json;
 use ulp_testkit::digest::{digest64, hex16, parse_hex16};
+use ulp_testkit::json::{self, Reader};
 
 // ---------------------------------------------------------------------
 // Keys and digests
@@ -149,13 +149,13 @@ pub struct StoreStats {
 }
 
 impl StoreStats {
-    /// The stats as one NDJSON line (accepted by the in-tree
-    /// `validate_json`), tagged with the store directory — the
+    /// The stats as one NDJSON line (accepted by
+    /// [`ulp_testkit::json::parse`]), tagged with the store directory — the
     /// `--store-stats` stderr artifact, same stream idiom as the
     /// `--progress` heartbeats.
     pub fn json(&self, store: &str) -> String {
         let mut out = String::from("{\"store\":");
-        json_string(&mut out, store);
+        json::write_str(&mut out, store);
         out.push_str(&format!(
             ",\"records\":{},\"torn\":{},\"corrupt\":{},\"hits\":{},\"misses\":{},\
              \"collisions\":{},\"appended\":{}}}",
@@ -195,7 +195,7 @@ fn encode_record(digest: u64, key: &str, cells: &[Cell]) -> Vec<u8> {
     let mut json = String::from("{\"digest\":\"");
     json.push_str(&hex16(digest));
     json.push_str("\",\"key\":");
-    json_string(&mut json, key);
+    json::write_str(&mut json, key);
     json.push_str(",\"cells\":[");
     for (i, cell) in cells.iter().enumerate() {
         if i > 0 {
@@ -212,7 +212,7 @@ fn encode_record(digest: u64, key: &str, cells: &[Cell]) -> Vec<u8> {
         json.push_str("[\"");
         json.push(tag);
         json.push_str("\",");
-        json_string(&mut json, &value);
+        json::write_str(&mut json, &value);
         json.push(']');
     }
     json.push_str("]}");
@@ -222,116 +222,46 @@ fn encode_record(digest: u64, key: &str, cells: &[Cell]) -> Vec<u8> {
     out
 }
 
-/// A strict, panic-free parser for the record JSON this module writes.
-/// Anything it does not recognize is a corrupt record — the checksum
-/// already vouches for the bytes, this guards the semantic layer.
-struct RecordParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> RecordParser<'a> {
-    fn lit(&mut self, s: &str) -> Option<()> {
-        let end = self.pos.checked_add(s.len())?;
-        if self.bytes.get(self.pos..end)? == s.as_bytes() {
-            self.pos = end;
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    fn byte(&mut self) -> Option<u8> {
-        let b = *self.bytes.get(self.pos)?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    /// Parse a JSON string (including the escapes `json_string` emits).
-    fn string(&mut self) -> Option<String> {
-        if self.byte()? != b'"' {
-            return None;
-        }
-        let mut out: Vec<u8> = Vec::new();
-        loop {
-            match self.byte()? {
-                b'"' => break,
-                b'\\' => match self.byte()? {
-                    b'"' => out.push(b'"'),
-                    b'\\' => out.push(b'\\'),
-                    b'n' => out.push(b'\n'),
-                    b'r' => out.push(b'\r'),
-                    b't' => out.push(b'\t'),
-                    b'u' => {
-                        let mut v: u32 = 0;
-                        for _ in 0..4 {
-                            let d = (self.byte()? as char).to_digit(16)?;
-                            v = v * 16 + d;
-                        }
-                        let mut buf = [0u8; 4];
-                        out.extend_from_slice(char::from_u32(v)?.encode_utf8(&mut buf).as_bytes());
-                    }
-                    _ => return None,
-                },
-                b if b < 0x20 => return None, // raw control bytes are never written
-                b => out.push(b),
-            }
-        }
-        String::from_utf8(out).ok()
-    }
-}
-
-/// Decode one record's JSON into `(digest, key, cells)`, verifying the
-/// digest/key cross-check and that every numeric cell re-serializes to
-/// the exact persisted string (the byte-identity contract).
+/// Decode one record's JSON into `(digest, key, cells)`. The shape must
+/// be exactly what [`encode_record`] writes — the pull primitives skip
+/// no whitespace — the digest/key cross-check must hold, and every
+/// numeric cell must re-serialize to its exact persisted text (the
+/// byte-identity contract). Anything else is a corrupt record: the
+/// checksum already vouches for the bytes, this guards the semantic
+/// layer. Strings are borrowed; only the key and text cells are copied.
 fn parse_record(json: &[u8]) -> Option<(u64, StoredPoint)> {
-    let mut p = RecordParser { bytes: json, pos: 0 };
-    p.lit("{\"digest\":")?;
-    let digest = parse_hex16(&p.string()?)?;
-    p.lit(",\"key\":")?;
-    let key = p.string()?;
-    p.lit(",\"cells\":[")?;
+    let mut r = Reader::new(std::str::from_utf8(json).ok()?);
+    r.expect("{\"digest\":").ok()?;
+    let digest = parse_hex16(&r.string().ok()?)?;
+    r.expect(",\"key\":").ok()?;
+    let key = r.string().ok()?.into_owned();
+    r.expect(",\"cells\":[").ok()?;
     let mut cells = Vec::new();
-    if p.bytes.get(p.pos) == Some(&b']') {
-        p.pos += 1;
-    } else {
-        loop {
-            p.lit("[\"")?;
-            let tag = p.byte()?;
-            p.lit("\",")?;
-            let value = p.string()?;
-            p.lit("]")?;
-            let cell = match tag {
-                b'u' => {
-                    let n: u64 = value.parse().ok()?;
-                    if n.to_string() != value {
-                        return None;
-                    }
-                    Cell::U64(n)
-                }
-                b'f' => {
-                    let x: f64 = value.parse().ok()?;
-                    if !x.is_finite() || x.to_string() != value {
-                        return None;
-                    }
-                    Cell::F64(x)
-                }
-                b't' => Cell::Text(value),
-                _ => return None,
-            };
-            cells.push(cell);
-            match p.byte()? {
-                b',' => continue,
-                b']' => break,
-                _ => return None,
-            }
+    while !r.eat(b']') {
+        if !cells.is_empty() {
+            r.expect(",").ok()?;
         }
+        r.expect("[").ok()?;
+        let tag = r.string().ok()?;
+        r.expect(",").ok()?;
+        let value = r.string().ok()?;
+        r.expect("]").ok()?;
+        cells.push(match &*tag {
+            "u" => {
+                let n: u64 = value.parse().ok()?;
+                (n.to_string() == value).then_some(Cell::U64(n))?
+            }
+            "f" => {
+                let x: f64 = value.parse().ok()?;
+                (x.is_finite() && x.to_string() == value).then_some(Cell::F64(x))?
+            }
+            "t" => Cell::Text(value.into_owned()),
+            _ => return None,
+        });
     }
-    p.lit("}")?;
-    if p.pos != json.len() || digest != digest64(key.as_bytes()) {
-        return None;
-    }
-    Some((digest, StoredPoint { key, cells }))
+    r.expect("}").ok()?;
+    r.end().ok()?;
+    (digest == digest64(key.as_bytes())).then_some((digest, StoredPoint { key, cells }))
 }
 
 /// Why a frame could not be read at some position.
@@ -892,7 +822,7 @@ where
     if cfg.check {
         let (results, speedup) =
             fleet::measure_speedup_observed(sweep, cfg.threads, &eval, observer)?;
-        if let Err(e) = validate_json(&results.to_json()) {
+        if let Err(e) = json::parse(&results.to_json()) {
             panic!("sweep JSON failed validation: {e}");
         }
         eprintln!(
@@ -1099,7 +1029,7 @@ mod tests {
         let dir = tmp_dir("stats");
         let mut store = Store::open(&dir).unwrap();
         store.append("k", &[Cell::U64(1)]).unwrap();
-        validate_json(&store.stats_line()).expect("stats line is valid JSON");
+        json::parse(&store.stats_line()).expect("stats line is valid JSON");
         assert!(store.stats_line().contains("\"appended\":1"));
         let _ = fs::remove_dir_all(&dir);
     }

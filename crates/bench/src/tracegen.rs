@@ -256,7 +256,7 @@ pub fn net(horizon: u64, seed: u64) -> TraceExport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ulp_sim::telemetry::validate_json;
+    use ulp_testkit::json;
 
     #[test]
     fn stage4_export_is_valid_and_deterministic() {
@@ -265,7 +265,7 @@ mod tests {
         assert_eq!(a.json, b.json);
         assert_eq!(a.csv, b.csv);
         assert_eq!(a.summary, b.summary);
-        validate_json(&a.json).expect("valid JSON");
+        json::parse(&a.json).expect("valid JSON");
         assert!(a.summary.contains("irq.service_latency"));
         assert!(a.csv.starts_with("cycle,t_us,component,event\n"));
     }
@@ -276,7 +276,7 @@ mod tests {
         let b = mica2(120_000, 0x515E);
         assert_eq!(a.json, b.json);
         assert_eq!(a.summary, b.summary);
-        validate_json(&a.json).expect("valid JSON");
+        json::parse(&a.json).expect("valid JSON");
         assert!(a.summary.contains("mcu.wake_latency"));
     }
 
@@ -287,7 +287,7 @@ mod tests {
         assert_eq!(a.json, b.json);
         assert_eq!(a.csv, b.csv);
         assert_eq!(a.summary, b.summary);
-        validate_json(&a.json).expect("valid JSON");
+        json::parse(&a.json).expect("valid JSON");
         assert!(a.summary.contains("net.sent"));
         assert!(a.csv.starts_with("t_us,endpoint,event,from,len\n"));
     }

@@ -57,6 +57,7 @@ use std::time::{Duration, Instant};
 
 use crate::telemetry::ChromeTrace;
 use crate::units::Cycles;
+use ulp_testkit::json::Quoted;
 
 /// Handle to a registered span phase (an index into the profiler's
 /// insertion-ordered phase table). Pre-resolving the handle keeps the
@@ -418,23 +419,8 @@ impl PerfSnapshot {
     /// (`wall_ns`, `incl_ns`, `excl_ns`, `rates`) are kept in separate
     /// keys; rates are included only when finite, so the document never
     /// contains NaN/Infinity and always passes
-    /// [`validate_json`](crate::telemetry::validate_json).
+    /// [`ulp_testkit::json::parse`].
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len());
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    c if (c as u32) < 0x20 => {
-                        let _ = write!(out, "\\u{:04x}", c as u32);
-                    }
-                    c => out.push(c),
-                }
-            }
-            out
-        }
         let mut out = String::from("{\"wall_ns\":");
         let _ = write!(out, "{}", self.wall.as_nanos());
         out.push_str(",\"phases\":[");
@@ -444,8 +430,8 @@ impl PerfSnapshot {
             }
             let _ = write!(
                 out,
-                "{{\"name\":\"{}\",\"calls\":{},\"incl_ns\":{},\"excl_ns\":{}}}",
-                esc(&p.name),
+                "{{\"name\":{},\"calls\":{},\"incl_ns\":{},\"excl_ns\":{}}}",
+                Quoted(&p.name),
                 p.calls,
                 p.inclusive.as_nanos(),
                 p.exclusive.as_nanos()
@@ -456,7 +442,7 @@ impl PerfSnapshot {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{}\":{v}", esc(name));
+            let _ = write!(out, "{}:{v}", Quoted(name));
         }
         out.push_str("},\"rates\":{");
         let mut first = true;
@@ -466,7 +452,7 @@ impl PerfSnapshot {
                     out.push(',');
                 }
                 first = false;
-                let _ = write!(out, "\"{}_per_sec\":{rate:.3}", esc(name));
+                let _ = write!(out, "{}:{rate:.3}", Quoted(&format!("{name}_per_sec")));
             }
         }
         out.push_str("},\"samples\":[");
@@ -476,9 +462,9 @@ impl PerfSnapshot {
             }
             let _ = write!(
                 out,
-                "{{\"at\":{},\"name\":\"{}\",\"value\":{}}}",
+                "{{\"at\":{},\"name\":{},\"value\":{}}}",
                 s.at.0,
-                esc(&s.name),
+                Quoted(&s.name),
                 s.value
             );
         }
@@ -508,7 +494,7 @@ impl PerfSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::validate_json;
+    use ulp_testkit::json::parse;
 
     #[test]
     fn spans_nest_and_split_exclusive_time() {
@@ -612,7 +598,7 @@ mod tests {
         p.sample(Cycles(100), "n", 1);
         p.sample(Cycles(200), "n", 2);
         let json = p.snapshot().to_json();
-        validate_json(&json).expect("perf JSON well-formed");
+        parse(&json).expect("perf JSON well-formed");
         assert!(json.contains("\"wall_ns\":"));
         assert!(json.contains("\"n\":3"));
         assert!(json.contains("\"at\":100"));
@@ -620,7 +606,7 @@ mod tests {
         // A zero-wall snapshot omits the rate rather than emitting Inf.
         let zero = PerfSnapshot::from_host(Duration::ZERO, vec![("x".into(), 5)]);
         let json = zero.to_json();
-        validate_json(&json).expect("zero-wall JSON well-formed");
+        parse(&json).expect("zero-wall JSON well-formed");
         assert!(json.contains("\"rates\":{}"), "{json}");
     }
 
@@ -633,7 +619,7 @@ mod tests {
         let mut ct = ChromeTrace::new();
         snap.add_counter_track(&mut ct, 9, "host perf", 100_000.0);
         let json = ct.finish();
-        validate_json(&json).expect("track JSON well-formed");
+        parse(&json).expect("track JSON well-formed");
         assert!(json.contains("\"ph\":\"C\""));
         assert!(json.contains("\"ts\":10000.000")); // 1000 cycles at 100 kHz
         assert!(json.contains("\"value\":90"));

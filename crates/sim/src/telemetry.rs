@@ -13,6 +13,7 @@
 
 use crate::trace::{TraceBuffer, TraceKind};
 use std::fmt::Write as _;
+use ulp_testkit::json::Quoted;
 
 // ---------------------------------------------------------------------
 // Log2 histogram
@@ -375,25 +376,6 @@ impl Metrics {
 // Chrome/Perfetto trace-event JSON
 // ---------------------------------------------------------------------
 
-/// Escape a string for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Format a microsecond timestamp deterministically (three decimals,
 /// fixed notation — no locale, no scientific form).
 fn fmt_us(us: f64) -> String {
@@ -441,8 +423,8 @@ impl ChromeTrace {
     pub fn meta_process(&mut self, pid: u32, name: &str) {
         self.events.push(format!(
             "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"name\":\"process_name\",\
-             \"args\":{{\"name\":\"{}\"}}}}",
-            json_escape(name)
+             \"args\":{{\"name\":{}}}}}",
+            Quoted(name)
         ));
     }
 
@@ -450,8 +432,8 @@ impl ChromeTrace {
     pub fn meta_thread(&mut self, pid: u32, tid: u32, name: &str) {
         self.events.push(format!(
             "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"thread_name\",\
-             \"args\":{{\"name\":\"{}\"}}}}",
-            json_escape(name)
+             \"args\":{{\"name\":{}}}}}",
+            Quoted(name)
         ));
     }
 
@@ -459,10 +441,10 @@ impl ChromeTrace {
     pub fn instant(&mut self, pid: u32, tid: u32, ts_us: f64, cat: &str, name: &str) {
         self.events.push(format!(
             "{{\"ph\":\"i\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"s\":\"t\",\
-             \"cat\":\"{}\",\"name\":\"{}\"}}",
+             \"cat\":{},\"name\":{}}}",
             fmt_us(ts_us),
-            json_escape(cat),
-            json_escape(name)
+            Quoted(cat),
+            Quoted(name)
         ));
     }
 
@@ -470,21 +452,21 @@ impl ChromeTrace {
     pub fn span(&mut self, pid: u32, tid: u32, ts_us: f64, dur_us: f64, cat: &str, name: &str) {
         self.events.push(format!(
             "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"dur\":{},\
-             \"cat\":\"{}\",\"name\":\"{}\"}}",
+             \"cat\":{},\"name\":{}}}",
             fmt_us(ts_us),
             fmt_us(dur_us),
-            json_escape(cat),
-            json_escape(name)
+            Quoted(cat),
+            Quoted(name)
         ));
     }
 
     /// A counter sample (rendered as a track graph in Perfetto).
     pub fn counter(&mut self, pid: u32, ts_us: f64, name: &str, value: u64) {
         self.events.push(format!(
-            "{{\"ph\":\"C\",\"pid\":{pid},\"tid\":0,\"ts\":{},\"name\":\"{}\",\
+            "{{\"ph\":\"C\",\"pid\":{pid},\"tid\":0,\"ts\":{},\"name\":{},\
              \"args\":{{\"value\":{value}}}}}",
             fmt_us(ts_us),
-            json_escape(name)
+            Quoted(name)
         ));
     }
 
@@ -600,178 +582,6 @@ pub fn csv_timeline(trace: &TraceBuffer, clock_hz: f64) -> String {
         );
     }
     out
-}
-
-// ---------------------------------------------------------------------
-// In-tree JSON validity checker
-// ---------------------------------------------------------------------
-
-/// Validate that `s` is one well-formed JSON value (offline, zero-dep
-/// recursive-descent check used by the trace dumper's `--check` mode and
-/// `scripts/verify.sh`). Returns the byte offset and message on error.
-pub fn validate_json(s: &str) -> Result<(), String> {
-    let b = s.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(b, &mut pos);
-    parse_value(b, &mut pos)?;
-    skip_ws(b, &mut pos);
-    if pos != b.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(())
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    match b.get(*pos) {
-        None => Err(format!("unexpected end of input at byte {pos}")),
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => parse_string(b, pos),
-        Some(b't') => parse_lit(b, pos, "true"),
-        Some(b'f') => parse_lit(b, pos, "false"),
-        Some(b'n') => parse_lit(b, pos, "null"),
-        Some(c) if *c == b'-' || c.is_ascii_digit() => parse_number(b, pos),
-        Some(c) => Err(format!("unexpected byte 0x{c:02x} at {pos}")),
-    }
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("bad literal at byte {pos}"))
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    debug_assert_eq!(b[*pos], b'"');
-    *pos += 1;
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return Ok(());
-            }
-            b'\\' => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 1,
-                    Some(b'u') => {
-                        if b.len() < *pos + 5
-                            || !b[*pos + 1..*pos + 5].iter().all(u8::is_ascii_hexdigit)
-                        {
-                            return Err(format!("bad \\u escape at byte {pos}"));
-                        }
-                        *pos += 5;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}")),
-                }
-            }
-            0x00..=0x1f => return Err(format!("raw control byte in string at {pos}")),
-            _ => *pos += 1,
-        }
-    }
-    Err("unterminated string".to_string())
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let digits = |b: &[u8], pos: &mut usize| {
-        let s = *pos;
-        while pos_digit(b, *pos) {
-            *pos += 1;
-        }
-        *pos > s
-    };
-    if !digits(b, pos) {
-        return Err(format!("bad number at byte {start}"));
-    }
-    if b.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        if !digits(b, pos) {
-            return Err(format!("bad fraction at byte {start}"));
-        }
-    }
-    if matches!(b.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(b.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
-        }
-        if !digits(b, pos) {
-            return Err(format!("bad exponent at byte {start}"));
-        }
-    }
-    Ok(())
-}
-
-fn pos_digit(b: &[u8], pos: usize) -> bool {
-    b.get(pos).is_some_and(u8::is_ascii_digit)
-}
-
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    debug_assert_eq!(b[*pos], b'{');
-    *pos += 1;
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {pos}"));
-        }
-        parse_string(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {pos}"));
-        }
-        *pos += 1;
-        skip_ws(b, pos);
-        parse_value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-        }
-    }
-}
-
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    debug_assert_eq!(b[*pos], b'[');
-    *pos += 1;
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        parse_value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -891,7 +701,7 @@ mod tests {
         ct.add_machine(1, "node \"A\"", &t, 100_000.0);
         ct.counter(1, 100.0, "busy", 7);
         let json = ct.finish();
-        validate_json(&json).expect("well-formed trace JSON");
+        ulp_testkit::json::parse(&json).expect("well-formed trace JSON");
         assert!(json.contains("\"ph\":\"X\""), "derived spans present");
         assert!(json.contains("isr irq=0"));
         assert!(json.contains("awake irq=18"));
@@ -917,31 +727,5 @@ mod tests {
             csv,
             "cycle,t_us,component,event\n100,1000.000,ep,\"EXECUTE writei 0x1200, 1\"\n"
         );
-    }
-
-    #[test]
-    fn json_validator_accepts_and_rejects() {
-        for ok in [
-            "null",
-            " [1, 2.5, -3e-2, \"a\\nb\", {\"k\": [true, false]}] ",
-            "{\"a\":{},\"b\":[]}",
-            "\"\\u00e9\"",
-        ] {
-            validate_json(ok).unwrap_or_else(|e| panic!("{ok}: {e}"));
-        }
-        for bad in [
-            "",
-            "[1,]",
-            "{\"a\":}",
-            "{\"a\" 1}",
-            "\"unterminated",
-            "01x",
-            "[1] tail",
-            "{\"a\":1,}",
-            "\"\\q\"",
-            "1.",
-        ] {
-            assert!(validate_json(bad).is_err(), "{bad:?} accepted");
-        }
     }
 }

@@ -3,8 +3,9 @@
 //! checked against an exact reference computed from the raw sample
 //! vector, so the log2 bucketing can never silently drift.
 
-use ulp_sim::telemetry::{validate_json, LOG2_BUCKETS};
+use ulp_sim::telemetry::LOG2_BUCKETS;
 use ulp_sim::{Log2Histogram, Metrics};
+use ulp_testkit::json;
 use ulp_testkit::{prop_assert, prop_assert_eq, props, vec_of};
 
 /// Samples spread across many buckets: mix small values with
@@ -154,6 +155,6 @@ props! {
         ct.meta_process(1, &name);
         ct.instant(1, 1, 0.0, &name, &name);
         let json = ct.finish();
-        prop_assert!(validate_json(&json).is_ok(), "invalid JSON for {name:?}");
+        prop_assert!(json::parse(&json).is_ok(), "invalid JSON for {name:?}");
     }
 }

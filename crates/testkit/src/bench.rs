@@ -23,6 +23,8 @@
 
 use std::time::{Duration, Instant};
 
+use crate::json::Quoted;
+
 /// Re-export of the standard optimization barrier, mirroring
 /// `criterion::black_box` call sites.
 pub use std::hint::black_box;
@@ -227,31 +229,20 @@ impl Harness {
     /// ```
     ///
     /// Timings are integral nanoseconds, so the document never contains
-    /// NaN/Infinity; downstream consumers re-validate it with the
-    /// in-tree `validate_json` (this crate keeps zero dependencies).
+    /// NaN/Infinity; `benchcheck` re-reads it with [`crate::json::parse`].
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len());
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out
-        }
         let mode = if self.test_mode { "test" } else { "measure" };
-        let mut out = format!("{{\"bench\":\"{}\",\"mode\":\"{mode}\",\"results\":[", self.name);
+        let mut out = format!(
+            "{{\"bench\":{},\"mode\":\"{mode}\",\"results\":[",
+            Quoted(self.name)
+        );
         for (i, m) in self.results.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"id\":\"{}\",\"iters_per_sample\":{},\"best_ns\":{},\"median_ns\":{}",
-                esc(&m.id),
+                "{{\"id\":{},\"iters_per_sample\":{},\"best_ns\":{},\"median_ns\":{}",
+                Quoted(&m.id),
                 m.iters_per_sample,
                 m.best.as_nanos(),
                 m.median.as_nanos()

@@ -4,7 +4,7 @@
 //! This crate replaces every external testing dependency (`rand`,
 //! `proptest`, `criterion`) with ~1k lines of in-tree, dependency-free
 //! code, so the tier-1 verify (`cargo build --release && cargo test -q`)
-//! runs with `CARGO_NET_OFFLINE=true` and an empty registry cache. Three
+//! runs with `CARGO_NET_OFFLINE=true` and an empty registry cache. Five
 //! modules:
 //!
 //! * [`rng`] — a seedable SplitMix64/xoshiro256\*\* PRNG ([`Rng`]) with
@@ -20,11 +20,14 @@
 //! * [`digest`] — a stable byte-serial 64-bit content digest
 //!   ([`Digest64`]), the keying and checksum primitive of the on-disk
 //!   campaign store (`ulp_bench::store`).
+//! * [`json`] — the workspace's one JSON codec: one string escaper and a
+//!   strict reader with byte-offset errors and a fixed nesting limit.
 //!
 //! See DESIGN.md §"Hermetic test substrate" for the substitution table.
 
 pub mod bench;
 pub mod digest;
+pub mod json;
 pub mod prop;
 pub mod rng;
 

@@ -58,7 +58,7 @@ cargo run -q -p ulp-bench --bin epcheck --offline -- --mcu8 --check > /dev/null
 echo "== telemetry trace dumper: deterministic + well-formed JSON =="
 # --check runs the workload twice, asserts the Perfetto JSON / CSV /
 # summary artifacts are byte-identical, and validates the JSON with the
-# in-tree parser (ulp_sim::telemetry::validate_json).
+# strict in-tree reader (ulp_testkit::json::parse).
 trace_out=$(mktemp -d)
 trap 'rm -rf "$trace_out"' EXIT
 cargo run -q -p ulp-bench --bin trace --offline -- \
@@ -78,7 +78,7 @@ cargo run -q -p ulp-bench --bin trace --offline -- \
 
 echo "== fleet: parallel sweep must be thread-count invariant =="
 # --check double-runs a small co-sim grid (1 worker, then N), asserts
-# CSV/JSON byte-identity, and validates the JSON with the in-tree parser.
+# CSV/JSON byte-identity, and validates the JSON with ulp_testkit::json::parse.
 # --threads 2 forces a genuinely parallel second run even on single-core
 # CI runners (the engine spawns the workers regardless); the wall-clock
 # speedup is reported, never asserted.
@@ -144,7 +144,8 @@ grep -q '"misses":0' "$trace_out/fleet_merge.err"
 echo "== bench smoke: one iteration per bench, BENCH JSON schema-checked =="
 # Test mode (no --bench flag) runs every benchmark body once and still
 # records a single timing; ULP_BENCH_DIR makes each harness emit its
-# BENCH_<name>.json, which benchcheck gates for schema and finiteness.
+# BENCH_<name>.json, which benchcheck parses and checks for its structure
+# (top-level keys, one object per result with string id and integer times).
 # The checked-in baselines at the repo root get the same gate.
 ULP_BENCH_DIR="$trace_out" cargo test -q --benches --workspace --offline > /dev/null
 cargo run -q -p ulp-bench --bin benchcheck --offline -- \

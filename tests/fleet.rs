@@ -8,7 +8,7 @@
 
 use ulp_bench::cosim::{run_cosim, CosimConfig};
 use ulp_bench::fleet::{measure_speedup, Cell, Coords, Sweep};
-use ulp_node::sim::telemetry::validate_json;
+use ulp_testkit::json;
 use ulp_testkit::{from_fn, prop_assert, prop_assert_eq, props, Rng};
 
 /// A random (but seed-deterministic) grid description: axis sizes,
@@ -70,7 +70,7 @@ props! {
         prop_assert_eq!(serial.to_json(), parallel.to_json());
         prop_assert_eq!(serial.rows().len(), (spec.a * spec.b) as usize);
         // The JSON side of the store parses with the in-tree validator.
-        prop_assert!(validate_json(&serial.to_json()).is_ok());
+        prop_assert!(json::parse(&serial.to_json()).is_ok());
     }
 }
 
@@ -146,7 +146,7 @@ fn cosim_sweep_is_thread_count_invariant() {
     // measure_speedup already asserted byte-identity; pin the shape.
     assert_eq!(results.rows().len(), 6);
     assert!(speedup.speedup() > 0.0);
-    validate_json(&results.to_json()).expect("sweep JSON must be well-formed");
+    json::parse(&results.to_json()).expect("sweep JSON must be well-formed");
     let csv = results.to_csv();
     assert!(
         csv.starts_with("nodes,seed,sent,heard,lost,energy_j\n"),

@@ -127,7 +127,7 @@ fn telemetry_exports_are_pinned() {
     // bulky to pin, so it is validated structurally instead).
     use ulp_bench::tracegen;
     let validate = |json: &str| {
-        ulp_node::sim::telemetry::validate_json(json)
+        ulp_testkit::json::parse(json)
             .unwrap_or_else(|e| panic!("exported trace JSON is malformed: {e}"));
     };
     let ulp = tracegen::stage4(60_000, tracegen::default_seed("stage4"));

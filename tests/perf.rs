@@ -24,8 +24,8 @@ use ulp_bench::tracegen;
 use ulp_node::apps::ulp::{stages, SamplePeriod};
 use ulp_node::core_arch::slaves::RandomWalkSensor;
 use ulp_node::core_arch::SystemConfig;
-use ulp_sim::telemetry::validate_json;
 use ulp_sim::{Cycles, Engine, Profiler};
+use ulp_testkit::json;
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -83,8 +83,8 @@ fn stage4_profiling_has_no_observer_effect() {
         profiled.json.contains("\"ph\":\"C\""),
         "profiled trace must carry Perfetto counter events"
     );
-    validate_json(&profiled.json).expect("profiled trace JSON is well-formed");
-    validate_json(&snap.to_json()).expect("perf snapshot JSON is well-formed");
+    json::parse(&profiled.json).expect("profiled trace JSON is well-formed");
+    json::parse(&snap.to_json()).expect("perf snapshot JSON is well-formed");
     assert!(
         snap.counter("sim.cycles_stepped").unwrap_or(0) > 0,
         "profiled run recorded stepped cycles"
@@ -107,7 +107,7 @@ fn mica2_profiling_has_no_observer_effect() {
         "profiling changed the mica2 summary"
     );
     assert!(profiled.json.contains("host perf (deterministic)"));
-    validate_json(&profiled.json).expect("profiled mica2 JSON is well-formed");
+    json::parse(&profiled.json).expect("profiled mica2 JSON is well-formed");
     assert!(
         !snap.samples.is_empty(),
         "epoch sampling produced counter samples"
@@ -230,7 +230,7 @@ fn chaos_campaign_with_progress_meter_is_byte_identical() {
     let lines: Vec<&str> = text.lines().collect();
     assert!(!lines.is_empty(), "meter emitted at least one heartbeat");
     for line in &lines {
-        validate_json(line).unwrap_or_else(|e| panic!("bad heartbeat {line}: {e}"));
+        json::parse(line).unwrap_or_else(|e| panic!("bad heartbeat {line}: {e}"));
         assert!(!line.contains("NaN") && !line.contains("inf"), "{line}");
     }
     let last = lines.last().unwrap();

@@ -398,6 +398,80 @@ fn canonical_digest_is_pinned() {
     );
 }
 
+/// The records `tests/golden/store_record.ndjson` pins: hostile text
+/// (every escaped character plus non-ASCII), an empty cell list, the
+/// extreme `u64`, and subnormal/signed-zero floats.
+fn pinned_records() -> Vec<(String, Vec<Cell>)> {
+    let hostile = "q\"b\\n\nr\rt\tc\u{1}d\u{1f}e\u{7f} é ☃ 😀";
+    vec![
+        (
+            format!("key={hostile};|payload|v0.1.0+e"),
+            vec![Cell::Text(hostile.to_string()), Cell::U64(7), Cell::F64(0.1)],
+        ),
+        ("empty-cells".to_string(), vec![]),
+        ("extremes".to_string(), vec![Cell::U64(u64::MAX), Cell::U64(0)]),
+        (
+            "floats".to_string(),
+            vec![
+                Cell::F64(f64::from_bits(1)),
+                Cell::F64(-f64::from_bits(0x000F_FFFF_FFFF_FFFF)),
+                Cell::F64(-0.0),
+                Cell::F64(f64::MAX),
+                Cell::F64(-3.25e-7),
+            ],
+        ),
+        ("text-only".to_string(), vec![Cell::Text(String::new())]),
+    ]
+}
+
+/// Pin the on-disk record bytes: the writer must reproduce the golden
+/// segment byte for byte, and the reader must load it with nothing
+/// dropped and every cell intact. An escaping change would otherwise
+/// silently turn every existing store into misses.
+#[test]
+fn record_bytes_are_pinned() {
+    let records = pinned_records();
+    let dir = scratch("record-golden");
+    let mut store = Store::open(&dir).unwrap();
+    for (key, cells) in &records {
+        store.append(key, cells).unwrap();
+    }
+    drop(store);
+    let actual = std::fs::read(dir.join("seg-main.ndjson")).unwrap();
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/store_record.ndjson");
+    if std::env::var_os("ULP_UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, &actual).unwrap();
+    }
+    let expected = std::fs::read(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden file {} ({e}); run with ULP_UPDATE_GOLDEN=1 to create it",
+            path.display()
+        )
+    });
+    assert!(
+        expected == actual,
+        "store record bytes drifted from the golden:\n--- golden\n{}\n+++ actual\n{}",
+        String::from_utf8_lossy(&expected),
+        String::from_utf8_lossy(&actual)
+    );
+
+    // A store holding only the golden segment loads every record.
+    let golden_dir = scratch("record-golden-load");
+    std::fs::create_dir_all(&golden_dir).unwrap();
+    std::fs::write(golden_dir.join("seg-golden.ndjson"), &expected).unwrap();
+    let mut store = Store::open(&golden_dir).unwrap();
+    assert_eq!(store.stats().corrupt, 0);
+    assert_eq!(store.stats().torn, 0);
+    assert_eq!(store.stats().records, records.len() as u64);
+    for (key, cells) in &records {
+        let served = store.lookup(digest64(key.as_bytes()), key, cells.len());
+        // Debug, not `==`: it tells -0.0 from 0.0.
+        assert_eq!(format!("{served:?}"), format!("{:?}", Some(cells)), "{key:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&golden_dir);
+}
+
 // ---------------------------------------------------------------------
 // The ISSUE acceptance scenario: dense campaign killed and resumed
 // ---------------------------------------------------------------------
