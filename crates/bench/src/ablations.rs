@@ -289,11 +289,6 @@ pub fn ablations_report() -> String {
         sw_timer.watts() / hw_timer.watts()
     );
 
-    eprintln!(
-        "\nfleet: {} simulation points in {:.3} s on {} worker(s)",
-        results.rows().len(),
-        results.elapsed().as_secs_f64(),
-        results.threads()
-    );
+    eprintln!("\nfleet: {}", results.wall_clock());
     out
 }

@@ -32,6 +32,8 @@
 //! ([`campaign_summary`]) is a pure function of the grid and is pinned
 //! byte-for-byte by `tests/golden.rs`.
 
+use std::str::FromStr;
+
 use crate::fleet::{Cell, Coords, Sweep, SweepResults};
 use ulp_apps::ulp::{monitoring, AppStage, MonitoringConfig, SamplePeriod};
 use ulp_core::slaves::RandomWalkSensor;
@@ -51,17 +53,21 @@ pub enum ChaosApp {
     Forwarding,
 }
 
-impl ChaosApp {
+impl FromStr for ChaosApp {
+    type Err = &'static str;
+
     /// Parse a CLI name (`app1`/`app2`/`app3`).
-    pub fn parse(s: &str) -> Option<ChaosApp> {
+    fn from_str(s: &str) -> Result<ChaosApp, &'static str> {
         match s {
-            "app1" => Some(ChaosApp::Sample),
-            "app2" => Some(ChaosApp::Filtered),
-            "app3" => Some(ChaosApp::Forwarding),
-            _ => None,
+            "app1" => Ok(ChaosApp::Sample),
+            "app2" => Ok(ChaosApp::Filtered),
+            "app3" => Ok(ChaosApp::Forwarding),
+            _ => Err("the apps are app1, app2 and app3"),
         }
     }
+}
 
+impl ChaosApp {
     /// The CLI / CSV name.
     pub fn name(&self) -> &'static str {
         match self {
@@ -207,7 +213,7 @@ fn build_system(cfg: &ChaosConfig) -> System {
 /// Run one chaos grid point, asserting the graceful-degradation
 /// invariants along the way. Deterministic: the summary is a pure
 /// function of `cfg` (double-run asserted in `tests/chaos.rs`,
-/// thread-count invariance by the chaos binary's `--check` mode).
+/// thread-count invariance by `fleet --chaos --check`).
 ///
 /// # Panics
 ///

@@ -31,14 +31,15 @@
 //! node runs the same stage-3 forwarding application (CAM-deduplicated
 //! rebroadcast) and relays towards a listening base station. Each
 //! [`CosimConfig`] — node count × loss rate × seed × horizon — is one
-//! grid point of a [`crate::fleet::Sweep`]; the run is a pure function
-//! of the config (asserted by `tests/fleet.rs`), so replicating it
-//! across many seeds in parallel yields confidence-interval-grade
-//! statistics. The per-point [`CosimSummary`] condenses the whole run
+//! grid point of a [`crate::fleet::Sweep`] ([`replication_sweep`]); the
+//! run is a pure function of the config (asserted by `tests/fleet.rs`),
+//! so replicating it across many seeds in parallel yields
+//! confidence-interval-grade statistics. The per-point [`CosimSummary`] condenses the whole run
 //! — channel counters, base-station goodput, per-node energy, µC
 //! wakeups, and the merged telemetry layer's EP service-latency tail —
-//! into one row of scalar cells.
+//! into one row of scalar [`cells`].
 
+use crate::fleet::{Cell, Coords, Sweep};
 use ulp_apps::ulp::{monitoring, AppStage, MonitoringConfig, SamplePeriod};
 use ulp_core::slaves::RandomWalkSensor;
 use ulp_core::{System, SystemConfig};
@@ -134,6 +135,65 @@ pub struct CosimSummary {
     pub service_p99: u64,
     /// Fleet-wide count of serviced EP IRQs.
     pub irqs_serviced: u64,
+}
+
+/// The metric columns of one co-sim grid point, in [`cells`] order.
+pub const METRICS: &[&str] = &[
+    "sent",
+    "delivered",
+    "lost",
+    "heard",
+    "radio_tx",
+    "mcu_wakeups",
+    "energy_j",
+    "service_p99",
+    "irqs_serviced",
+];
+
+/// Serialize a summary into one row of [`METRICS`] cells.
+pub fn cells(s: &CosimSummary) -> Vec<Cell> {
+    vec![
+        Cell::U64(s.sent),
+        Cell::U64(s.delivered),
+        Cell::U64(s.lost),
+        Cell::U64(s.heard),
+        Cell::U64(s.radio_tx),
+        Cell::U64(s.mcu_wakeups),
+        Cell::F64(s.energy_j),
+        Cell::U64(s.service_p99),
+        Cell::U64(s.irqs_serviced),
+    ]
+}
+
+/// Build the node-count × loss × seed replication grid the `fleet`
+/// binary sweeps, each point a flood of `slots` slots.
+pub fn replication_sweep(
+    nodes: &[usize],
+    losses: &[f64],
+    seeds: u64,
+    slots: u64,
+) -> Sweep<CosimConfig> {
+    let mut sweep = Sweep::new("cosim-replication", METRICS);
+    for &n in nodes {
+        for &loss in losses {
+            for seed in 0..seeds {
+                sweep.push(
+                    Coords::new()
+                        .with("nodes", n)
+                        .with("loss", loss)
+                        .with("seed", seed),
+                    CosimConfig {
+                        nodes: n,
+                        loss,
+                        seed,
+                        horizon_slots: slots,
+                        ..CosimConfig::default()
+                    },
+                );
+            }
+        }
+    }
+    sweep
 }
 
 /// Run one co-simulation grid point to completion on the slot-stepped

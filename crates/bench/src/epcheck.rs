@@ -2,8 +2,9 @@
 //! through the `ulp-verify` static checker, plus a deliberately broken
 //! fixture suite that exercises every diagnostic class.
 //!
-//! The `epcheck` binary prints these reports; `tests/golden.rs` pins
-//! them byte-for-byte, and the cross-validation suite in
+//! `repro epcheck_shipped` and `repro epcheck_fixture` print these
+//! reports (the first exits 1 on an error-severity finding);
+//! `tests/golden.rs` pins them byte-for-byte, and the cross-validation suite in
 //! `crates/verify/tests/` reproduces each fixture finding as a dynamic
 //! fault or bus-lint observation in the simulator.
 
@@ -16,8 +17,7 @@ fn cid(id: u8) -> ComponentId {
     ComponentId::new(id).expect("component ids are 5-bit")
 }
 
-/// The shipped programs linted by `epcheck` with no arguments, in
-/// report order.
+/// The shipped programs `repro epcheck_shipped` lints, in report order.
 pub fn shipped_programs() -> Vec<(&'static str, UlpProgram)> {
     vec![
         ("stage1", stages::app1(SamplePeriod::Cycles(2000))),
@@ -222,7 +222,7 @@ pub fn fixture_reports() -> Vec<Report> {
         .collect()
 }
 
-/// Render the shipped-program reports as the `epcheck` text.
+/// Render the shipped-program reports (`repro epcheck_shipped`).
 pub fn render_shipped() -> String {
     let mut out = String::from("epcheck: shipped event-processor programs\n\n");
     let mut errors = 0;
@@ -244,7 +244,7 @@ pub fn render_shipped() -> String {
     out
 }
 
-/// Render the fixture reports as the `epcheck --fixture` text.
+/// Render the fixture reports (`repro epcheck_fixture`).
 pub fn render_fixture() -> String {
     let mut out = String::from("epcheck: diagnostic fixture suite\n\n");
     for report in fixture_reports() {
@@ -254,8 +254,8 @@ pub fn render_fixture() -> String {
     out
 }
 
-/// Total error-severity findings across the shipped programs (the
-/// binary's exit status: shipped programs must be clean).
+/// Total error-severity findings across the shipped programs (`repro`
+/// exits 1 when non-zero: shipped programs must be clean).
 pub fn shipped_errors() -> usize {
     shipped_reports()
         .iter()

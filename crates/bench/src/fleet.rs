@@ -464,6 +464,18 @@ impl SweepResults {
         self.elapsed
     }
 
+    /// The execution's wall-clock as one line for stderr: points,
+    /// seconds and workers (never part of a deterministic artifact).
+    pub fn wall_clock(&self) -> String {
+        format!(
+            "{} `{}` points in {:.3} s on {} worker(s)",
+            self.rows.len(),
+            self.name,
+            self.elapsed.as_secs_f64(),
+            self.threads
+        )
+    }
+
     /// The execution as a host [`PerfSnapshot`]: the grid size under a
     /// `fleet.points` counter against the run's wall-clock. Every
     /// points/sec figure in the workspace (speedup reports, `--progress`
@@ -591,21 +603,10 @@ impl fmt::Display for SpeedupReport {
 
 /// Run `sweep` once serially and once on `threads` workers, assert the
 /// serialized results are byte-identical (the determinism contract),
-/// and return the parallel results plus the wall-clock comparison.
+/// and return the parallel results plus the wall-clock comparison. The
+/// progress `observer` sees both executions (`2 × len` callbacks total,
+/// serial first); pass `&()` for none.
 pub fn measure_speedup<P: Sync, F>(
-    sweep: &Sweep<P>,
-    threads: usize,
-    f: F,
-) -> Result<(SweepResults, SpeedupReport), FleetError>
-where
-    F: Fn(&Coords, &P) -> Vec<Cell> + Sync,
-{
-    measure_speedup_observed(sweep, threads, f, &())
-}
-
-/// [`measure_speedup`] with a progress [`SweepObserver`], which sees
-/// both executions (`2 × len` callbacks total — serial first).
-pub fn measure_speedup_observed<P: Sync, F>(
     sweep: &Sweep<P>,
     threads: usize,
     f: F,
@@ -746,7 +747,7 @@ mod tests {
         if let Some(rate) = perf.rate("fleet.points") {
             assert!(rate.is_finite());
         }
-        let (_, speedup) = measure_speedup(&sweep, 2, eval).unwrap();
+        let (_, speedup) = measure_speedup(&sweep, 2, eval, &()).unwrap();
         assert_eq!(speedup.serial.counter("fleet.points"), Some(9));
         assert_eq!(speedup.parallel.counter("fleet.points"), Some(9));
         assert!(speedup.speedup() > 0.0);

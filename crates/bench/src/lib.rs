@@ -2,9 +2,10 @@
 //! Shared measurement harness for the reproduction binaries and the
 //! benches.
 //!
-//! Every table and figure of the paper's evaluation is a named artifact in
-//! [`report::ARTIFACTS`]; the `repro` binary prints the paper's rows next
-//! to our measured values (`repro table4 fig6`, or `repro all`):
+//! Every table and figure of the paper's evaluation, and every static
+//! checker report, is a named artifact in [`report::ARTIFACTS`]; the
+//! `repro` binary prints the paper's rows next to our measured values
+//! (`repro table4 fig6`, or `repro all`):
 //!
 //! | Artifact | Reproduces |
 //! |---|---|
@@ -19,20 +20,24 @@
 //! | `fig6`, `fig6.csv`, `fig6_crosscheck` | Power vs duty cycle (plus Atmel/MSP430 comparisons); full-simulation cross-check |
 //! | `snap`   | blink/sense vs published SNAP numbers |
 //! | `ablations` | Design-choice ablations (§4.2, §5.2) |
+//! | `epcheck_shipped`, `epcheck_fixture` | Static check of the event-processor ISR programs the artifacts load (see [`epcheck`]) |
+//! | `mcu8check_shipped`, `mcu8check_fixture` | Whole-firmware `ulp-verify` analysis of the shipped Mica2 images (see [`mcu8check`]) |
 //!
-//! Four binaries are not tied to a single paper table: `trace` runs a
+//! `repro` exits 1 when a `*_shipped` lint report has an error-severity
+//! finding; the fixture suites are broken on purpose.
+//!
+//! Three more binaries are not tied to a paper table: `trace` runs a
 //! reference workload with the telemetry layer enabled and dumps
 //! deterministic Chrome/Perfetto trace JSON, CSV timelines, and metrics
-//! summaries (see [`tracegen`]); `epcheck` statically verifies the event
-//! processor ISR programs the artifacts load (see [`epcheck`]) and,
-//! in `--mcu8` mode, the shipped Mica2 firmware images with the
-//! whole-firmware `ulp-verify` analyzer (see [`mcu8check`]);
-//! `fleet` scales the lossy co-simulation (see [`cosim`]) across a
-//! node-count × loss-rate × seed grid on the deterministic parallel
-//! sweep engine (see [`fleet`]), whose serialized results are
-//! byte-identical whatever `ULP_FLEET_THREADS` says; and `chaos` runs
-//! deterministic fault-injection campaigns (see [`chaos`]) on the same
-//! engine, asserting the graceful-degradation invariants per grid point.
+//! summaries (see [`tracegen`]); `fleet` runs campaigns on the
+//! deterministic parallel sweep engine (see [`fleet`]), whose serialized
+//! results are byte-identical whatever `ULP_FLEET_THREADS` says — the
+//! lossy co-simulation (see [`cosim`]) across a node-count × loss-rate ×
+//! seed grid, `--dense` spatial tiles (see [`dense`]), or `--chaos`
+//! fault-injection campaigns (see [`chaos`]) asserting the
+//! graceful-degradation invariants per grid point, all parsed by
+//! [`campaign`]; and `benchcheck` checks the structure of `BENCH_*.json`
+//! baselines.
 //!
 //! The measurement functions live here so integration tests can assert
 //! on the same numbers `repro` prints, and the deterministic report text
@@ -48,6 +53,7 @@
 //! touch only the dirty points.
 
 pub mod ablations;
+pub mod campaign;
 pub mod chaos;
 pub mod cosim;
 pub mod dense;

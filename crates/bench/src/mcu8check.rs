@@ -3,7 +3,8 @@
 //! deliberately broken fixture suite that exercises every diagnostic
 //! class.
 //!
-//! The `epcheck` binary prints these reports in its `--mcu8` mode;
+//! `repro mcu8check_shipped` and `repro mcu8check_fixture` print these
+//! reports (the first exits 1 on an error-severity finding);
 //! `tests/golden.rs` pins them byte-for-byte, and the cross-validation
 //! suite in `crates/verify/tests/` checks the WCET and stack bounds
 //! against cycle-accurate simulation.
@@ -79,7 +80,7 @@ pub fn mica2_config(name: &str, image: &Image) -> FirmwareConfig {
     }
 }
 
-/// The shipped firmware images checked by `epcheck --mcu8`, in report
+/// The shipped firmware images `repro mcu8check_shipped` checks, in report
 /// order (the same applications Table 4 measures).
 pub fn shipped_apps() -> Vec<MicaApp> {
     vec![
@@ -323,7 +324,7 @@ pub fn fixture_reports() -> Vec<FirmwareReport> {
         .collect()
 }
 
-/// Render the shipped-firmware reports as the `epcheck --mcu8` text.
+/// Render the shipped-firmware reports (`repro mcu8check_shipped`).
 pub fn render_shipped() -> String {
     let mut out = String::from("mcu8check: shipped Mica2 firmware images\n\n");
     let mut errors = 0;
@@ -342,7 +343,7 @@ pub fn render_shipped() -> String {
     out
 }
 
-/// Render the fixture reports as the `epcheck --mcu8 --fixture` text.
+/// Render the fixture reports (`repro mcu8check_fixture`).
 pub fn render_fixture() -> String {
     let mut out = String::from("mcu8check: diagnostic fixture suite\n\n");
     for report in fixture_reports() {
@@ -352,8 +353,8 @@ pub fn render_fixture() -> String {
     out
 }
 
-/// Total error-severity findings across the shipped firmware (the
-/// binary's exit status: shipped images must be clean).
+/// Total error-severity findings across the shipped firmware (`repro`
+/// exits 1 when non-zero: shipped images must be clean).
 pub fn shipped_errors() -> usize {
     shipped_reports().iter().map(|r| r.errors()).sum()
 }

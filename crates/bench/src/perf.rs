@@ -3,10 +3,10 @@
 //! `ulp_sim::perf` owns the measurement substrate (spans, counters,
 //! snapshots); this module turns snapshots into operator-facing
 //! artifacts: the `trace --perf` report, guest-derived counter
-//! attachment, and the `--progress` NDJSON heartbeats the `fleet` and
-//! `chaos` binaries stream on **stderr** while a campaign drains.
-//! Heartbeats never touch stdout, so CSV/JSON exports and every golden
-//! stay byte-identical with and without `--progress`.
+//! attachment, and the `--progress` NDJSON heartbeats the `fleet`
+//! binary streams on **stderr** while a campaign drains. Heartbeats
+//! never touch stdout, so CSV/JSON exports and every golden stay
+//! byte-identical with and without `--progress`.
 
 use std::io::Write;
 use std::sync::Mutex;
@@ -95,7 +95,7 @@ pub fn heartbeat_json(
 
 /// A throttled NDJSON progress stream implementing [`SweepObserver`]:
 /// hand it to [`Sweep::run_observed`](crate::fleet::Sweep::run_observed)
-/// (or `measure_speedup_observed`) and it emits one heartbeat line per
+/// (or [`measure_speedup`](crate::fleet::measure_speedup)) and it emits one heartbeat line per
 /// `ULP_PROGRESS_MS` interval (default 200 ms) plus a final line when
 /// the last point lands. Observing is all it does — results, CSV/JSON
 /// bytes, and exit codes are untouched.

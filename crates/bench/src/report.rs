@@ -13,9 +13,10 @@
 use std::cell::OnceCell;
 use std::fmt::Write as _;
 
-use crate::fleet::{self, Cell, Coords, Sweep};
+use crate::fleet::{self, Cell, Coords, FleetError, Sweep, SweepResults};
 use crate::measure::{code_sizes, measure_snap, measure_table4, Table4Row};
 use crate::table::TableWriter;
+use crate::{epcheck, mcu8check};
 use ulp_apps::ulp::{stages, SamplePeriod};
 use ulp_apps::workload::{
     figure6_sweep, figure6_sweep_with_profile, paper_duty_grid, profile_event,
@@ -570,27 +571,25 @@ pub fn fig6_report_with_profile(atmel_cycles: u64, profile: &EventProfile) -> St
     out
 }
 
-/// Figure 6 cross-validated: full simulations at the sustainable duty
-/// cycles of the same sweep, next to the analytic totals
-/// [`fig6_report_with_profile`] prints for the same calibration and
-/// profile. The points are independent and run on the fleet engine
-/// (`ULP_FLEET_THREADS` workers), which runs them serially and in
-/// parallel and asserts byte-identical results; its timing goes to
-/// stderr. It opens with a blank line so that it reads as a section of
-/// `repro fig6 fig6_crosscheck`.
+/// The sweep behind [`fig6_crosscheck_report`], run on `threads`
+/// workers: one point per sustainable duty cycle of the paper grid, its
+/// analytic total next to a full simulation, both in µW. The results
+/// are byte-identical whatever the worker count (`tests/fleet.rs`).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if a simulation point panics.
-pub fn fig6_crosscheck_report(atmel_cycles: u64, profile: &EventProfile) -> String {
-    let mut out =
-        String::from("\nFull-simulation cross-validation (cycle-accurate, fast-forwarded):\n");
+/// A simulation point that panics, with its duty coordinate.
+pub fn fig6_crosscheck_sweep(
+    atmel_cycles: u64,
+    profile: &EventProfile,
+    threads: usize,
+) -> Result<SweepResults, FleetError> {
     let analytic_rows = figure6_sweep_with_profile(&paper_duty_grid(), atmel_cycles, profile);
     let mut sweep = Sweep::new("fig6-crosscheck", &["analytic_uw", "simulated_uw"]);
     for d in sim_crosscheck_duties(profile) {
         sweep.push(Coords::new().with("duty", d), d);
     }
-    let (results, speedup) = fleet::measure_speedup(&sweep, fleet::fleet_threads(), |_, &d| {
+    sweep.run(threads, |_, &d| {
         let analytic = analytic_rows
             .iter()
             .find(|r| r.duty == d)
@@ -599,8 +598,25 @@ pub fn fig6_crosscheck_report(atmel_cycles: u64, profile: &EventProfile) -> Stri
         let simulated = simulate_duty_with_profile(d, profile);
         vec![Cell::F64(analytic.uw()), Cell::F64(simulated.uw())]
     })
-    .unwrap_or_else(|e| panic!("{e}"));
-    eprintln!("Fleet: {speedup} (serial/parallel outputs byte-identical)");
+}
+
+/// Figure 6 cross-validated: full simulations at the sustainable duty
+/// cycles of the same sweep, next to the analytic totals
+/// [`fig6_report_with_profile`] prints for the same calibration and
+/// profile. The points are independent and run once on the fleet engine
+/// ([`fig6_crosscheck_sweep`] on `ULP_FLEET_THREADS` workers); its
+/// wall-clock goes to stderr. It opens with a blank line so that it
+/// reads as a section of `repro fig6 fig6_crosscheck`.
+///
+/// # Panics
+///
+/// Panics if a simulation point panics.
+pub fn fig6_crosscheck_report(atmel_cycles: u64, profile: &EventProfile) -> String {
+    let mut out =
+        String::from("\nFull-simulation cross-validation (cycle-accurate, fast-forwarded):\n");
+    let results = fig6_crosscheck_sweep(atmel_cycles, profile, fleet::fleet_threads())
+        .unwrap_or_else(|e| panic!("{e}"));
+    eprintln!("\nfleet: {}", results.wall_clock());
 
     let mut v = TableWriter::new(&["Duty", "Analytic total", "Simulated total"]);
     for row in results.rows() {
@@ -710,70 +726,54 @@ pub struct Artifact {
     pub name: &'static str,
     /// Build its text.
     pub render: fn(&Inputs) -> String,
+    /// Its error-severity lint findings, which make `repro` exit 1: the
+    /// count for the two lint reports over the shipped programs, 0 for
+    /// every other artifact (the fixture suites are broken on purpose).
+    pub errors: fn() -> usize,
+}
+
+/// An artifact with no lint findings.
+const fn artifact(name: &'static str, render: fn(&Inputs) -> String) -> Artifact {
+    Artifact {
+        name,
+        render,
+        errors: || 0,
+    }
 }
 
 /// Every artifact, in the order `repro all` prints them.
 pub const ARTIFACTS: &[Artifact] = &[
-    Artifact {
-        name: "table1",
-        render: |_| table1_report(),
-    },
-    Artifact {
-        name: "table2",
-        render: |_| table2_report(),
-    },
-    Artifact {
-        name: "table3",
-        render: |_| table3_report(),
-    },
-    Artifact {
-        name: "table4",
-        render: |m| table4_report(m.table4()),
-    },
-    Artifact {
-        name: "fig2",
-        render: |_| fig2_report(),
-    },
-    Artifact {
-        name: "table5",
-        render: |_| table5_report(),
-    },
-    Artifact {
-        name: "table5_live",
-        render: |_| table5_live_report(),
-    },
-    Artifact {
-        name: "fig3",
-        render: |_| fig3_report(),
-    },
-    Artifact {
-        name: "fig3.csv",
-        render: |_| fig3_csv(),
-    },
-    Artifact {
-        name: "fig5",
-        render: |_| fig5_report(),
-    },
-    Artifact {
-        name: "fig6",
-        render: |m| fig6_report_with_profile(m.atmel_cycles(), m.profile()),
-    },
+    artifact("table1", |_| table1_report()),
+    artifact("table2", |_| table2_report()),
+    artifact("table3", |_| table3_report()),
+    artifact("table4", |m| table4_report(m.table4())),
+    artifact("fig2", |_| fig2_report()),
+    artifact("table5", |_| table5_report()),
+    artifact("table5_live", |_| table5_live_report()),
+    artifact("fig3", |_| fig3_report()),
+    artifact("fig3.csv", |_| fig3_csv()),
+    artifact("fig5", |_| fig5_report()),
+    artifact("fig6", |m| {
+        fig6_report_with_profile(m.atmel_cycles(), m.profile())
+    }),
     // The paper's own 1532-cycle filtered send calibrates the CSV, so
     // the series reproduces without a measurement pass.
+    artifact("fig6.csv", |_| fig6_csv(1532)),
+    artifact("fig6_crosscheck", |m| {
+        fig6_crosscheck_report(m.atmel_cycles(), m.profile())
+    }),
+    artifact("snap", |_| snap_report()),
+    artifact("ablations", |_| crate::ablations::ablations_report()),
     Artifact {
-        name: "fig6.csv",
-        render: |_| fig6_csv(1532),
+        name: "epcheck_shipped",
+        render: |_| epcheck::render_shipped(),
+        errors: epcheck::shipped_errors,
     },
+    artifact("epcheck_fixture", |_| epcheck::render_fixture()),
     Artifact {
-        name: "fig6_crosscheck",
-        render: |m| fig6_crosscheck_report(m.atmel_cycles(), m.profile()),
+        name: "mcu8check_shipped",
+        render: |_| mcu8check::render_shipped(),
+        errors: mcu8check::shipped_errors,
     },
-    Artifact {
-        name: "snap",
-        render: |_| snap_report(),
-    },
-    Artifact {
-        name: "ablations",
-        render: |_| crate::ablations::ablations_report(),
-    },
+    artifact("mcu8check_fixture", |_| mcu8check::render_fixture()),
 ];

@@ -730,11 +730,11 @@ where
 }
 
 // ---------------------------------------------------------------------
-// Campaign driver (shared by the fleet and chaos binaries)
+// Campaign driver (behind every mode of the fleet binary)
 // ---------------------------------------------------------------------
 
-/// Everything the `fleet`/`chaos` command lines configure about one
-/// campaign execution: worker count, the `--check` double/stored runs,
+/// Everything the `fleet` command line configures about one campaign
+/// execution ([`crate::campaign::CampaignArgs`] builds it): worker count, the `--check` double/stored runs,
 /// `--progress` heartbeats, and the store flags.
 #[derive(Debug, Clone, Default)]
 pub struct DriveConfig {
@@ -763,8 +763,8 @@ fn open_store(dir: &Path) -> Store {
 
 /// Run one campaign sweep with the shared `--check` / `--progress` /
 /// `--store` machinery and return its (thread-count-invariant) results.
-/// This is the single execution path behind both the `fleet` and
-/// `chaos` binaries; all diagnostics go to stderr so stdout artifacts
+/// This is the single execution path behind every mode of the `fleet`
+/// binary; all diagnostics go to stderr so stdout artifacts
 /// stay byte-identical across every mode.
 ///
 /// # Panics
@@ -821,7 +821,7 @@ where
 
     if cfg.check {
         let (results, speedup) =
-            fleet::measure_speedup_observed(sweep, cfg.threads, &eval, observer)?;
+            fleet::measure_speedup(sweep, cfg.threads, &eval, observer)?;
         if let Err(e) = json::parse(&results.to_json()) {
             panic!("sweep JSON failed validation: {e}");
         }

@@ -58,3 +58,28 @@ fn unknown_artifact_is_a_usage_error() {
         "repro must not print before validating"
     );
 }
+
+/// The shipped programs lint clean, so their reports exit 0; the
+/// fixture suites are full of errors on purpose and never fail `repro`.
+#[test]
+fn lint_reports_gate_only_on_the_shipped_programs() {
+    for names in [
+        ["epcheck_shipped", "mcu8check_shipped"],
+        ["epcheck_fixture", "mcu8check_fixture"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(names)
+            .output()
+            .expect("run repro");
+        assert_eq!(out.status.code(), Some(0), "repro {names:?}: {out:?}");
+        let expected = golden(&format!("{}.txt", names[0])) + &golden(&format!("{}.txt", names[1]));
+        assert!(
+            String::from_utf8_lossy(&out.stdout) == expected,
+            "repro {names:?} must print the two goldens"
+        );
+    }
+    assert!(
+        golden("epcheck_fixture.txt").contains("error"),
+        "the fixture report must hold error findings"
+    );
+}

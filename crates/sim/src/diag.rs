@@ -1,7 +1,7 @@
 //! Rustc-style diagnostic rendering helpers.
 //!
 //! Shared by tools that report findings about simulated programs (the
-//! `ulp-verify` static checker, the `epcheck` CLI): a severity header,
+//! `ulp-verify` static checker, the `repro` lint reports): a severity header,
 //! a `-->` source pointer, indented notes, and a summary line. Keeping
 //! the formatting here means every tool renders diagnostics the same
 //! way and golden tests pin a single vocabulary.

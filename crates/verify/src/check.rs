@@ -314,7 +314,7 @@ impl Walk<'_> {
 ///
 /// The returned [`Report`] carries every finding in program order plus
 /// the WCET bound; [`Report::render`] produces the deterministic text
-/// the `epcheck` CLI and the golden tests pin.
+/// the `repro epcheck_*` reports and the golden tests pin.
 pub fn check_isr(bytes: &[u8], ctx: &CheckContext) -> Report {
     let meta = decode_isr_meta(bytes);
     let mut walk = Walk {

@@ -44,16 +44,12 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo doc --no-deps --workspace (warnings denied) =="
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace --offline
 
-echo "== epcheck: shipped EP ISRs must lint clean =="
-cargo run -q -p ulp-bench --bin epcheck --offline > /dev/null
-cargo run -q -p ulp-bench --bin epcheck --offline -- --check > /dev/null
-
-echo "== epcheck --mcu8: shipped Mica2 firmware must verify clean =="
-# The whole-firmware analyzer: CFG recovery, stack bounds, interrupt-
-# safety lints, and per-vector WCET against the one-tick budget. Exit
-# status 1 on any error-severity finding in a shipped image.
-cargo run -q -p ulp-bench --bin epcheck --offline -- --mcu8 > /dev/null
-cargo run -q -p ulp-bench --bin epcheck --offline -- --mcu8 --check > /dev/null
+echo "== lint reports: shipped EP ISRs and Mica2 firmware must verify clean =="
+# The EP ISR checker and the whole-firmware mcu8 analyzer (CFG recovery,
+# stack bounds, interrupt-safety lints, and per-vector WCET against the
+# one-tick budget). repro exits 1 on any error-severity finding in a
+# shipped program; tests/golden.rs pins the reports' bytes.
+cargo run -q -p ulp-bench --bin repro --offline -- epcheck_shipped mcu8check_shipped > /dev/null
 
 echo "== telemetry trace dumper: deterministic + well-formed JSON =="
 # --check runs the workload twice, asserts the Perfetto JSON / CSV /
@@ -107,17 +103,17 @@ cargo run -q --release -p ulp-bench --bin fleet --offline -- \
   --dense --nodes 256 --density 25,400 --slots 8000 --threads 2 --check \
   > /dev/null
 
-echo "== chaos: fault-injection campaign must be deterministic =="
+echo "== fleet --chaos: fault-injection campaign must be deterministic =="
 # --check runs the campaign twice (1 worker, then 2), asserts CSV/JSON
 # byte-identity (the campaign summary is a pure function of those rows),
 # validates the JSON, and — per grid point — asserts the graceful-
-# degradation invariants inline. Both binaries' --check also runs the
+# degradation invariants inline. Every mode's --check also runs the
 # grid twice more through an ephemeral campaign store (cold fill, then
 # a reopened fully-warm serve) asserting the stored passes emit the
 # exact same bytes and the warm pass executes zero points — so the
 # verify gate above already exercises the store on the fleet grid too.
-cargo run -q --release -p ulp-bench --bin chaos --offline -- \
-  --seeds 2 --horizon 15000 --threads 2 --check > /dev/null
+cargo run -q --release -p ulp-bench --bin fleet --offline -- \
+  --chaos --seeds 2 --horizon 15000 --threads 2 --check > /dev/null
 
 echo "== campaign store: sharded fill + merge must equal a plain run =="
 # Two shard workers fill one store (disjoint segment files, disjoint

@@ -3,11 +3,14 @@
 //! byte-identical `SweepResults` — held as a *property* over random
 //! grids, closures, and thread counts; panic-in-worker reporting with
 //! scenario coordinates; and the real co-simulation sweep the `fleet`
-//! binary ships, double-run across thread counts with its JSON checked
-//! by the in-tree validator.
+//! binary ships and the Figure 6 cross-check sweep `repro` runs, each
+//! double-run across thread counts with its JSON checked by the in-tree
+//! validator.
 
+use ulp_apps::workload::profile_event;
 use ulp_bench::cosim::{run_cosim, CosimConfig};
 use ulp_bench::fleet::{measure_speedup, Cell, Coords, Sweep};
+use ulp_bench::report::fig6_crosscheck_sweep;
 use ulp_testkit::json;
 use ulp_testkit::{from_fn, prop_assert, prop_assert_eq, props, Rng};
 
@@ -133,7 +136,7 @@ fn cosim_sweep_is_thread_count_invariant() {
             );
         }
     }
-    let (results, speedup) = measure_speedup(&sweep, 4, |_, cfg| {
+    let eval = |_: &Coords, cfg: &CosimConfig| {
         let s = run_cosim(cfg);
         vec![
             Cell::U64(s.sent),
@@ -141,8 +144,8 @@ fn cosim_sweep_is_thread_count_invariant() {
             Cell::U64(s.lost),
             Cell::F64(s.energy_j),
         ]
-    })
-    .expect("no grid point may fail");
+    };
+    let (results, speedup) = measure_speedup(&sweep, 4, eval, &()).expect("no grid point may fail");
     // measure_speedup already asserted byte-identity; pin the shape.
     assert_eq!(results.rows().len(), 6);
     assert!(speedup.speedup() > 0.0);
@@ -157,4 +160,24 @@ fn cosim_sweep_is_thread_count_invariant() {
     for row in results.rows() {
         assert!(matches!(row[2], Cell::U64(sent) if sent > 0), "{row:?}");
     }
+}
+
+/// The Figure 6 cross-check sweep `repro fig6_crosscheck` runs once on
+/// `ULP_FLEET_THREADS` workers serializes to the same CSV and JSON bytes
+/// on one worker and on four.
+#[test]
+fn fig6_crosscheck_sweep_is_thread_count_invariant() {
+    let profile = profile_event();
+    let serial = fig6_crosscheck_sweep(1532, &profile, 1).expect("no duty may fail");
+    let parallel = fig6_crosscheck_sweep(1532, &profile, 4).expect("no duty may fail");
+    assert!(parallel.threads() > 1, "the second run must be parallel");
+    assert_eq!(serial.to_csv(), parallel.to_csv());
+    assert_eq!(serial.to_json(), parallel.to_json());
+    json::parse(&serial.to_json()).expect("sweep JSON must be well-formed");
+    let csv = serial.to_csv();
+    assert!(
+        csv.starts_with("duty,analytic_uw,simulated_uw\n"),
+        "unexpected CSV:\n{csv}"
+    );
+    assert!(serial.rows().len() > 1, "several sustainable duties");
 }

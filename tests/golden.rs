@@ -2,7 +2,9 @@
 //!
 //! Each artifact's text lives in `ulp_bench::report::ARTIFACTS` (the
 //! `repro` binary prints the same strings), and this suite pins it
-//! byte-for-byte against the files in `tests/golden/`. Every model
+//! byte-for-byte against the files in `tests/golden/` — the paper's
+//! tables and figures and the static checkers' reports alike, so a
+//! rendered diagnostic or WCET bound cannot drift either. Every model
 //! behind these reports is deterministic — pure functions of the paper's
 //! constants plus cycle-accurate simulation — so any diff is a real
 //! behaviour change that must be reviewed, not noise.
@@ -64,12 +66,14 @@ fn assert_golden(name: &str, actual: &str) {
 }
 
 /// Render one [`ARTIFACTS`] entry — exactly what `repro <name>` prints —
-/// and pin it against its golden file.
+/// and pin it against its golden file. No artifact may have a finding
+/// that fails `repro`: the shipped programs lint clean.
 fn assert_artifact(inputs: &Inputs, name: &str) {
     let artifact = ARTIFACTS
         .iter()
         .find(|a| a.name == name)
         .unwrap_or_else(|| panic!("no artifact named `{name}`"));
+    assert_eq!((artifact.errors)(), 0, "{name} has error-severity findings");
     let file = if name.contains('.') {
         name.to_string()
     } else {
@@ -108,6 +112,8 @@ pin_artifacts! {
     fig6_crosscheck_is_pinned: ["fig6_crosscheck"];
     snap_comparison_is_pinned: ["snap"];
     ablations_are_pinned: ["ablations"];
+    epcheck_reports_are_pinned_and_deterministic: ["epcheck_shipped", "epcheck_fixture"];
+    mcu8check_reports_are_pinned_and_deterministic: ["mcu8check_shipped", "mcu8check_fixture"];
 }
 
 #[test]
@@ -156,23 +162,6 @@ fn chaos_campaign_summary_is_pinned() {
         .run(2, |_, cfg| cells(&run_chaos(cfg)))
         .expect("no chaos grid point may violate a degradation invariant");
     assert_golden("chaos_summary.txt", &campaign_summary(&results));
-}
-
-#[test]
-fn epcheck_reports_are_pinned_and_deterministic() {
-    // The static checker's rendered reports are a contract: the shipped
-    // programs must lint clean (pinning the WCET of every ISR), and the
-    // fixture suite pins one rendered diagnostic per class. Both must
-    // be byte-identical across runs — diagnostics feed goldens and CI
-    // diffs, so nondeterminism would be a bug in its own right.
-    use ulp_bench::epcheck;
-    let shipped = epcheck::render_shipped();
-    let fixture = epcheck::render_fixture();
-    assert_eq!(shipped, epcheck::render_shipped(), "shipped nondeterminism");
-    assert_eq!(fixture, epcheck::render_fixture(), "fixture nondeterminism");
-    assert_golden("epcheck_shipped.txt", &shipped);
-    assert_golden("epcheck_fixture.txt", &fixture);
-    assert_eq!(epcheck::shipped_errors(), 0, "shipped ISRs must be clean");
 }
 
 #[test]
@@ -252,20 +241,4 @@ fn net_trace_is_pinned() {
         net.summary
     );
     assert_golden("trace_net_summary.txt", &out);
-}
-
-#[test]
-fn mcu8check_reports_are_pinned_and_deterministic() {
-    // Same contract for the whole-firmware mcu8 analyzer: every shipped
-    // Mica2 image verifies clean (pinning each vector's stack depth and
-    // WCET bound), and the fixture suite pins one rendered diagnostic
-    // per class.
-    use ulp_bench::mcu8check;
-    let shipped = mcu8check::render_shipped();
-    let fixture = mcu8check::render_fixture();
-    assert_eq!(shipped, mcu8check::render_shipped(), "shipped nondeterminism");
-    assert_eq!(fixture, mcu8check::render_fixture(), "fixture nondeterminism");
-    assert_golden("mcu8check_shipped.txt", &shipped);
-    assert_golden("mcu8check_fixture.txt", &fixture);
-    assert_eq!(mcu8check::shipped_errors(), 0, "shipped firmware must be clean");
 }
