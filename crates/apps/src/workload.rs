@@ -24,7 +24,7 @@ use ulp_core::{System, SystemConfig, SystemPower};
 use ulp_mica::io::CPU_HZ as MICA_HZ;
 use ulp_mica::msp430::Msp430Model;
 use ulp_mica::power::{Mica2Power, SleepMode};
-use ulp_sim::{Cycles, Energy, Engine, Power, Simulatable};
+use ulp_sim::{Cycles, Energy, Engine, Power, RunStats, Simulatable};
 
 /// Per-event activity profile of the sample-filter-transmit application,
 /// measured in simulation.
@@ -206,6 +206,17 @@ pub fn simulate_duty(duty: f64) -> Power {
 ///
 /// Panics if `duty` is outside the sustainable range.
 pub fn simulate_duty_with_profile(duty: f64, profile: &EventProfile) -> Power {
+    run_duty(duty, profile).0.average_power()
+}
+
+/// The full simulation behind [`simulate_duty_with_profile`]: the node
+/// as the run leaves it, and the engine's statistics for the run.
+///
+/// # Panics
+///
+/// Panics if `duty` is outside the sustainable range, or if the node
+/// faults.
+pub fn run_duty(duty: f64, profile: &EventProfile) -> (System, RunStats) {
     let period_cycles = (profile.event_cycles as f64 / duty).round() as u64;
     assert!(
         period_cycles >= profile.event_cycles + 130,
@@ -223,10 +234,10 @@ pub fn simulate_duty_with_profile(duty: f64, profile: &EventProfile) -> Power {
     let realised = period.cycles();
     let sys = app2_system(period);
     let mut engine = Engine::new(sys);
-    engine.run_for(Cycles((realised * 20).max(2_000_000)));
-    let sys = engine.machine();
+    let stats = engine.run_for(Cycles((realised * 20).max(2_000_000)));
+    let sys = engine.into_machine();
     assert!(sys.fault().is_none(), "fault: {:?}", sys.fault());
-    sys.average_power()
+    (sys, stats)
 }
 
 /// The paper's reference duty-cycle grid (Figure 6's x-axis, decades

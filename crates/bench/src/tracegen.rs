@@ -14,7 +14,7 @@ use std::fmt::Write as _;
 use ulp_apps::mica as mapps;
 use ulp_apps::ulp::{stages, SamplePeriod};
 use ulp_core::slaves::RandomWalkSensor;
-use ulp_core::SystemConfig;
+use ulp_core::{System, SystemConfig};
 use ulp_mica::io::CPU_HZ;
 use ulp_net::{Frame, NetEventKind};
 use ulp_sim::telemetry::csv_timeline;
@@ -104,7 +104,10 @@ pub fn stage4(cycles: u64, seed: u64) -> TraceExport {
     stage4_run(cycles, seed, None)
 }
 
-fn stage4_run(cycles: u64, seed: u64, profiler: Option<&Profiler>) -> TraceExport {
+/// The node behind [`stage4`], before it runs: tracing and telemetry
+/// on, its inbound frames scheduled. [`stage4`] runs it on an engine
+/// with 4,096-cycle epochs.
+pub fn stage4_node(seed: u64) -> System {
     let prog = stages::app4(SamplePeriod::Cycles(2_000), 40);
     let mut sys = prog.build_system(
         SystemConfig::default(),
@@ -112,9 +115,6 @@ fn stage4_run(cycles: u64, seed: u64, profiler: Option<&Profiler>) -> TraceExpor
     );
     sys.trace_mut().set_enabled(true);
     sys.set_telemetry(true);
-    if let Some(p) = profiler {
-        sys.set_profiler(p);
-    }
     for (i, at) in [3_000u64, 9_500, 9_500, 41_000].iter().enumerate() {
         let f = if i == 3 {
             Frame::command(0x22, 0x0009, 0x0001, 9, &[2, 60, 0]).unwrap()
@@ -122,6 +122,14 @@ fn stage4_run(cycles: u64, seed: u64, profiler: Option<&Profiler>) -> TraceExpor
             Frame::data(0x22, 0x0009, 0x0001, 7, &[i as u8]).unwrap()
         };
         sys.schedule_rx(Cycles(*at), f.encode());
+    }
+    sys
+}
+
+fn stage4_run(cycles: u64, seed: u64, profiler: Option<&Profiler>) -> TraceExport {
+    let mut sys = stage4_node(seed);
+    if let Some(p) = profiler {
+        sys.set_profiler(p);
     }
     let mut engine = Engine::new(sys);
     if let Some(p) = profiler {

@@ -242,3 +242,82 @@ fn net_trace_is_pinned() {
     );
     assert_golden("trace_net_summary.txt", &out);
 }
+
+#[test]
+fn energy_bits_are_pinned() {
+    // The printed artifacts round energy to a few digits; this file pins
+    // every bit of it. For each Figure 6 cross-check point, the stage-4
+    // trace node and one simulated hour of the stage-1 Great Duck Island
+    // node: each component's energy as raw f64 bits and its cycles per
+    // mode, the busy cycles, the engine's run statistics, and a digest
+    // of the transmitted frames. A change to how the simulator steps or
+    // charges a cycle must leave this file byte-identical.
+    use std::fmt::Write as _;
+    use ulp_node::apps::ulp::{stages, SamplePeriod};
+    use ulp_node::apps::workload::{profile_event, run_duty, sim_crosscheck_duties};
+    use ulp_node::core_arch::slaves::RandomWalkSensor;
+    use ulp_node::core_arch::{System, SystemConfig};
+    use ulp_node::sim::{Cycles, Engine, RunStats, Simulatable};
+    use ulp_testkit::digest::{hex16, Digest64};
+
+    fn rows(out: &mut String, label: &str, mut sys: System, stats: RunStats) {
+        let _ = writeln!(
+            out,
+            "{label}: now={} busy={} stepped={} skipped={} halted={}",
+            sys.now().0,
+            sys.busy_cycles().0,
+            stats.stepped.0,
+            stats.skipped.0,
+            stats.halted
+        );
+        for c in sys.meter().all() {
+            let [active, idle, gated] = c.mode_cycles.map(|n| n.0);
+            let _ = writeln!(
+                out,
+                "  {:<16} {:#018x} active={active} idle={idle} gated={gated}",
+                c.name,
+                c.energy.joules().to_bits()
+            );
+        }
+        let outbox = sys.take_outbox();
+        let mut digest = Digest64::new();
+        for (at, bytes) in &outbox {
+            digest.update(&at.0.to_le_bytes());
+            digest.update(&(bytes.len() as u64).to_le_bytes());
+            digest.update(bytes);
+        }
+        let _ = writeln!(
+            out,
+            "  outbox           {} frames, digest {}",
+            outbox.len(),
+            hex16(digest.finish())
+        );
+    }
+
+    let mut out = String::new();
+    let profile = profile_event();
+    for duty in sim_crosscheck_duties(&profile) {
+        let (sys, stats) = run_duty(duty, &profile);
+        rows(&mut out, &format!("fig6 duty={duty}"), sys, stats);
+    }
+
+    let horizon = ulp_bench::tracegen::default_horizon("stage4");
+    let seed = ulp_bench::tracegen::default_seed("stage4");
+    let mut engine = Engine::new(ulp_bench::tracegen::stage4_node(seed));
+    engine.set_epoch(Cycles(4_096));
+    let stats = engine.run_for(Cycles(horizon));
+    rows(&mut out, "stage4 trace node", engine.into_machine(), stats);
+
+    let program = stages::app1(SamplePeriod::Chained {
+        base: 10_000,
+        count: 700,
+    });
+    let mut engine = Engine::new(program.build_system(
+        SystemConfig::default(),
+        Box::new(RandomWalkSensor::new(120, 7)),
+    ));
+    let stats = engine.run_for(Cycles(60 * 60 * 100_000));
+    rows(&mut out, "gdi stage-1 hour", engine.into_machine(), stats);
+
+    assert_golden("energy_bits.txt", &out);
+}
