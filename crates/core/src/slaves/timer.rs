@@ -216,15 +216,15 @@ impl TimerBlock {
         self.lag += cycles;
     }
 
-    /// Whether the next tick is an underflow that raises no interrupt:
-    /// an underflow is due, and no timer that underflows in it — a
+    /// Whether the next tick raises no interrupt: the block is gated, no
+    /// underflow is due, or no timer that underflows in it — a
     /// cycle-counting timer reaching zero, or a chained timer whose
     /// parent underflows with it — has `IRQ_EN` set. Such a tick changes
     /// nothing outside the block but its counters (and `alarms`, and
     /// the active count when a timer without `REPEAT` stops).
-    pub fn next_tick_is_silent_underflow(&self) -> bool {
+    pub fn next_tick_is_silent(&self) -> bool {
         if !self.powered || self.next - self.lag > 1 {
-            return false;
+            return true;
         }
         // The counters as the tick's catch-up leaves them, then the
         // tick's own underflow cycle, as `underflow_cycle` walks it.
@@ -488,36 +488,38 @@ mod tests {
     }
 
     #[test]
-    fn silent_underflow_test_matches_the_tick() {
+    fn silent_tick_test_matches_the_tick() {
         // GDI: silent base timer 0, chained timer 1 with IRQ_EN every 3.
         let mut t = TimerBlock::new();
         t.configure_chained(1, 10, 3);
-        let mut silent = Vec::new();
+        let mut silent_underflows = Vec::new();
         for c in 1..=40u64 {
-            let predicted = t.next_tick_is_silent_underflow();
+            let predicted = t.next_tick_is_silent();
             let due = t.cycles_to_next_alarm() == Some(1);
             let mut fired = false;
             t.tick(|_| fired = true);
-            assert!(!predicted || (due && !fired), "cycle {c}");
-            if predicted {
-                silent.push(c);
+            assert_eq!(predicted, !fired, "cycle {c}");
+            if predicted && due {
+                silent_underflows.push(c);
             }
         }
-        assert_eq!(silent, vec![10, 20, 40], "30 raises timer 1's alarm");
+        assert_eq!(silent_underflows, vec![10, 20, 40], "30 raises timer 1's alarm");
         // A timer without REPEAT stops silently; with IRQ_EN it is loud.
         let mut t = TimerBlock::new();
         t.write(map::TIMER_RELOAD_LO, 2);
         t.write(map::TIMER_CTRL, ctrl::ENABLE);
         t.tick(|_| {});
-        assert!(t.next_tick_is_silent_underflow());
+        assert!(t.next_tick_is_silent());
         t.write(map::TIMER_CTRL, 0);
         t.write(map::TIMER_CTRL, ctrl::ENABLE | ctrl::IRQ_EN);
         t.tick(|_| {});
-        assert!(!t.next_tick_is_silent_underflow());
-        // Not due: no underflow next tick.
+        assert!(!t.next_tick_is_silent());
+        // Not due, or gated: the tick cannot raise anything.
         t.write(map::TIMER_CTRL, 0);
-        t.write(map::TIMER_CTRL, ctrl::ENABLE);
-        assert!(!t.next_tick_is_silent_underflow());
+        t.write(map::TIMER_CTRL, ctrl::ENABLE | ctrl::IRQ_EN);
+        assert!(t.next_tick_is_silent());
+        t.set_powered(false);
+        assert!(t.next_tick_is_silent());
     }
 
     #[test]

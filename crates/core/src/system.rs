@@ -6,7 +6,7 @@ use crate::event_processor::{EpAction, EventProcessor};
 use crate::map::{self, Irq};
 use crate::mcu::{Mcu, McuError};
 use crate::power::{SystemPower, WakeLatency};
-use crate::slaves::{BusError, SensorBlock, SensorModel, Slaves};
+use crate::slaves::{BusError, SensorBlock, SensorModel, Slaves, Touched};
 use std::collections::VecDeque;
 use std::fmt;
 use ulp_sim::fault::{FaultDisposition, FaultKind, FaultPlan, FaultStats};
@@ -177,6 +177,7 @@ impl System {
     /// Build a system with the given sensor signal model.
     pub fn new(config: SystemConfig, sensor: Box<dyn SensorModel + Send>) -> System {
         let mut meter = EnergyMeter::new(config.clock);
+        // Registration order is the order of `System::draws`.
         let ids = MeterIds {
             ep: meter.register("event_processor", config.power.event_processor),
             timer: meter.register("timer", config.power.timer),
@@ -406,12 +407,18 @@ impl System {
     /// Whether all compute components are quiescent (the measurement
     /// boundary used for per-event cycle counts).
     pub fn is_quiescent(&self) -> bool {
+        self.compute_idle() && !self.slaves.radio.transmitting()
+    }
+
+    /// Whether no compute is in flight: EP ready, µC off, no interrupt
+    /// pending, message processor and sensor idle. Only the radio may be
+    /// busy.
+    fn compute_idle(&self) -> bool {
         self.ep.is_ready()
             && !self.mcu.powered()
             && !self.slaves.irqs.any_pending()
             && !self.slaves.msgproc.busy()
             && !self.slaves.sensor.busy()
-            && !self.slaves.radio.transmitting()
     }
 
     /// Average power over the whole simulation so far.
@@ -602,7 +609,9 @@ impl System {
             self.collect_sent(now, sent);
         }
 
-        if compute_busy || transmitting {
+        // A frame on air is not work (§6.1.3): with nothing else busy the
+        // cycle is idle, and `next_wakeup` keeps any skip off the airtime.
+        if compute_busy {
             StepOutcome::Busy
         } else {
             StepOutcome::Idle
@@ -726,41 +735,7 @@ impl System {
     /// on the one-cycle quantities the meter caches.
     fn charge_cycle(&mut self, ep_active: bool) {
         let touched = self.slaves.take_touched();
-        let ids = self.ids;
-        let slaves = &self.slaves;
-        let m = &mut self.meter;
-        m.charge_cycle(ids.ep, mode(true, ep_active));
-        if slaves.timer.powered() {
-            let frac = if touched.timer {
-                1.0
-            } else {
-                slaves.timer.counting_fraction()
-            };
-            m.charge_fraction_interval(ids.timer, frac, m.cycle());
-        } else {
-            m.charge_cycle(ids.timer, PowerMode::Gated);
-        }
-        m.charge_cycle(ids.filter, mode(slaves.filter.powered(), touched.filter));
-        m.charge_cycle(
-            ids.msgproc,
-            mode(
-                slaves.msgproc.powered(),
-                slaves.msgproc.busy() || touched.msgproc,
-            ),
-        );
-        m.charge_cycle(ids.mcu, mode(self.mcu.powered(), true));
-        m.charge_cycle(
-            ids.radio,
-            mode(
-                slaves.radio.powered(),
-                slaves.radio.transmitting() || slaves.radio.listening(),
-            ),
-        );
-        m.charge_cycle(
-            ids.sensor,
-            mode(slaves.sensor.powered(), slaves.sensor.powered()),
-        );
-        m.charge_cycle(ids.memory, PowerMode::Idle); // time base only
+        self.meter.charge_cycle(&self.draws(touched, ep_active));
         self.slaves.mem.tick(Cycles(1));
         self.sync_memory_energy();
     }
@@ -771,44 +746,40 @@ impl System {
         self.meter.charge_energy(self.ids.memory, delta);
     }
 
-    /// Every component's draw in a quiet cycle (quiescent, no register
-    /// touched) or an idle span, memory last: the modes `charge_cycle`
-    /// picks for such a cycle, which are the modes of a skipped span.
-    fn quiet_draws(&self) -> [(MeterId, Draw); 8] {
-        let ids = self.ids;
+    /// Every component's draw this cycle, in registration order, given
+    /// the registers `touched` and whether the EP was active: the one
+    /// place the modes are chosen. A quiet cycle or an idle span touches
+    /// nothing and has the EP idle.
+    fn draws(&self, touched: Touched, ep_active: bool) -> [Draw; 8] {
         let slaves = &self.slaves;
-        let timer = if slaves.timer.powered() {
-            Draw::Fraction(slaves.timer.counting_fraction())
-        } else {
+        let timer = if !slaves.timer.powered() {
             Draw::Mode(PowerMode::Gated)
+        } else if touched.timer {
+            Draw::Fraction(1.0)
+        } else {
+            Draw::Fraction(slaves.timer.counting_fraction())
         };
+        let msgproc = slaves.msgproc.busy() || touched.msgproc;
+        let radio = slaves.radio.transmitting() || slaves.radio.listening();
         [
-            (ids.ep, Draw::Mode(PowerMode::Idle)),
-            (ids.timer, timer),
-            (ids.filter, Draw::Mode(mode(slaves.filter.powered(), false))),
-            (
-                ids.msgproc,
-                Draw::Mode(mode(slaves.msgproc.powered(), false)),
-            ),
-            (ids.mcu, Draw::Mode(PowerMode::Gated)),
-            (
-                ids.radio,
-                Draw::Mode(mode(slaves.radio.powered(), slaves.radio.listening())),
-            ),
-            (
-                ids.sensor,
-                Draw::Mode(mode(slaves.sensor.powered(), slaves.sensor.powered())),
-            ),
-            (ids.memory, Draw::Mode(PowerMode::Idle)), // time base only
+            Draw::Mode(mode(true, ep_active)),
+            timer,
+            Draw::Mode(mode(slaves.filter.powered(), touched.filter)),
+            Draw::Mode(mode(slaves.msgproc.powered(), msgproc)),
+            Draw::Mode(mode(self.mcu.powered(), true)),
+            Draw::Mode(PowerMode::Idle), // memory: time base only
+            Draw::Mode(mode(slaves.radio.powered(), radio)),
+            Draw::Mode(mode(slaves.sensor.powered(), slaves.sensor.powered())),
         ]
     }
 
     /// Check the meter and the SRAM out for quiet charging.
     fn open_quiet(&self) -> Quiet {
         Quiet {
-            batch: self.meter.batch(self.quiet_draws()),
+            batch: self.meter.batch(self.draws(Touched::default(), false)),
             sram: self.slaves.mem.quiet_ticks(),
             mark: self.mem_energy_mark,
+            memory: self.ids.memory,
             timers_counting: self.slaves.timer.active_count(),
         }
     }
@@ -832,21 +803,26 @@ impl System {
         }
     }
 
-    /// Whether the next cycle is a silent underflow: the timers'
-    /// next tick underflows without raising an interrupt, no rx frame
-    /// or fault is due, and the node is quiescent. Such a cycle steps as
-    /// a quiet one — no master runs, nothing is traced, nothing is
-    /// busy — and returns `Idle`.
+    /// Whether the next cycle is quiet: no compute is in flight, a frame
+    /// on air does not complete on it, the timers' next tick raises no
+    /// interrupt, and no rx frame or fault is due. Such a cycle — a
+    /// silent underflow, or a cycle of airtime — steps with no master
+    /// running, nothing traced and nothing busy, and returns `Idle`.
     fn silent_next(&self) -> bool {
         let next = self.now.0 + 1;
-        self.slaves.timer.next_tick_is_silent_underflow()
+        self.slaves.timer.next_tick_is_silent()
+            && self
+                .slaves
+                .radio
+                .cycles_to_tx_done()
+                .is_none_or(|left| left > 1 && self.prev_transmitting)
+            && self.compute_idle()
             && self.rx_queue.front().is_none_or(|(at, _)| at.0 > next)
             && self
                 .fault_plan
                 .as_ref()
                 .and_then(FaultPlan::next_at)
                 .is_none_or(|at| at.0 > next)
-            && self.is_quiescent()
     }
 
     // ------------------------------------------------------------------
@@ -981,12 +957,10 @@ struct Quiet {
     batch: ChargeBatch<8>,
     sram: QuietTicks,
     mark: Energy,
+    memory: MeterId,
     /// Timers counting when the batch was opened (the timer's draw).
     timers_counting: usize,
 }
-
-/// Memory slot in `System::quiet_draws`.
-const QUIET_MEMORY: usize = 7;
 
 impl Quiet {
     /// Charge one quiet cycle, as `System::charge_cycle` does.
@@ -994,7 +968,7 @@ impl Quiet {
     fn cycle(&mut self) {
         self.batch.cycle();
         let total = self.sram.tick(Cycles(1));
-        self.batch.add(QUIET_MEMORY, settle(&mut self.mark, total));
+        self.batch.add(self.memory, settle(&mut self.mark, total));
     }
 
     /// Charge an idle span.
@@ -1002,7 +976,7 @@ impl Quiet {
     fn span(&mut self, span: Interval) {
         self.batch.span(span);
         let total = self.sram.tick(span.cycles());
-        self.batch.add(QUIET_MEMORY, settle(&mut self.mark, total));
+        self.batch.add(self.memory, settle(&mut self.mark, total));
     }
 }
 
@@ -1024,7 +998,13 @@ impl Simulatable for System {
         self.step_cycle()
     }
 
+    /// `now` while a frame is on air, so no skip covers airtime;
+    /// otherwise the cycle before the next timer underflow, rx frame or
+    /// fault, so the stepped cycle lands it.
     fn next_wakeup(&self) -> Option<Cycles> {
+        if self.slaves.radio.transmitting() {
+            return Some(self.now);
+        }
         let timer = self
             .slaves
             .timer
@@ -1050,13 +1030,15 @@ impl Simulatable for System {
         self.close_quiet(quiet);
     }
 
-    /// The engine's idle skip, then a chain: while the next cycle is a
-    /// silent underflow (the GDI base timer's, 699 of every 700 wakes),
-    /// step it and skip on, exactly as the engine would one wake at a
-    /// time — the same `step_cycle` state changes, the same energy
-    /// addends in the same order — but with the eight component totals
-    /// and the SRAM's held in a `Quiet` batch and written back once,
-    /// and the profiler's calls counted in bulk.
+    /// The engine's idle skip, then a chain: while the next cycle is
+    /// quiet (a silent underflow, like the GDI base timer's 699 of every
+    /// 700 wakes, or a cycle of radio airtime), step it and skip on,
+    /// exactly as the engine would one wake at a time — the same
+    /// `step_cycle` state changes, the same energy addends in the same
+    /// order — but with the eight component totals and the SRAM's held in
+    /// a `Quiet` batch and written back once, and the profiler's calls
+    /// counted in bulk. A frame on air has no skip (`next_wakeup` is
+    /// `now`), so a chain through airtime only steps.
     fn idle_advance(
         &mut self,
         deadline: Cycles,
@@ -1064,12 +1046,17 @@ impl Simulatable for System {
         mut stop: Option<&mut dyn FnMut(&Self) -> bool>,
     ) -> IdleAdvance {
         let mut run = IdleAdvance::default();
+        if self.now >= deadline {
+            return run;
+        }
         let mut quiet = self.open_quiet();
         loop {
             let now = self.now;
-            if let Some(target) = skip_target(now, self.next_wakeup(), deadline) {
-                self.skip_quiet(target, &mut quiet);
-                run.skipped += target - now;
+            if !self.slaves.radio.transmitting() {
+                if let Some(target) = skip_target(now, self.next_wakeup(), deadline) {
+                    self.skip_quiet(target, &mut quiet);
+                    run.skipped += target - now;
+                }
             }
             if self.now >= horizon || !self.silent_next() {
                 break;

@@ -8,11 +8,12 @@
 //!
 //! Charging is on the simulator's hot path, so the meter converts cycles to
 //! seconds as rarely as it can: the one-cycle energy of every component in
-//! every mode is computed once at registration ([`EnergyMeter::charge_cycle`]),
-//! and a fast-forwarded span is converted once and charged to every
-//! component as an [`Interval`]. Each cached value is the very product the
-//! per-call formula forms, so the accumulated bits do not depend on which
-//! path charged them.
+//! every mode is computed once at registration, and of a fractional draw
+//! once per fraction ([`EnergyMeter::charge_cycle`] charges one cycle to
+//! every component from one list of draws), and a fast-forwarded span is
+//! converted once and charged to every component as an [`Interval`]. Each
+//! cached value is the very product the per-call formula forms, so the
+//! accumulated bits do not depend on which path charged them.
 //!
 //! A machine that charges a run of quiet cycles and spans, in which every
 //! component's draw stays put, can sum them in a [`ChargeBatch`] instead:
@@ -147,9 +148,43 @@ pub struct EnergyMeter {
     /// One cycle on `clock`.
     cycle: Interval,
     components: Vec<ComponentStats>,
-    /// Per component, `spec.draw(mode) * cycle` indexed by mode: the
-    /// energy [`charge`](EnergyMeter::charge) would add for one cycle.
-    quanta: Vec<[Energy; 3]>,
+    /// Per component, the energies one cycle adds.
+    quanta: Vec<Quanta>,
+}
+
+/// One component's one-cycle energies: what
+/// [`charge_interval`](EnergyMeter::charge_interval) and
+/// [`charge_fraction_interval`](EnergyMeter::charge_fraction_interval)
+/// would add for one cycle.
+#[derive(Debug, Clone, Copy)]
+struct Quanta {
+    /// `spec.draw(mode) × cycle`, indexed by mode.
+    mode: [Energy; 3],
+    /// The last fraction charged (its bits), its `mode_cycles` slot and
+    /// its quantum: a component charged at a fraction keeps the same
+    /// one for long runs (a counting timer block), so it is resolved
+    /// once per change.
+    fraction: (u64, usize, Energy),
+}
+
+impl Quanta {
+    /// The `mode_cycles` slot and the energy of one cycle at `draw`.
+    #[inline]
+    fn of(&mut self, spec: &PowerSpec, draw: Draw, cycle: Seconds) -> (usize, Energy) {
+        match draw {
+            Draw::Mode(mode) => {
+                let slot = mode_index(mode);
+                (slot, self.mode[slot])
+            }
+            Draw::Fraction(f) => {
+                if f.to_bits() != self.fraction.0 {
+                    let (slot, power) = resolve(spec, draw);
+                    self.fraction = (f.to_bits(), slot, power * cycle);
+                }
+                (self.fraction.1, self.fraction.2)
+            }
+        }
+    }
 }
 
 impl EnergyMeter {
@@ -187,8 +222,11 @@ impl EnergyMeter {
     /// Register a component; the returned id is used for charging.
     pub fn register(&mut self, name: impl Into<String>, spec: PowerSpec) -> MeterId {
         let t = self.cycle.seconds;
-        self.quanta
-            .push(PowerMode::ALL.map(|mode| resolve(&spec, Draw::Mode(mode)).1 * t));
+        let (slot, power) = resolve(&spec, Draw::Fraction(0.0));
+        self.quanta.push(Quanta {
+            mode: PowerMode::ALL.map(|mode| resolve(&spec, Draw::Mode(mode)).1 * t),
+            fraction: (0.0f64.to_bits(), slot, power * t),
+        });
         self.components.push(ComponentStats {
             name: name.into(),
             spec,
@@ -219,13 +257,29 @@ impl EnergyMeter {
         c.mode_cycles[slot] += span.cycles;
     }
 
-    /// Charge one cycle in `mode` to a component, adding the precomputed
-    /// one-cycle energy: bit-identical to `charge(id, mode, Cycles(1))`.
-    pub fn charge_cycle(&mut self, id: MeterId, mode: PowerMode) {
-        let m = mode_index(mode);
-        let c = &mut self.components[id.0];
-        c.energy += self.quanta[id.0][m];
-        c.mode_cycles[m] += Cycles(1);
+    /// Charge one cycle to every component, the `i`-th registered at
+    /// `draws[i]`, adding the cached one-cycle energies in registration
+    /// order: bit-identical to charging each component
+    /// [`cycle`](EnergyMeter::cycle) through
+    /// [`charge_interval`](EnergyMeter::charge_interval) or
+    /// [`charge_fraction_interval`](EnergyMeter::charge_fraction_interval).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `draws` does not name one draw per registered component,
+    /// or if a fraction is not within `[0, 1]`.
+    #[inline]
+    pub fn charge_cycle<const N: usize>(&mut self, draws: &[Draw; N]) {
+        assert_eq!(N, self.components.len(), "one draw per component");
+        let t = self.cycle.seconds;
+        let components = &mut self.components[..N];
+        let quanta = &mut self.quanta[..N];
+        for i in 0..N {
+            let c = &mut components[i];
+            let (slot, energy) = quanta[i].of(&c.spec, draws[i], t);
+            c.energy += energy;
+            c.mode_cycles[slot] += Cycles(1);
+        }
     }
 
     /// Charge a one-off energy cost (e.g. a per-access SRAM charge) without
@@ -257,28 +311,28 @@ impl EnergyMeter {
         self.charge_draw(id, Draw::Fraction(fraction), span);
     }
 
-    /// Check out the running totals of the components in `draws` into a
-    /// [`ChargeBatch`] that charges each at its fixed draw. Charge nothing
-    /// else to those components until the batch is
+    /// Check out every component's running total into a [`ChargeBatch`]
+    /// that charges the `i`-th registered at the fixed `draws[i]`.
+    /// Charge nothing else until the batch is
     /// [`commit`](EnergyMeter::commit)ted.
     ///
     /// # Panics
     ///
-    /// Panics if a fraction is not within `[0, 1]`.
-    pub fn batch<const N: usize>(&self, draws: [(MeterId, Draw); N]) -> ChargeBatch<N> {
+    /// Panics if `draws` does not name one draw per registered component,
+    /// or if a fraction is not within `[0, 1]`.
+    pub fn batch<const N: usize>(&self, draws: [Draw; N]) -> ChargeBatch<N> {
+        assert_eq!(N, self.components.len(), "one draw per component");
         let t = self.cycle.seconds;
         let mut slot = [0; N];
         let mut power = [Power::ZERO; N];
         let mut quantum = [Energy::ZERO; N];
         let mut energy = [Energy::ZERO; N];
-        for (i, &(id, draw)) in draws.iter().enumerate() {
-            let c = &self.components[id.0];
+        for (i, (c, &draw)) in self.components.iter().zip(&draws).enumerate() {
             (slot[i], power[i]) = resolve(&c.spec, draw);
             quantum[i] = power[i] * t;
             energy[i] = c.energy;
         }
         ChargeBatch {
-            ids: draws.map(|(id, _)| id),
             slot,
             power,
             quantum,
@@ -292,11 +346,9 @@ impl EnergyMeter {
     ///
     /// # Panics
     ///
-    /// Panics if one of the batch's components was charged since the
-    /// batch was opened.
+    /// Panics if a component was charged since the batch was opened.
     pub fn commit<const N: usize>(&mut self, batch: ChargeBatch<N>) {
-        for (i, id) in batch.ids.iter().enumerate() {
-            let c = &mut self.components[id.0];
+        for (i, c) in self.components.iter_mut().enumerate() {
             assert!(
                 c.energy.0.to_bits() == batch.opened[i].0.to_bits(),
                 "{} was charged while a batch held it",
@@ -349,16 +401,15 @@ impl EnergyMeter {
     }
 }
 
-/// Charges to a fixed set of components, each at a fixed [`Draw`], summed
-/// outside the meter (made by [`EnergyMeter::batch`], written back by
-/// [`EnergyMeter::commit`]). A cycle adds each component's cached
-/// one-cycle quantum, as [`charge_cycle`](EnergyMeter::charge_cycle)
-/// does; a span adds `power × seconds`, as
+/// Charges to every component of a meter, each at a fixed [`Draw`],
+/// summed outside the meter (made by [`EnergyMeter::batch`], written back
+/// by [`EnergyMeter::commit`]). A cycle adds each component's one-cycle
+/// quantum, as [`charge_cycle`](EnergyMeter::charge_cycle) does; a span
+/// adds `power × seconds`, as
 /// [`charge_interval`](EnergyMeter::charge_interval) does; so the
 /// totals are bit-identical to charging the same sequence call by call.
 #[derive(Debug, Clone)]
 pub struct ChargeBatch<const N: usize> {
-    ids: [MeterId; N],
     slot: [usize; N],
     power: [Power; N],
     quantum: [Energy; N],
@@ -389,12 +440,11 @@ impl<const N: usize> ChargeBatch<N> {
         self.cycles += span.cycles;
     }
 
-    /// Add a one-off energy to the component in slot `slot` (the order
-    /// of `draws`), as [`charge_energy`](EnergyMeter::charge_energy)
-    /// does.
+    /// Add a one-off energy to a component, as
+    /// [`charge_energy`](EnergyMeter::charge_energy) does.
     #[inline]
-    pub fn add(&mut self, slot: usize, energy: Energy) {
-        self.energy[slot] += energy;
+    pub fn add(&mut self, id: MeterId, energy: Energy) {
+        self.energy[id.0] += energy;
     }
 }
 
@@ -491,7 +541,7 @@ mod tests {
                 let id = m.register("x", spec);
                 let mut want = Energy::ZERO;
                 for _ in 0..1000 {
-                    m.charge_cycle(id, mode);
+                    m.charge_cycle(&[Draw::Mode(mode)]);
                     want += spec.draw(mode) * one;
                 }
                 assert_eq!(m.stats(id).energy.0.to_bits(), want.0.to_bits());
@@ -507,6 +557,11 @@ mod tests {
                 let id = m.register("timer", spec);
                 let mut want = Energy::ZERO;
                 for _ in 0..1000 {
+                    m.charge_cycle(&[Draw::Fraction(f)]);
+                    want += w * one;
+                }
+                assert_eq!(m.stats(id).energy.0.to_bits(), want.0.to_bits());
+                for _ in 0..1000 {
                     m.charge_fraction_interval(id, f, m.cycle());
                     want += w * one;
                 }
@@ -518,6 +573,62 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The fused per-cycle charge adds, per component, exactly the bits
+    /// and cycles the per-id calls add for the same cycle: random lists
+    /// of modes, the timer block's counting fractions, a register access
+    /// at `Fraction(1.0)` (active slot) and gated draws, with each
+    /// component's fraction changing from cycle to cycle or staying put.
+    #[test]
+    fn fused_cycle_matches_per_id_calls() {
+        use ulp_testkit::Rng;
+        let specs = [
+            PowerSpec::new(Power::from_uw(14.25), Power::from_nw(18.0), Power::ZERO),
+            PowerSpec::new(Power::from_uw(1.13), Power::from_nw(0.07), Power::from_pw(3.0)),
+            PowerSpec::new(Power::from_uw(0.6), Power::from_nw(0.4), Power::from_pw(1.0)),
+            PowerSpec::zero(),
+        ];
+        let mut rng = Rng::from_seed(0x5EED);
+        for clock in [100.0, 7_372.8].map(Frequency::from_khz) {
+            let (mut fused, mut per_id) = (EnergyMeter::new(clock), EnergyMeter::new(clock));
+            let ids: Vec<MeterId> = (0..8)
+                .map(|i| {
+                    let spec = specs[i % specs.len()];
+                    fused.register(format!("c{i}"), spec);
+                    per_id.register(format!("c{i}"), spec)
+                })
+                .collect();
+            for _ in 0..20_000 {
+                let draws: [Draw; 8] = std::array::from_fn(|_| match rng.gen_range(0u32..6) {
+                    0 => Draw::Mode(PowerMode::Active),
+                    1 => Draw::Mode(PowerMode::Idle),
+                    2 => Draw::Mode(PowerMode::Gated),
+                    3 => Draw::Fraction(1.0),
+                    _ => Draw::Fraction(rng.gen_range(0u32..5) as f64 / 4.0 * 0.125),
+                });
+                fused.charge_cycle(&draws);
+                for (&id, &draw) in ids.iter().zip(&draws) {
+                    match draw {
+                        Draw::Mode(mode) => per_id.charge_interval(id, mode, per_id.cycle()),
+                        Draw::Fraction(f) => per_id.charge_fraction_interval(id, f, per_id.cycle()),
+                    }
+                }
+            }
+            for (a, b) in fused.all().iter().zip(per_id.all()) {
+                assert_eq!(a.energy.0.to_bits(), b.energy.0.to_bits(), "{}", a.name);
+                assert_eq!(a.mode_cycles, b.mode_cycles, "{}", a.name);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one draw per component")]
+    fn fused_cycle_needs_every_component() {
+        let mut m = meter();
+        m.register("a", PowerSpec::zero());
+        m.register("b", PowerSpec::zero());
+        m.charge_cycle(&[Draw::Mode(PowerMode::Idle)]);
     }
 
     #[test]

@@ -18,7 +18,9 @@ use crate::units::Cycles;
 pub enum StepOutcome {
     /// Work happened (or is imminent); keep stepping cycle by cycle.
     Busy,
-    /// Nothing is in flight; the engine may fast-forward to `next_wakeup`.
+    /// No compute is in flight. A peripheral may still run on its own
+    /// (a radio frame on air); [`Simulatable::next_wakeup`] says when a
+    /// skip may start, and the engine fast-forwards only up to it.
     Idle,
     /// The machine has halted permanently (e.g. a test program finished).
     Halted,
@@ -40,7 +42,9 @@ pub trait Simulatable {
 
     /// The earliest future cycle at which the machine could become busy
     /// (e.g. the next timer expiry or scheduled packet arrival), or `None`
-    /// if no future activity is scheduled.
+    /// if no future activity is scheduled. A machine that must not be
+    /// skipped at all (something runs that a skip cannot cover) reports
+    /// `now`.
     fn next_wakeup(&self) -> Option<Cycles>;
 
     /// Jump to `target` (strictly after [`now`](Simulatable::now)),
