@@ -60,9 +60,9 @@
 //!   (records/torn/corrupt/hits/misses/collisions/appended) on stderr
 //! * `--shard K/N`     — fill mode: run only grid points `i ≡ K (mod N)`
 //!   and append them to the store (requires `--store`; no stdout
-//!   artifacts) so N independent processes can split one campaign
-//! * `--merge`         — after shard fills, emit the canonical full-grid
-//!   artifacts from the store (alias for a plain `--store` run)
+//!   artifacts) so N independent processes can split one campaign;
+//!   a plain `--store` run afterwards serves the whole grid from the
+//!   filled store and emits the canonical artifacts
 //!
 //! Scalar flags take one value of at least 1, and every grid value is
 //! checked against its axis's domain before anything simulates: a bad

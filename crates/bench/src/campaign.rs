@@ -67,7 +67,6 @@ const FLAGS: &[(&str, Option<&str>, u8)] = &[
     ("--store", Some("DIR"), ALL),
     ("--store-stats", None, ALL),
     ("--shard", Some("K/N"), ALL),
-    ("--merge", None, ALL),
 ];
 
 /// The usage line, listing every flag.
@@ -168,12 +167,12 @@ impl CampaignArgs {
             None => None,
         };
         let store_dir = given.raw("--store").map(Into::into);
-        let (check, merge) = (given.has("--check"), given.has("--merge"));
-        if (shard.is_some() || merge) && store_dir.is_none() {
-            return Err("--shard/--merge need --store DIR (the shared campaign store)".into());
+        let check = given.has("--check");
+        if shard.is_some() && store_dir.is_none() {
+            return Err("--shard needs --store DIR (the shared campaign store)".into());
         }
-        if shard.is_some() && (check || merge) {
-            return Err("--shard is a fill mode; run --check/--merge unsharded".into());
+        if shard.is_some() && check {
+            return Err("--shard is a fill mode; run --check unsharded".into());
         }
         let probability = |p: &f64| (0.0..=1.0).contains(p);
         let path = |flag: &str| given.raw(flag).map(str::to_string);

@@ -221,8 +221,21 @@ impl<P: Sync> Sweep<P> {
     }
 
     /// Append a scenario point. Every point must use the same axis
-    /// names in the same order ([`run`](Sweep::run) asserts this).
+    /// names in the same order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `coords` disagrees with the axes of the first point —
+    /// a bug in the sweep definition, not in a scenario.
     pub fn push(&mut self, coords: Coords, payload: P) {
+        if let Some((first, _)) = self.points.first() {
+            assert!(
+                coords.axes().eq(first.axes()),
+                "sweep `{}`: point [{coords}] disagrees with the grid axes {:?}",
+                self.name,
+                first.axes().collect::<Vec<_>>()
+            );
+        }
         self.points.push((coords, payload));
     }
 
@@ -263,9 +276,9 @@ impl<P: Sync> Sweep<P> {
     ///
     /// # Panics
     ///
-    /// Panics on malformed sweeps (inconsistent axis names between
-    /// points, wrong cell count from the closure, non-finite [`Cell::F64`]) —
-    /// those are bugs in the sweep definition, not in a scenario.
+    /// Panics on malformed results (wrong cell count from the closure,
+    /// non-finite [`Cell::F64`]) — those are bugs in the sweep
+    /// definition, not in a scenario.
     pub fn run<F>(&self, threads: usize, f: F) -> Result<SweepResults, FleetError>
     where
         F: Fn(&Coords, &P) -> Vec<Cell> + Sync,
@@ -287,44 +300,53 @@ impl<P: Sync> Sweep<P> {
     where
         F: Fn(&Coords, &P) -> Vec<Cell> + Sync,
     {
-        let n = self.points.len();
-        let axis_names: Vec<String> = self
-            .points
-            .first()
-            .map(|(c, _)| c.axes().map(str::to_string).collect())
-            .unwrap_or_default();
-        for (coords, _) in &self.points {
-            assert!(
-                coords.axes().eq(axis_names.iter().map(String::as_str)),
-                "sweep `{}`: point [{coords}] disagrees with the grid axes {axis_names:?}",
-                self.name
-            );
-        }
+        let started = Instant::now();
+        let all: Vec<usize> = (0..self.points.len()).collect();
+        let done = self.execute(&all, threads, f, observer)?;
+        Ok(self.assemble(done, threads, started))
+    }
 
-        /// One grid point's outcome: its metric cells, or the panic
-        /// message of a failed evaluation.
+    /// The one point executor, behind [`run_observed`](Sweep::run_observed)
+    /// and the store's cache-aware runs: evaluate the grid points at
+    /// `indices` on up to `threads` workers and return each one's grid
+    /// index and cells, in `indices` order. Failures and observer
+    /// callbacks carry grid indices.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the malformed results [`run`](Sweep::run) panics on.
+    pub(crate) fn execute<F>(
+        &self,
+        indices: &[usize],
+        threads: usize,
+        f: F,
+        observer: &(impl SweepObserver + ?Sized),
+    ) -> Result<Vec<(usize, Vec<Cell>)>, FleetError>
+    where
+        F: Fn(&Coords, &P) -> Vec<Cell> + Sync,
+    {
+        /// One point's outcome: its metric cells, or the panic message
+        /// of a failed evaluation.
         type Slot = Option<Result<Vec<Cell>, String>>;
 
+        let n = indices.len();
         let threads = threads.clamp(1, n.max(1));
-        let started = Instant::now();
         let next = AtomicUsize::new(0);
         let slots: Mutex<Vec<Slot>> = Mutex::new(vec![None; n]);
 
         std::thread::scope(|scope| {
             let worker = || {
                 // Self-balancing work queue: each worker claims the next
-                // unclaimed grid index until the grid is drained, so a
-                // slow point never stalls the rest of the grid behind a
+                // unclaimed point until the list is drained, so a slow
+                // point never stalls the rest of the grid behind a
                 // static partition.
                 loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
+                    let k = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(&i) = indices.get(k) else { break };
                     let (coords, payload) = &self.points[i];
                     let outcome = catch_unwind(AssertUnwindSafe(|| f(coords, payload)))
                         .map_err(|panic| panic_message(&*panic));
-                    slots.lock().unwrap()[i] = Some(outcome);
+                    slots.lock().unwrap()[k] = Some(outcome);
                     observer.point_done(i, coords);
                 }
             };
@@ -337,14 +359,12 @@ impl<P: Sync> Sweep<P> {
                 h.join().expect("fleet worker must not panic");
             }
         });
-        let elapsed = started.elapsed();
 
-        let slots = slots.into_inner().unwrap();
-        let mut rows = Vec::with_capacity(n);
+        let mut done = Vec::with_capacity(n);
         let mut failures = Vec::new();
-        for (i, slot) in slots.into_iter().enumerate() {
-            let (coords, _) = &self.points[i];
-            match slot.expect("every grid index was claimed exactly once") {
+        for (&i, slot) in indices.iter().zip(slots.into_inner().unwrap()) {
+            let coords = &self.points[i].0;
+            match slot.expect("every point was claimed exactly once") {
                 Ok(cells) => {
                     assert_eq!(
                         cells.len(),
@@ -363,10 +383,7 @@ impl<P: Sync> Sweep<P> {
                             );
                         }
                     }
-                    let mut row: Vec<Cell> =
-                        coords.values().map(|v| Cell::Text(v.to_string())).collect();
-                    row.extend(cells);
-                    rows.push(row);
+                    done.push((i, cells));
                 }
                 Err(message) => failures.push(PointFailure {
                     index: i,
@@ -375,22 +392,53 @@ impl<P: Sync> Sweep<P> {
                 }),
             }
         }
-        if !failures.is_empty() {
-            return Err(FleetError {
+        if failures.is_empty() {
+            Ok(done)
+        } else {
+            Err(FleetError {
                 sweep: self.name.clone(),
                 failures,
-            });
+            })
         }
+    }
 
-        let mut columns = axis_names;
+    /// The one result assembler: merge `(grid index, cells)` points —
+    /// computed by [`execute`](Sweep::execute) or served from a store,
+    /// in any order — into grid-order rows, each prefixed with its
+    /// coordinates. The axis columns come from the first point, so an
+    /// empty selection serializes the metric columns alone.
+    pub(crate) fn assemble(
+        &self,
+        mut done: Vec<(usize, Vec<Cell>)>,
+        threads: usize,
+        started: Instant,
+    ) -> SweepResults {
+        done.sort_unstable_by_key(|&(i, _)| i);
+        let mut columns: Vec<String> = done
+            .first()
+            .map(|&(i, _)| self.points[i].0.axes().map(str::to_string).collect())
+            .unwrap_or_default();
         columns.extend(self.metric_columns.iter().cloned());
-        Ok(SweepResults {
+        let threads = threads.clamp(1, done.len().max(1));
+        let rows = done
+            .into_iter()
+            .map(|(i, cells)| {
+                let mut row: Vec<Cell> = self.points[i]
+                    .0
+                    .values()
+                    .map(|v| Cell::Text(v.to_string()))
+                    .collect();
+                row.extend(cells);
+                row
+            })
+            .collect();
+        SweepResults {
             name: self.name.clone(),
             columns,
             rows,
             threads,
-            elapsed,
-        })
+            elapsed: started.elapsed(),
+        }
     }
 }
 
@@ -419,26 +467,6 @@ pub struct SweepResults {
 }
 
 impl SweepResults {
-    /// Crate-internal assembler for `ulp_bench::store`'s cache-aware
-    /// execution path, which merges served and computed rows outside
-    /// [`Sweep::run`]. Callers are responsible for grid-order rows and
-    /// axis-consistent columns — exactly what `run_stored` guarantees.
-    pub(crate) fn from_parts(
-        name: String,
-        columns: Vec<String>,
-        rows: Vec<Vec<Cell>>,
-        threads: usize,
-        elapsed: Duration,
-    ) -> SweepResults {
-        SweepResults {
-            name,
-            columns,
-            rows,
-            threads,
-            elapsed,
-        }
-    }
-
     /// The sweep's name.
     pub fn name(&self) -> &str {
         &self.name

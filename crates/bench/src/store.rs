@@ -39,8 +39,8 @@
 //!
 //! [`Shard`] partitions a grid deterministically (`index % of`), so
 //! independent OS processes can fill one shared store — each writes
-//! its own segment file, no locking — and a final merge pass (or any
-//! plain stored run) serves every point and emits the canonical bytes.
+//! its own segment file, no locking — and a final plain stored run
+//! serves every point and emits the canonical bytes.
 //! Likewise, an interrupted campaign is resumed by just re-running it
 //! with the same store: complete points are served, dirty points
 //! execute, and the output bytes match the golden cold run.
@@ -592,21 +592,8 @@ impl fmt::Display for Shard {
 // Cache-aware sweep execution
 // ---------------------------------------------------------------------
 
-/// Forwards a miss sub-sweep's completion callbacks under the original
-/// grid indices, so progress meters see one coherent grid.
-struct RemapObserver<'a, O: ?Sized> {
-    inner: &'a O,
-    map: &'a [usize],
-}
-
-impl<O: SweepObserver + ?Sized> SweepObserver for RemapObserver<'_, O> {
-    fn point_done(&self, index: usize, coords: &Coords) {
-        self.inner.point_done(self.map[index], coords);
-    }
-}
-
 /// Execute `sweep` against `store`: hits are served, misses execute on
-/// `threads` workers (same engine, panic-with-coordinates reporting
+/// `threads` workers (same executor, panic-with-coordinates reporting
 /// included) and append to the store, and the merged [`SweepResults`]
 /// is **byte-identical to a cold [`Sweep::run`]** whatever the hit/miss
 /// mix or thread count. With a [`Shard`], only that shard's points are
@@ -638,95 +625,40 @@ where
     F: Fn(&Coords, &P) -> Vec<Cell> + Sync,
 {
     let started = Instant::now();
-    let points: Vec<&(Coords, P)> = sweep.points().collect();
-    let selected: Vec<usize> = (0..points.len())
-        .filter(|&i| shard.is_none_or(|s| s.contains(i)))
-        .collect();
-    let axis_names: Vec<String> = selected
-        .first()
-        .map(|&i| points[i].0.axes().map(str::to_string).collect())
-        .unwrap_or_default();
-    for &i in &selected {
-        let coords = &points[i].0;
-        assert!(
-            coords.axes().eq(axis_names.iter().map(String::as_str)),
-            "sweep `{}`: point [{coords}] disagrees with the grid axes {axis_names:?}",
-            sweep.name()
-        );
-    }
     let metric_count = sweep.metric_columns().len();
 
-    // Phase 1: serve hits, queue misses (serially — the store index is
-    // one map probe per point; the simulations are the expensive part).
-    let mut rows: Vec<Option<Vec<Cell>>> = vec![None; selected.len()];
-    let mut miss_keys: Vec<(usize, String)> = Vec::new(); // (slot, key)
-    for (slot, &i) in selected.iter().enumerate() {
-        let (coords, payload) = points[i];
+    // Serve hits and queue misses serially: the store index is one map
+    // probe per point; the simulations are the expensive part.
+    let mut done = Vec::new();
+    let mut misses = Vec::new();
+    let mut miss_keys = Vec::new();
+    for (i, (coords, payload)) in sweep.points().enumerate() {
+        if shard.is_some_and(|s| !s.contains(i)) {
+            continue;
+        }
         let key = canonical_key(coords, &key_of(coords, payload), store.fingerprint());
-        let digest = digest64(key.as_bytes());
-        match store.lookup(digest, &key, metric_count) {
+        match store.lookup(digest64(key.as_bytes()), &key, metric_count) {
             Some(cells) => {
-                rows[slot] = Some(cells);
                 observer.point_done(i, coords);
+                done.push((i, cells));
             }
-            None => miss_keys.push((slot, key)),
+            None => {
+                misses.push(i);
+                miss_keys.push(key);
+            }
         }
     }
 
-    // Phase 2: execute the misses on the parallel engine.
-    if !miss_keys.is_empty() {
-        let metric_columns: Vec<&str> =
-            sweep.metric_columns().iter().map(String::as_str).collect();
-        let mut misses: Sweep<&P> = Sweep::new(sweep.name(), &metric_columns);
-        let mut orig_index: Vec<usize> = Vec::with_capacity(miss_keys.len());
-        for &(slot, _) in &miss_keys {
-            let (coords, payload) = points[selected[slot]];
-            misses.push(coords.clone(), payload);
-            orig_index.push(selected[slot]);
-        }
-        let remap = RemapObserver {
-            inner: observer,
-            map: &orig_index,
-        };
-        let computed = misses
-            .run_observed(threads, |c, p| eval(c, p), &remap)
-            .map_err(|mut e| {
-                for failure in &mut e.failures {
-                    failure.index = orig_index[failure.index];
-                }
-                e
-            })?;
-        // Append in grid order — a single-process campaign writes a
-        // deterministic segment layout — and merge the computed cells.
-        for ((slot, key), row) in miss_keys.iter().zip(computed.rows()) {
-            let cells = &row[axis_names.len()..];
-            store
-                .append(key, cells)
-                .unwrap_or_else(|e| panic!("campaign store append failed: {e}"));
-            rows[*slot] = Some(cells.to_vec());
-        }
+    let computed = sweep.execute(&misses, threads, eval, observer)?;
+    // Append in grid order, so a single-process campaign writes a
+    // deterministic segment layout.
+    for ((_, cells), key) in computed.iter().zip(&miss_keys) {
+        store
+            .append(key, cells)
+            .unwrap_or_else(|e| panic!("campaign store append failed: {e}"));
     }
-
-    // Phase 3: assemble the results exactly as a cold run would.
-    let merged: Vec<Vec<Cell>> = selected
-        .iter()
-        .zip(rows)
-        .map(|(&i, cells)| {
-            let coords = &points[i].0;
-            let mut row: Vec<Cell> = coords.values().map(|v| Cell::Text(v.to_string())).collect();
-            row.extend(cells.expect("every selected slot is served or computed"));
-            row
-        })
-        .collect();
-    let mut columns = axis_names;
-    columns.extend(sweep.metric_columns().iter().cloned());
-    Ok(SweepResults::from_parts(
-        sweep.name().to_string(),
-        columns,
-        merged,
-        threads,
-        started.elapsed(),
-    ))
+    done.extend(computed);
+    Ok(sweep.assemble(done, threads, started))
 }
 
 // ---------------------------------------------------------------------
@@ -756,22 +688,24 @@ pub struct DriveConfig {
     pub shard: Option<Shard>,
 }
 
-fn open_store(dir: &Path) -> Store {
-    Store::open(dir)
-        .unwrap_or_else(|e| panic!("campaign store {}: cannot open: {e}", dir.display()))
-}
-
 /// Run one campaign sweep with the shared `--check` / `--progress` /
 /// `--store` machinery and return its (thread-count-invariant) results.
 /// This is the single execution path behind every mode of the `fleet`
 /// binary; all diagnostics go to stderr so stdout artifacts
 /// stay byte-identical across every mode.
 ///
+/// Every mode is a sequence of passes over the grid: one plain or one
+/// stored pass, or for `--check` the serial and parallel passes of
+/// [`fleet::measure_speedup`] followed by a cold and a warm stored
+/// pass, each of which must serialize to the parallel pass's bytes.
+///
 /// # Panics
 ///
-/// Panics if a `--check` pass breaks byte identity, if the JSON export
-/// fails validation, if a warm stored pass failed to serve every point,
-/// or if the store itself cannot be opened or written.
+/// Panics if `--check` is combined with a shard or a shard comes
+/// without a store directory, if a `--check` pass breaks byte identity,
+/// if the JSON export fails validation, if a warm stored pass failed to
+/// serve every point, or if the store itself cannot be opened or
+/// written.
 pub fn drive<P: Sync, K, F>(
     sweep: &Sweep<P>,
     cfg: &DriveConfig,
@@ -782,128 +716,121 @@ where
     K: Fn(&Coords, &P) -> String + Sync,
     F: Fn(&Coords, &P) -> Vec<Cell> + Sync,
 {
+    assert!(
+        !(cfg.check && cfg.shard.is_some()),
+        "--shard is a fill mode; run --check unsharded"
+    );
+    assert!(
+        cfg.shard.is_none() || cfg.store_dir.is_some(),
+        "--shard needs --store"
+    );
+    // `--check` without `--store` fills an ephemeral store.
+    let ephemeral = cfg.check && cfg.store_dir.is_none();
+    let dir = match &cfg.store_dir {
+        Some(d) => Some(d.clone()),
+        None if ephemeral => {
+            let d = std::env::temp_dir().join(format!(
+                "ulp-store-check-{}-{}",
+                std::process::id(),
+                sweep.name()
+            ));
+            let _ = fs::remove_dir_all(&d);
+            Some(d)
+        }
+        None => None,
+    };
+    // Stored passes, each flagged `warm` when the store must serve
+    // every point.
+    let stored: &[bool] = match (cfg.check, &dir) {
+        (true, _) => &[false, true],
+        (false, Some(_)) => &[false],
+        (false, None) => &[],
+    };
+    let plain = if cfg.check { 2 } else { usize::from(dir.is_none()) };
+
     let selected = match cfg.shard {
         Some(s) => (0..sweep.len()).filter(|&i| s.contains(i)).count(),
         None => sweep.len(),
     };
-    // `--check` drains the grid four times: serial, parallel, stored
-    // cold, stored warm.
-    let meter_total = if cfg.check { 4 * sweep.len() } else { selected };
     let meter = cfg
         .progress
-        .then(|| ProgressMeter::stderr(sweep.name(), meter_total));
+        .then(|| ProgressMeter::stderr(sweep.name(), (plain + stored.len()) * selected));
     let observer: &dyn SweepObserver = match &meter {
         Some(m) => m,
         None => &(),
     };
 
-    if let Some(shard) = cfg.shard {
-        assert!(!cfg.check, "--shard is a fill mode; run --check unsharded");
-        let dir = cfg
-            .store_dir
-            .as_ref()
-            .expect("--shard requires --store (validated by the binaries)");
-        let mut store = open_store(dir);
-        store.set_writer_label(&shard.label());
-        let results = run_stored(sweep, &mut store, cfg.threads, Some(shard), key_of, eval, observer)?;
+    let (mut first, speedup) = if cfg.check {
+        let (parallel, speedup) = fleet::measure_speedup(sweep, cfg.threads, &eval, observer)?;
+        (Some(parallel), Some(speedup))
+    } else if plain == 1 {
+        (Some(sweep.run_observed(cfg.threads, &eval, observer)?), None)
+    } else {
+        (None, None)
+    };
+    for &warm in stored {
+        let dir = dir.as_ref().expect("a stored pass has a store directory");
+        let mut store = Store::open(dir)
+            .unwrap_or_else(|e| panic!("campaign store {}: cannot open: {e}", dir.display()));
+        if let Some(shard) = cfg.shard {
+            store.set_writer_label(&shard.label());
+        }
+        let results = run_stored(
+            sweep,
+            &mut store,
+            cfg.threads,
+            cfg.shard,
+            &key_of,
+            &eval,
+            observer,
+        )?;
+        let stats = store.stats();
         eprintln!(
-            "shard {shard}: {} of {} point(s), {} executed, {} served",
+            "store: {} of {} point(s), {} executed, {} served from {}",
             results.rows().len(),
             sweep.len(),
-            store.stats().misses,
-            store.stats().hits
-        );
-        if cfg.store_stats {
-            eprintln!("{}", store.stats_line());
-        }
-        return Ok(results);
-    }
-
-    if cfg.check {
-        let (results, speedup) =
-            fleet::measure_speedup(sweep, cfg.threads, &eval, observer)?;
-        if let Err(e) = json::parse(&results.to_json()) {
-            panic!("sweep JSON failed validation: {e}");
-        }
-        eprintln!(
-            "check ok: ULP_FLEET_THREADS=1 and ={} byte-identical, JSON well-formed",
-            cfg.threads
-        );
-        eprintln!("check: {speedup}");
-
-        // Stored third pass: cold fills the store (or reuses a given
-        // one), then a reopened warm pass must serve every point; all
-        // passes must serialize to the same bytes as the cold run.
-        let (dir, ephemeral) = match &cfg.store_dir {
-            Some(d) => (d.clone(), false),
-            None => (
-                std::env::temp_dir().join(format!(
-                    "ulp-store-check-{}-{}",
-                    std::process::id(),
-                    sweep.name()
-                )),
-                true,
-            ),
-        };
-        if ephemeral {
-            let _ = fs::remove_dir_all(&dir);
-        }
-        let mut store = open_store(&dir);
-        let cold = run_stored(sweep, &mut store, cfg.threads, None, &key_of, &eval, observer)?;
-        assert_eq!(
-            (cold.to_csv(), cold.to_json()),
-            (results.to_csv(), results.to_json()),
-            "sweep `{}`: stored pass changed the output bytes",
-            sweep.name()
-        );
-        let executed = store.stats().misses;
-        if cfg.store_stats {
-            eprintln!("{}", store.stats_line());
-        }
-        drop(store);
-        let mut store = open_store(&dir);
-        let warm = run_stored(sweep, &mut store, cfg.threads, None, &key_of, &eval, observer)?;
-        assert_eq!(
-            (warm.to_csv(), warm.to_json()),
-            (results.to_csv(), results.to_json()),
-            "sweep `{}`: warm stored pass changed the output bytes",
-            sweep.name()
-        );
-        assert_eq!(
-            store.stats().misses,
-            0,
-            "sweep `{}`: warm stored pass re-executed points",
-            sweep.name()
-        );
-        eprintln!(
-            "check ok: stored pass byte-identical (cold executed {executed}, warm served {})",
-            store.stats().hits
-        );
-        if cfg.store_stats {
-            eprintln!("{}", store.stats_line());
-        }
-        if ephemeral {
-            let _ = fs::remove_dir_all(&dir);
-        }
-        return Ok(results);
-    }
-
-    if let Some(dir) = &cfg.store_dir {
-        let mut store = open_store(dir);
-        let results = run_stored(sweep, &mut store, cfg.threads, None, key_of, eval, observer)?;
-        eprintln!(
-            "store: {} executed, {} served from {}",
-            store.stats().misses,
-            store.stats().hits,
+            stats.misses,
+            stats.hits,
             dir.display()
         );
         if cfg.store_stats {
             eprintln!("{}", store.stats_line());
         }
-        return Ok(results);
+        assert!(
+            !warm || stats.misses == 0,
+            "sweep `{}`: warm stored pass re-executed points",
+            sweep.name()
+        );
+        match &first {
+            Some(first) => assert_eq!(
+                (results.to_csv(), results.to_json()),
+                (first.to_csv(), first.to_json()),
+                "sweep `{}`: {} stored pass changed the output bytes",
+                sweep.name(),
+                if warm { "warm" } else { "cold" }
+            ),
+            None => first = Some(results),
+        }
     }
+    let results = first.expect("every mode runs at least one pass");
+    let Some(speedup) = speedup else {
+        return Ok(results);
+    };
 
-    sweep.run_observed(cfg.threads, eval, observer)
+    if let Err(e) = json::parse(&results.to_json()) {
+        panic!("sweep JSON failed validation: {e}");
+    }
+    eprintln!(
+        "check ok: serial, {}-worker, stored cold and stored warm passes \
+         byte-identical, JSON well-formed",
+        cfg.threads
+    );
+    eprintln!("check: {speedup}");
+    if let Some(dir) = dir.filter(|_| ephemeral) {
+        let _ = fs::remove_dir_all(dir);
+    }
+    // The parallel pass's wall-clock is the one worth reporting.
+    Ok(results)
 }
 
 #[cfg(test)]
@@ -1045,6 +972,17 @@ mod tests {
         let s = Shard::parse("1/3").unwrap();
         assert!(!s.contains(0) && s.contains(1) && !s.contains(2) && s.contains(4));
         assert_eq!(s.label(), "s1of3");
+    }
+
+    #[test]
+    #[should_panic(expected = "--shard needs --store")]
+    fn drive_rejects_a_shard_without_a_store() {
+        let cfg = DriveConfig {
+            threads: 1,
+            shard: Shard::parse("0/2"),
+            ..DriveConfig::default()
+        };
+        let _ = drive(&squares(4), &cfg, |_, _| String::new(), eval);
     }
 
     #[test]

@@ -81,7 +81,8 @@ fn nodes_beyond_the_address_space_are_a_usage_error() {
 /// Every bad command line is rejected before anything simulates: exit
 /// 2, a message naming the offending flag, and nothing on stdout. The
 /// rows cover scalar flags given a list or a zero, grid values outside
-/// their axis's domain, and flags the chosen mode does not read.
+/// their axis's domain, flags the chosen mode does not read, and a
+/// removed flag.
 #[test]
 fn bad_command_lines_are_usage_errors_naming_the_flag() {
     let cases: &[(&[&str], &str)] = &[
@@ -119,6 +120,9 @@ fn bad_command_lines_are_usage_errors_naming_the_flag() {
         (&["--chaos", "--slots", "4000"], "--slots"),
         (&["--chaos", "--loss", "0.1"], "--loss"),
         (&["--dense", "--chaos"], "--chaos"),
+        // A removed flag is unknown: a plain `--store` run serves a
+        // sharded fill.
+        (&["--store", "d", "--merge"], "--merge"),
     ];
     for &(args, flag) in cases {
         let out = fleet(args);

@@ -270,39 +270,39 @@ impl<M: Simulatable> Engine<M> {
     /// Run until the machine clock reaches `deadline` (absolute cycles).
     /// Stops early if the machine halts.
     pub fn run_until_cycle(&mut self, deadline: Cycles) -> RunStats {
-        let mut stats = RunStats::default();
-        while self.machine.now() < deadline {
-            match self.step_machine() {
-                StepOutcome::Busy => stats.stepped += Cycles(1),
-                StepOutcome::Halted => {
-                    stats.stepped += Cycles(1);
-                    stats.halted = true;
-                    self.fire_epochs(&stats);
-                    break;
-                }
-                StepOutcome::Idle => {
-                    stats.stepped += Cycles(1);
-                    self.idle_skip(deadline, &mut stats, None);
-                }
-            }
-            self.fire_epochs(&stats);
-        }
-        self.count_run(&stats);
-        self.lifetime.merge(stats);
-        stats
+        self.run_loop(deadline, None::<fn(&M) -> bool>).0
     }
 
     /// Run until `pred` holds (checked after every stepped cycle and every
     /// skip), or until `max` cycles elapse. Returns the stats and whether
     /// the predicate was satisfied.
-    pub fn run_until(&mut self, max: Cycles, mut pred: impl FnMut(&M) -> bool) -> (RunStats, bool) {
+    pub fn run_until(&mut self, max: Cycles, pred: impl FnMut(&M) -> bool) -> (RunStats, bool) {
         let deadline = self.machine.now() + max;
+        self.run_loop(deadline, Some(pred))
+    }
+
+    /// The one run loop behind [`run_until_cycle`] and [`run_until`]:
+    /// step until `deadline`, a halt, or `stop` holding. Without `stop`
+    /// the idle advance gets no predicate either, so a
+    /// [`Simulatable::idle_advance`] that batches quiet cycles never has
+    /// to close its batch to test one.
+    ///
+    /// [`run_until_cycle`]: Engine::run_until_cycle
+    /// [`run_until`]: Engine::run_until
+    #[inline]
+    fn run_loop<S: FnMut(&M) -> bool>(
+        &mut self,
+        deadline: Cycles,
+        mut stop: Option<S>,
+    ) -> (RunStats, bool) {
         let mut stats = RunStats::default();
         let mut satisfied = false;
         while self.machine.now() < deadline {
-            if pred(&self.machine) {
-                satisfied = true;
-                break;
+            if let Some(pred) = stop.as_mut() {
+                if pred(&self.machine) {
+                    satisfied = true;
+                    break;
+                }
             }
             match self.step_machine() {
                 StepOutcome::Busy => stats.stepped += Cycles(1),
@@ -314,7 +314,8 @@ impl<M: Simulatable> Engine<M> {
                 }
                 StepOutcome::Idle => {
                     stats.stepped += Cycles(1);
-                    if self.idle_skip(deadline, &mut stats, Some(&mut pred)) {
+                    let pred = stop.as_mut().map(|p| p as &mut dyn FnMut(&M) -> bool);
+                    if self.idle_skip(deadline, &mut stats, pred) {
                         satisfied = true;
                         break;
                     }
@@ -322,24 +323,20 @@ impl<M: Simulatable> Engine<M> {
             }
             self.fire_epochs(&stats);
         }
-        if !satisfied && pred(&self.machine) {
-            satisfied = true;
+        if let Some(mut pred) = stop {
+            satisfied = satisfied || pred(&self.machine);
         }
         self.count_run(&stats);
         self.lifetime.merge(stats);
         (stats, satisfied)
     }
 
-    /// The idle-skip fast-forward step, shared by [`run_until_cycle`] and
-    /// [`run_until`] so policy changes (and the epoch machinery) live in
-    /// exactly one place: the machine's [`Simulatable::idle_advance`],
-    /// bounded by the deadline and the next epoch boundary. Its further
+    /// The idle-skip fast-forward step of [`run_loop`](Engine::run_loop):
+    /// the machine's [`Simulatable::idle_advance`], bounded by the
+    /// deadline and the next epoch boundary. Its further
     /// steps count as stepped cycles and, to the profiler, as that many
     /// `engine.step` and `engine.idle_skip` calls. Returns whether `stop`
     /// ended it (the caller's predicate then holds).
-    ///
-    /// [`run_until_cycle`]: Engine::run_until_cycle
-    /// [`run_until`]: Engine::run_until
     fn idle_skip(
         &mut self,
         deadline: Cycles,

@@ -135,23 +135,38 @@ pub struct Diagnostic {
 impl Diagnostic {
     /// Render as rustc-style lines.
     pub fn render(&self, isr_name: &str) -> String {
-        let mut out = render::header(
-            &self.class.severity().to_string(),
-            self.class.code(),
-            &self.message,
-        );
-        out.push('\n');
         let loc = match self.offset {
             Some(off) => format!("{isr_name}+0x{off:04X}"),
             None => isr_name.to_string(),
         };
-        out.push_str(&render::pointer(&loc, self.insn.as_deref().unwrap_or("")));
-        if let Some(note) = &self.note {
-            out.push('\n');
-            out.push_str(&render::note(note));
-        }
-        out
+        render_finding(
+            self.class.severity(),
+            self.class.code(),
+            &self.message,
+            &loc,
+            self.insn.as_deref(),
+            self.note.as_deref(),
+        )
     }
+}
+
+/// One finding of either checker as rustc-style lines: the severity
+/// header, the `-->` pointer at `loc` and the optional note. The EP and
+/// mcu8 diagnostics differ only in how they spell the location.
+pub(crate) fn render_finding(
+    severity: Severity,
+    code: &str,
+    message: &str,
+    loc: &str,
+    insn: Option<&str>,
+    note: Option<&str>,
+) -> String {
+    let mut lines = vec![
+        render::header(&severity.to_string(), code, message),
+        render::pointer(loc, insn.unwrap_or("")),
+    ];
+    lines.extend(note.map(render::note));
+    lines.join("\n")
 }
 
 /// The result of checking one ISR image.

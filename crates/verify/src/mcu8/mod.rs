@@ -41,7 +41,7 @@ mod cfg;
 use std::fmt;
 use ulp_sim::diag as render;
 
-use crate::diag::Severity;
+use crate::diag::{render_finding, Severity};
 
 /// The closed set of diagnostic classes the firmware analyzer emits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -141,23 +141,19 @@ pub struct FwDiagnostic {
 impl FwDiagnostic {
     /// Render as rustc-style lines.
     pub fn render(&self, firmware: &str) -> String {
-        let mut out = render::header(
-            &self.class.severity().to_string(),
-            self.class.code(),
-            &self.message,
-        );
-        out.push('\n');
         let loc = match (&self.loc, self.addr) {
             (Some(loc), _) => format!("{firmware}:{loc}"),
             (None, Some(addr)) => format!("{firmware}:0x{addr:04X}"),
             (None, None) => firmware.to_string(),
         };
-        out.push_str(&render::pointer(&loc, self.insn.as_deref().unwrap_or("")));
-        if let Some(note) = &self.note {
-            out.push('\n');
-            out.push_str(&render::note(note));
-        }
-        out
+        render_finding(
+            self.class.severity(),
+            self.class.code(),
+            &self.message,
+            &loc,
+            self.insn.as_deref(),
+            self.note.as_deref(),
+        )
     }
 }
 

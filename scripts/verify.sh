@@ -119,11 +119,11 @@ echo "== fleet --chaos: fault-injection campaign must be deterministic =="
 cargo run -q --release -p ulp-bench --bin fleet --offline -- \
   --chaos --seeds 2 --horizon 15000 --threads 2 --check > /dev/null
 
-echo "== campaign store: sharded fill + merge must equal a plain run =="
+echo "== campaign store: sharded fill then a stored run must equal a plain run =="
 # Two shard workers fill one store (disjoint segment files, disjoint
-# grid points), then --merge serves the full grid from cache; its stdout
-# must be byte-identical to a storeless run, and the merge pass must
-# execute nothing (misses:0 in the --store-stats NDJSON line).
+# grid points), then a plain --store run serves the full grid from
+# cache; its stdout must be byte-identical to a storeless run, and it
+# must execute nothing (misses:0 in the --store-stats NDJSON line).
 store_dir="$trace_out/campaign-store"
 cargo run -q --release -p ulp-bench --bin fleet --offline -- \
   --nodes 16 --seeds 4 --slots 4000 --threads 2 \
@@ -136,10 +136,10 @@ cargo run -q --release -p ulp-bench --bin fleet --offline -- \
   --store "$store_dir" --shard 1/2 > /dev/null 2>&1
 cargo run -q --release -p ulp-bench --bin fleet --offline -- \
   --nodes 16 --seeds 4 --slots 4000 --threads 2 \
-  --store "$store_dir" --merge --store-stats \
-  > "$trace_out/fleet_merge.out" 2> "$trace_out/fleet_merge.err"
-cmp "$trace_out/fleet_nostore.out" "$trace_out/fleet_merge.out"
-grep -q '"misses":0' "$trace_out/fleet_merge.err"
+  --store "$store_dir" --store-stats \
+  > "$trace_out/fleet_stored.out" 2> "$trace_out/fleet_stored.err"
+cmp "$trace_out/fleet_nostore.out" "$trace_out/fleet_stored.out"
+grep -q '"misses":0' "$trace_out/fleet_stored.err"
 
 echo "== bench smoke: one iteration per bench, BENCH JSON schema-checked =="
 # Test mode (no --bench flag) runs every benchmark body once and still

@@ -23,8 +23,9 @@
 //!   dirty tiles re-executed, and a fully-warm re-run executes zero.
 
 use std::path::PathBuf;
+use std::sync::Mutex;
 
-use ulp_bench::fleet::{Cell, Coords, Sweep};
+use ulp_bench::fleet::{Cell, Coords, Sweep, SweepObserver};
 use ulp_bench::store::{canonical_key, point_digest, run_stored, Shard, Store};
 use ulp_testkit::digest::{digest64, hex16};
 use ulp_testkit::{from_fn, prop_assert, prop_assert_eq, props, Rng};
@@ -550,5 +551,77 @@ fn fingerprint_bump_invalidates_the_whole_store() {
     run_stored(&sweep, &mut store, 2, None, k, f, &()).unwrap();
     assert_eq!((store.stats().hits, store.stats().misses), (0, 4));
     assert_eq!(store.stats().appended, 4);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A sharded stored run mixing served hits with computed misses reports
+/// everything under *grid* indices: the failure names the panicking
+/// point's grid index and coordinates, the observer sees each of the
+/// shard's grid indices exactly once (hits and misses alike), and the
+/// failed point is never appended.
+#[test]
+fn sharded_stored_failure_and_progress_use_grid_indices() {
+    struct Counting(Mutex<Vec<usize>>);
+    impl SweepObserver for Counting {
+        fn point_done(&self, index: usize, _coords: &Coords) {
+            self.0.lock().unwrap().push(index);
+        }
+    }
+    let mut sweep = Sweep::new("remap", &["v"]);
+    for a in 0..3u64 {
+        for b in 0..4u64 {
+            sweep.push(Coords::new().with("a", a).with("b", b), (a, b));
+        }
+    }
+    // Shard 1/3 owns grid points 1, 4, 7 and 10; grid point 10 is
+    // (a=2, b=2) and panics.
+    let shard = Shard { index: 1, of: 3 };
+    let f = |_: &Coords, &(a, b): &(u64, u64)| {
+        assert!(!(a == 2 && b == 2), "point diverged");
+        vec![Cell::U64(a * 10 + b)]
+    };
+    let k = |_: &Coords, &(a, b): &(u64, u64)| format!("remap:{a}-{b}");
+    let key_at = |store: &Store, i: usize| {
+        let (coords, payload) = sweep.points().nth(i).unwrap();
+        canonical_key(coords, &k(coords, payload), store.fingerprint())
+    };
+
+    // Serve grid points 1 and 7 from the store; 4 and 10 miss.
+    let dir = scratch("remap");
+    let mut store = Store::open(&dir).unwrap();
+    for i in [1, 7] {
+        let key = key_at(&store, i);
+        store.append(&key, &[Cell::U64(i as u64)]).unwrap();
+    }
+    drop(store);
+
+    let mut store = Store::open(&dir).unwrap();
+    let seen = Counting(Mutex::new(Vec::new()));
+    let err = run_stored(&sweep, &mut store, 2, Some(shard), k, f, &seen).unwrap_err();
+    assert_eq!(err.failures.len(), 1, "{err}");
+    let failure = &err.failures[0];
+    assert_eq!(failure.index, 10, "{err}");
+    assert_eq!(failure.coords.get("a"), Some("2"));
+    assert_eq!(failure.coords.get("b"), Some("2"));
+    assert!(
+        err.to_string()
+            .contains("point #10 [a=2 b=2]: point diverged"),
+        "{err}"
+    );
+    let mut seen = seen.0.into_inner().unwrap();
+    seen.sort_unstable();
+    assert_eq!(
+        seen,
+        vec![1, 4, 7, 10],
+        "each selected grid index exactly once"
+    );
+    assert_eq!(store.stats().hits, 2);
+    drop(store);
+
+    let mut store = Store::open(&dir).unwrap();
+    let failed = key_at(&store, 10);
+    assert!(store
+        .lookup(digest64(failed.as_bytes()), &failed, 1)
+        .is_none());
     let _ = std::fs::remove_dir_all(&dir);
 }
