@@ -13,7 +13,11 @@
 //! * the top level is an object with string `"bench"` and `"mode"` and
 //!   a non-empty `"results"` array;
 //! * every result is an object with a string `"id"` and non-negative
-//!   integer `"iters_per_sample"`, `"best_ns"` and `"median_ns"`.
+//!   integer `"iters_per_sample"`, `"best_ns"` and `"median_ns"`;
+//! * a `"host"` block, where present, is an object with
+//!   `"logical_cores"` (a positive integer or null), `"cpus_allowed"`
+//!   and `"cpu_model"` (strings or null) and `"profile"` (`"debug"` or
+//!   `"release"`).
 //!
 //! Exits 1 if any file fails, 2 on usage errors. Wired into
 //! `scripts/verify.sh` and CI so a bench-harness schema drift cannot land
@@ -28,7 +32,12 @@ const RESULT_COUNTS: &[&str] = &["iters_per_sample", "best_ns", "median_ns"];
 
 fn check(path: &str) -> Result<usize, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read: {e}"))?;
-    let doc = json::parse(&text).map_err(|e| format!("invalid JSON: {e}"))?;
+    check_text(&text)
+}
+
+/// Check one BENCH document; returns its number of results.
+fn check_text(text: &str) -> Result<usize, String> {
+    let doc = json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
     for key in ["bench", "mode"] {
         if !matches!(doc.get(key), Some(Value::String(_))) {
             return Err(format!("top level needs a string \"{key}\""));
@@ -50,7 +59,31 @@ fn check(path: &str) -> Result<usize, String> {
             }
         }
     }
+    if let Some(host) = doc.get("host") {
+        check_host(host)?;
+    }
     Ok(results.len())
+}
+
+/// The host block `ulp_testkit::bench` records beside the timings.
+fn check_host(host: &Value) -> Result<(), String> {
+    if !matches!(host, Value::Object(_)) {
+        return Err("\"host\" must be an object".into());
+    }
+    match host.get("logical_cores") {
+        Some(Value::Null) => {}
+        Some(n) if n.as_u64().is_some_and(|n| n > 0) => {}
+        _ => return Err("host needs \"logical_cores\": a positive integer or null".into()),
+    }
+    for key in ["cpus_allowed", "cpu_model"] {
+        if !matches!(host.get(key), Some(Value::Null | Value::String(_))) {
+            return Err(format!("host needs \"{key}\": a string or null"));
+        }
+    }
+    match host.get("profile") {
+        Some(Value::String(p)) if p == "debug" || p == "release" => Ok(()),
+        _ => Err("host needs \"profile\": \"debug\" or \"release\"".into()),
+    }
 }
 
 fn main() {
@@ -71,5 +104,32 @@ fn main() {
     }
     if failed {
         exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::check_text;
+
+    const RESULTS: &str = r#""bench":"b","mode":"test","results":[{"id":"g/x","iters_per_sample":1,"best_ns":5,"median_ns":6}]"#;
+
+    fn doc(host: &str) -> String {
+        format!("{{{RESULTS}{host}}}")
+    }
+
+    #[test]
+    fn the_host_block_is_optional_but_checked_when_present() {
+        assert_eq!(check_text(&doc("")), Ok(1), "no host block");
+        let host = r#","host":{"logical_cores":2,"cpus_allowed":"0-1","cpu_model":null,"profile":"release"}"#;
+        assert_eq!(check_text(&doc(host)), Ok(1));
+        for bad in [
+            r#","host":[]"#,
+            r#","host":{"logical_cores":0,"cpus_allowed":null,"cpu_model":null,"profile":"release"}"#,
+            r#","host":{"logical_cores":2,"cpus_allowed":3,"cpu_model":null,"profile":"release"}"#,
+            r#","host":{"logical_cores":2,"cpus_allowed":null,"profile":"release"}"#,
+            r#","host":{"logical_cores":2,"cpus_allowed":null,"cpu_model":null,"profile":"fast"}"#,
+        ] {
+            assert!(check_text(&doc(bad)).is_err(), "{bad}");
+        }
     }
 }

@@ -256,6 +256,38 @@ impl Slaves {
         self.now += cycles;
     }
 
+    /// How many quiet iterations of `period` cycles (a skip of
+    /// `period − 1` cycles, then one quiet cycle) the slaves can take in
+    /// one [`repeat_quiet`](Slaves::repeat_quiet), given nothing else in
+    /// flight. On air an iteration is one cycle of airtime: the frame
+    /// stays on air for two cycles more at least, and no timer underflow
+    /// falls in. Otherwise it is a silent underflow of the timer block's
+    /// [`silent_chain`](TimerBlock::silent_chain) of that period.
+    pub fn quiet_repeats(&self, period: u64) -> u64 {
+        match self.radio.cycles_to_tx_done() {
+            Some(_) if period != 1 => 0,
+            Some(left) => {
+                let underflow = self.timer.cycles_to_next_alarm().unwrap_or(u64::MAX);
+                left.saturating_sub(2).min(underflow - 1)
+            }
+            None => match self.timer.silent_chain() {
+                Some((p, silent)) if p == period => silent,
+                _ => 0,
+            },
+        }
+    }
+
+    /// Take `n` quiet iterations of `period` cycles, within
+    /// [`quiet_repeats`](Slaves::quiet_repeats).
+    pub fn repeat_quiet(&mut self, n: u64, period: u64) {
+        if self.radio.transmitting() {
+            self.skip(Cycles(n));
+        } else {
+            self.timer.repeat_silent_underflows(n);
+            self.now += Cycles(n * period);
+        }
+    }
+
     /// Take and clear this cycle's touched flags.
     pub fn take_touched(&mut self) -> Touched {
         std::mem::take(&mut self.touched)

@@ -248,6 +248,66 @@ impl TimerBlock {
         true
     }
 
+    /// The block right after an underflow of a silent chain: one timer
+    /// counts cycles, with `REPEAT` and without `IRQ_EN`, and has just
+    /// reloaded. Returns its period and how many of its next underflows
+    /// stay silent, so [`repeat_silent_underflows`] can take them
+    /// arithmetically: each decrements the timer chained above it (if
+    /// one counts) and must leave it at 1 or more, so the chain does not
+    /// ripple on. `None` for any other state.
+    ///
+    /// [`repeat_silent_underflows`]: TimerBlock::repeat_silent_underflows
+    pub fn silent_chain(&self) -> Option<(u64, u64)> {
+        self.chain_base()
+            .map(|(b, silent)| (self.timers[b].reload as u64, silent))
+    }
+
+    /// Take `n` underflows of the silent chain [`silent_chain`] finds, and
+    /// the cycles before each: the chained timer above drops by `n` and
+    /// `alarms` rises by `n`; everything else ends as it started.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block is not at such a chain, or `n` exceeds the
+    /// silent underflows it has left.
+    ///
+    /// [`silent_chain`]: TimerBlock::silent_chain
+    pub fn repeat_silent_underflows(&mut self, n: u64) {
+        let chain = self.chain_base();
+        let Some((b, silent)) = chain.filter(|&(_, silent)| n <= silent) else {
+            panic!("{n} silent underflows from a block at {chain:?}");
+        };
+        if silent != u64::MAX {
+            self.timers[b + 1].count -= n as u16;
+        }
+        self.alarms += n;
+    }
+
+    /// The silent chain's cycle-counting timer and its silent underflows
+    /// left (`u64::MAX` with no timer chained above it).
+    fn chain_base(&self) -> Option<(usize, u64)> {
+        if !self.powered || self.lag != 0 {
+            return None;
+        }
+        let mut cycle_counting = (0..4).filter(|&i| {
+            let t = &self.timers[i];
+            t.counting() && !chained(t, i)
+        });
+        let (Some(b), None) = (cycle_counting.next(), cycle_counting.next()) else {
+            return None;
+        };
+        let base = &self.timers[b];
+        if base.ctrl & (ctrl::REPEAT | ctrl::IRQ_EN) != ctrl::REPEAT || base.count != base.reload {
+            return None;
+        }
+        let above = self
+            .timers
+            .get(b + 1)
+            .filter(|t| t.counting() && chained(t, b + 1));
+        let silent = above.map_or(u64::MAX, |t| t.count.saturating_sub(1) as u64);
+        Some((b, silent))
+    }
+
     /// Cycles until the next *underflow* of any timer — including silent
     /// underflows of chain parents and of timers without interrupts
     /// enabled — or `None` if no timer will ever underflow. Idle-skip
@@ -520,6 +580,70 @@ mod tests {
         assert!(t.next_tick_is_silent());
         t.set_powered(false);
         assert!(t.next_tick_is_silent());
+    }
+
+    /// Repeating silent underflows arithmetically leaves the block the
+    /// ticks would: the chained count, alarms, prediction and registers.
+    #[test]
+    fn repeated_silent_underflows_match_ticking() {
+        for (base, count, chain) in [(10, 5, 1), (1, 9, 1), (7, 40, 3), (25, 3, 2)] {
+            let mut ticked = TimerBlock::new();
+            ticked.configure_chained(chain, base, count);
+            // Freshly loaded is as good as freshly reloaded.
+            let fresh = Some((base as u64, count as u64 - 1));
+            assert_eq!(ticked.silent_chain(), fresh);
+            assert!(fires_in(&mut ticked, base as u64).is_empty());
+            let (period, silent) = ticked.silent_chain().expect("after a silent underflow");
+            assert_eq!((period, silent), (base as u64, count as u64 - 2));
+            let mut repeated = ticked.clone();
+            repeated.repeat_silent_underflows(silent);
+            assert!(fires_in(&mut ticked, silent * period).is_empty());
+            assert_eq!(repeated.alarms(), ticked.alarms());
+            assert_eq!(
+                repeated.cycles_to_next_alarm(),
+                ticked.cycles_to_next_alarm()
+            );
+            assert_eq!(repeated.silent_chain(), Some((period, 0)));
+            for offset in 0..4 * map::TIMER_STRIDE {
+                assert_eq!(repeated.read(offset), ticked.read(offset));
+            }
+            // The next underflow raises the chained timer's alarm.
+            let fires = fires_in(&mut repeated, period);
+            assert_eq!(fires, vec![(period, chain)]);
+        }
+        // Mid-period, a loud base timer, or two cycle-counting timers:
+        // no silent chain.
+        let mut t = TimerBlock::new();
+        t.configure_chained(1, 10, 5);
+        fires_in(&mut t, 11);
+        assert_eq!(t.silent_chain(), None, "mid-period");
+        let mut t = TimerBlock::new();
+        t.configure_periodic(0, 10);
+        fires_in(&mut t, 10);
+        assert_eq!(t.silent_chain(), None, "IRQ_EN");
+        let mut t = TimerBlock::new();
+        t.configure_chained(1, 10, 5);
+        t.configure_periodic(2, 1000);
+        fires_in(&mut t, 10);
+        assert_eq!(t.silent_chain(), None, "a second cycle-counting timer");
+        let mut t = TimerBlock::new();
+        t.write(map::TIMER_RELOAD_LO, 10);
+        t.write(map::TIMER_CTRL, ctrl::ENABLE | ctrl::REPEAT);
+        fires_in(&mut t, 10);
+        assert_eq!(
+            t.silent_chain(),
+            Some((10, u64::MAX)),
+            "nothing chained above"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "silent underflows from a block at")]
+    fn repeating_past_the_silent_underflows_panics() {
+        let mut t = TimerBlock::new();
+        t.configure_chained(1, 10, 5);
+        fires_in(&mut t, 10);
+        t.repeat_silent_underflows(4);
     }
 
     #[test]

@@ -11,6 +11,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use ulp_sim::fault::{FaultDisposition, FaultKind, FaultPlan, FaultStats};
 use ulp_sim::perf::{PhaseId, Profiler};
+use ulp_sim::repeat::{Repeat, RepeatWatch};
 use ulp_sim::telemetry::{Log2Histogram, Metrics};
 use ulp_sim::{
     skip_target, ChargeBatch, Cycles, Draw, Energy, EnergyMeter, Frequency, IdleAdvance, Interval,
@@ -229,9 +230,13 @@ impl System {
     /// installed), `sys.event_dispatch` (medium delivery, slave tick,
     /// IRQ assertion), and `sys.fetch_decode_execute` (the EP/µC
     /// masters); [`telemetry_snapshot`](System::telemetry_snapshot)
-    /// becomes a `telemetry.export` span. Call counts are deterministic;
-    /// the profiler only observes and never changes guest behaviour.
+    /// becomes a `telemetry.export` span. The `sys.quiet_repeated`
+    /// counter totals the quiet iterations the idle advance repeated in
+    /// a jump rather than stepped. Call counts and counters are
+    /// deterministic; the profiler only observes and never changes guest
+    /// behaviour.
     pub fn set_profiler(&mut self, profiler: &Profiler) {
+        profiler.counter_add("sys.quiet_repeated", 0);
         self.prof = Some(SysProf {
             profiler: profiler.clone(),
             fault_apply: profiler.phase("sys.fault_apply"),
@@ -825,6 +830,22 @@ impl System {
                 .is_none_or(|at| at.0 > next)
     }
 
+    /// How many quiet iterations of `period` cycles (a skip of
+    /// `period − 1`, then a quiet cycle) one jump may repeat from the
+    /// end of one: all of them end by `horizon` and before the next rx
+    /// frame is due, and the slaves can take them
+    /// (`Slaves::quiet_repeats`). Nothing else changes in a quiet
+    /// iteration, so each one repeated would have been quiet and of the
+    /// same shape.
+    fn quiet_repeats(&self, period: u64, horizon: Cycles) -> u64 {
+        let now = self.now.0;
+        let mut k = horizon.0.saturating_sub(now) / period;
+        if let Some((at, _)) = self.rx_queue.front() {
+            k = k.min(at.0.saturating_sub(now + 1) / period);
+        }
+        k.min(self.slaves.quiet_repeats(period))
+    }
+
     // ------------------------------------------------------------------
     // Hardware fault injection
     // ------------------------------------------------------------------
@@ -978,6 +999,26 @@ impl Quiet {
         let total = self.sram.tick(span.cycles());
         self.batch.add(self.memory, settle(&mut self.mark, total));
     }
+
+    /// The nine running totals: the eight components', then the SRAM's.
+    #[inline]
+    fn sums(&self) -> [f64; 9] {
+        let mut sums = [self.sram.energy().0; 9];
+        for (sum, e) in sums.iter_mut().zip(self.batch.energies()) {
+            *sum = e.0;
+        }
+        sums
+    }
+
+    /// Charge `k` more iterations of `period` cycles, each adding what
+    /// the one `rep` was observed on added.
+    fn repeat(&mut self, rep: &Repeat<9>, k: u64, period: u64) {
+        let sums = rep.apply(self.sums(), k);
+        let cycles = Cycles(k * period);
+        self.batch
+            .repeat(std::array::from_fn(|i| Energy(sums[i])), cycles);
+        self.mark = self.sram.repeat(Energy(sums[8]), cycles);
+    }
 }
 
 /// The SRAM energy since `mark`, moving `mark` to `total`: what the
@@ -1039,6 +1080,13 @@ impl Simulatable for System {
     /// a `Quiet` batch and written back once, and the profiler's calls
     /// counted in bulk. A frame on air has no skip (`next_wakeup` is
     /// `now`), so a chain through airtime only steps.
+    ///
+    /// Without a `stop` predicate or a fault plan, a run of identical
+    /// iterations (a skip, then a quiet cycle) is repeated in one jump
+    /// once three in a row have kept every running total in its binade
+    /// (`ulp_sim::repeat`), so the sums keep every bit they would have
+    /// had; `quiet_repeats` bounds the jump so that each iteration it
+    /// covers would have been quiet and of the same shape.
     fn idle_advance(
         &mut self,
         deadline: Cycles,
@@ -1050,14 +1098,19 @@ impl Simulatable for System {
             return run;
         }
         let mut quiet = self.open_quiet();
+        let jumps = stop.is_none() && self.fault_plan.is_none();
+        let mut watch = RepeatWatch::new(quiet.sums());
+        let mut repeated = 0;
         loop {
             let now = self.now;
-            if !self.slaves.radio.transmitting() {
+            let on_air = self.slaves.radio.transmitting();
+            if !on_air {
                 if let Some(target) = skip_target(now, self.next_wakeup(), deadline) {
                     self.skip_quiet(target, &mut quiet);
                     run.skipped += target - now;
                 }
             }
+            let span = self.now - now;
             if self.now >= horizon || !self.silent_next() {
                 break;
             }
@@ -1075,7 +1128,8 @@ impl Simulatable for System {
             let now = self.now;
             self.slaves.irqs.set_now(now);
             self.slaves.tick(now);
-            if self.slaves.timer.active_count() != quiet.timers_counting {
+            let reopen = self.slaves.timer.active_count() != quiet.timers_counting;
+            if reopen {
                 // A timer without `REPEAT` stopped: the timer block's
                 // draw changes from this cycle on.
                 self.close_quiet(quiet);
@@ -1083,6 +1137,33 @@ impl Simulatable for System {
             }
             quiet.cycle();
             run.stepped += Cycles(1);
+            if !jumps {
+                continue;
+            }
+            if reopen {
+                // The new draws began mid-iteration: the repeats count
+                // from this boundary.
+                watch.restart(quiet.sums());
+                continue;
+            }
+            let shape = span.0 << 1 | on_air as u64;
+            if let Some(rep) = watch.observe(shape, quiet.sums()) {
+                let period = span.0 + 1;
+                let k = rep.room().min(self.quiet_repeats(period, horizon));
+                if k > 0 {
+                    quiet.repeat(&rep, k, period);
+                    self.slaves.repeat_quiet(k, period);
+                    self.now += Cycles(k * period);
+                    self.slaves.irqs.set_now(self.now);
+                    run.stepped += Cycles(k);
+                    run.skipped += Cycles(k * span.0);
+                    if self.telemetry && span.0 > 0 {
+                        self.idle_skip_hist.record_n(span.0, k);
+                    }
+                    repeated += k;
+                    watch.restart(quiet.sums());
+                }
+            }
         }
         self.close_quiet(quiet);
         if let Some(p) = &self.prof {
@@ -1092,6 +1173,7 @@ impl Simulatable for System {
             }
             p.profiler.add_calls(p.event_dispatch, n);
             p.profiler.add_calls(p.fetch_decode_execute, n);
+            p.profiler.counter_add("sys.quiet_repeated", repeated);
         }
         run
     }

@@ -19,7 +19,9 @@
 //! component's draw stays put, can sum them in a [`ChargeBatch`] instead:
 //! the running totals live in the batch (in registers, in a tight loop)
 //! and go back to the meter once. The batch adds exactly the addends the
-//! per-call methods add, in the same order, so the bits do not change.
+//! per-call methods add, in the same order, so the bits do not change;
+//! a run of identical charges it may also repeat in one step
+//! ([`ChargeBatch::repeat`], on the exact rule of [`crate::repeat`]).
 
 use crate::power::{PowerMode, PowerSpec};
 use crate::units::{Cycles, Energy, Frequency, Power, Seconds};
@@ -445,6 +447,20 @@ impl<const N: usize> ChargeBatch<N> {
     #[inline]
     pub fn add(&mut self, id: MeterId, energy: Energy) {
         self.energy[id.0] += energy;
+    }
+
+    /// Every component's running total, in registration order.
+    #[inline]
+    pub fn energies(&self) -> [Energy; N] {
+        self.energy
+    }
+
+    /// Take the totals to `energies` and count `cycles` more: the
+    /// outcome of repeating a run of identical charges, which
+    /// [`crate::repeat`] computes exactly from the totals.
+    pub fn repeat(&mut self, energies: [Energy; N], cycles: Cycles) {
+        self.energy = energies;
+        self.cycles += cycles;
     }
 }
 

@@ -66,7 +66,10 @@ pub trait Simulatable {
     /// machine up to date after a skip, before each further step —
     /// returns `true`. The result counts the further steps (each one an
     /// `Idle` step and one idle skip to the engine) and every skipped
-    /// cycle.
+    /// cycle. A run of identical further iterations (a skip, then a
+    /// step) may be repeated in one go, provided it ends in the state the
+    /// iterations one by one would reach and counts each as a step and
+    /// its skip.
     fn idle_advance(
         &mut self,
         deadline: Cycles,
@@ -110,7 +113,8 @@ pub fn skip_target(now: Cycles, wakeup: Option<Cycles>, deadline: Cycles) -> Opt
 /// What one [`Simulatable::idle_advance`] covered.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IdleAdvance {
-    /// Cycles stepped after the first skip (each a silent `Idle` step).
+    /// Cycles stepped after the first skip (each a silent `Idle` step),
+    /// one per quiet iteration, stepped or repeated.
     pub stepped: Cycles,
     /// Cycles covered by skips.
     pub skipped: Cycles,
@@ -121,7 +125,8 @@ pub struct IdleAdvance {
 /// Statistics from one engine run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunStats {
-    /// Cycles executed one at a time.
+    /// Cycles covered by a step or a quiet iteration, stepped or
+    /// repeated (see [`Simulatable::idle_advance`]).
     pub stepped: Cycles,
     /// Cycles covered by idle-skip fast-forwarding.
     pub skipped: Cycles,

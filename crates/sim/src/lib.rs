@@ -39,6 +39,7 @@ pub mod engine;
 pub mod fault;
 pub mod perf;
 pub mod power;
+pub mod repeat;
 pub mod telemetry;
 pub mod trace;
 pub mod units;

@@ -90,6 +90,19 @@ impl Log2Histogram {
         self.max = self.max.max(value);
     }
 
+    /// Record `n` samples of `value`: the histogram `n` calls of
+    /// [`record`](Log2Histogram::record) leave.
+    pub fn record_n(&mut self, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.buckets[Self::bucket_of(value)] += n;
+        self.count += n;
+        self.sum = self.sum.saturating_add(value.saturating_mul(n));
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
+    }
+
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count
@@ -607,6 +620,26 @@ mod tests {
             assert!(v <= Log2Histogram::bucket_upper(i));
             if i > 0 {
                 assert!(v > Log2Histogram::bucket_upper(i - 1));
+            }
+        }
+    }
+
+    /// `record_n(v, n)` leaves the histogram `n` calls of `record(v)`
+    /// leave: buckets, count, the saturating sum, min and max, from an
+    /// empty histogram and from one with samples already in it.
+    #[test]
+    fn record_n_is_n_records() {
+        let mut pre = Log2Histogram::new();
+        pre.record(5);
+        pre.record(1 << 40);
+        for start in [Log2Histogram::new(), pre] {
+            for (value, n) in [(0, 3), (1, 1), (9_999, 700), (u64::MAX / 3, 4), (7, 0)] {
+                let (mut bulk, mut one) = (start.clone(), start.clone());
+                bulk.record_n(value, n);
+                for _ in 0..n {
+                    one.record(value);
+                }
+                assert_eq!(bulk, one, "record_n({value}, {n})");
             }
         }
     }

@@ -219,6 +219,21 @@ impl QuietTicks {
         self.energy += leak_over(self.leak, self.cycle, self.clock, cycles);
         self.energy
     }
+
+    /// The array's running total.
+    #[inline]
+    pub fn energy(&self) -> Energy {
+        self.energy
+    }
+
+    /// Take the total to `energy` over `cycles` more quiet cycles: the
+    /// outcome of repeating a run of identical ticks, computed exactly
+    /// from the total (`ulp_sim::repeat`). Returns the total.
+    pub fn repeat(&mut self, energy: Energy, cycles: Cycles) -> Energy {
+        self.ticked += cycles.0;
+        self.energy = energy;
+        self.energy
+    }
 }
 
 /// The banked SRAM: functional storage plus energy integration.

@@ -220,16 +220,21 @@ impl Harness {
         &self.results
     }
 
-    /// The run's measurements as one JSON document:
+    /// The run's measurements as one JSON document, with the host they
+    /// were taken on:
     ///
     /// ```json
     /// {"bench":"simulator","mode":"measure","results":[
     ///   {"id":"g/work","iters_per_sample":8,"best_ns":120,"median_ns":140,
-    ///    "throughput":{"elements":100}}]}
+    ///    "throughput":{"elements":100}}],
+    ///  "host":{"logical_cores":2,"cpus_allowed":"0-1",
+    ///    "cpu_model":"Intel(R) Xeon(R) Processor","profile":"release"}}
     /// ```
     ///
     /// Timings are integral nanoseconds, so the document never contains
     /// NaN/Infinity; `benchcheck` re-reads it with [`crate::json::parse`].
+    /// A host fact that cannot be read (no `/proc`) is `null`; `profile`
+    /// is the build profile of the harness itself.
     pub fn to_json(&self) -> String {
         let mode = if self.test_mode { "test" } else { "measure" };
         let mut out = format!(
@@ -258,7 +263,9 @@ impl Harness {
             }
             out.push('}');
         }
-        out.push_str("]}");
+        out.push_str("],\"host\":");
+        out.push_str(&host_json());
+        out.push('}');
         out
     }
 
@@ -285,6 +292,31 @@ impl Harness {
             }
         }
     }
+}
+
+/// The host block of [`Harness::to_json`].
+fn host_json() -> String {
+    let cores = std::thread::available_parallelism().map(|n| n.get());
+    let text = |v: Option<String>| v.map_or("null".to_string(), |s| Quoted(&s).to_string());
+    format!(
+        "{{\"logical_cores\":{},\"cpus_allowed\":{},\"cpu_model\":{},\"profile\":{}}}",
+        cores.map_or("null".to_string(), |n| n.to_string()),
+        text(proc_field("/proc/self/status", "Cpus_allowed_list")),
+        text(proc_field("/proc/cpuinfo", "model name")),
+        Quoted(if cfg!(debug_assertions) {
+            "debug"
+        } else {
+            "release"
+        }),
+    )
+}
+
+/// The value of the first `key: value` line of a `/proc` file.
+fn proc_field(path: &str, key: &str) -> Option<String> {
+    let text = std::fs::read_to_string(path).ok()?;
+    text.lines()
+        .find_map(|l| l.split_once(':').filter(|(k, _)| k.trim() == key))
+        .map(|(_, v)| v.trim().to_string())
 }
 
 #[cfg(test)]
@@ -361,6 +393,11 @@ mod tests {
         assert!(json.contains("\"median_ns\":"));
         assert!(json.contains("\"throughput\":{\"elements\":42}"));
         assert!(!json.contains("NaN") && !json.contains("inf"));
+        let doc = crate::json::parse(&json).expect("well-formed");
+        let host = doc.get("host").expect("a host block");
+        for key in ["logical_cores", "cpus_allowed", "cpu_model", "profile"] {
+            assert!(host.get(key).is_some(), "host.{key}");
+        }
     }
 
     #[test]

@@ -32,15 +32,18 @@ cargo test -q --doc --workspace --offline
 echo "== chained idle advance: bit-exact against one wake at a time =="
 # The system steps quiet cycles (silent timer underflows and radio
 # airtime) inside its idle advance, with its energy sums held in
-# registers. These properties drive random nodes both ways (chained, and
-# the engine's loop one wake at a time) and compare every energy bit:
-# GDI-style nodes whose chains are mostly silent underflows, and
-# airtime-heavy nodes whose chains mostly run through a frame on air.
-# Here they run on the release build the benchmarks use, with more
-# cases than the tier-1 default.
+# registers, and repeats runs of identical quiet iterations in one exact
+# jump. These properties drive random nodes both ways (chained, and the
+# engine's loop one wake at a time) and compare every energy bit:
+# GDI-style nodes whose chains are mostly silent underflows,
+# airtime-heavy nodes whose chains mostly run through a frame on air,
+# and fault-free GDI-style and airtime nodes over millions of cycles,
+# where the jumps happen. Here they run on the release build the
+# benchmarks use, with more cases than the tier-1 default.
 ULP_PROPTEST_CASES=256 cargo test -q --release --offline --test reference_models -- \
   chained_idle_advance_matches_wake_by_wake \
-  airtime_heavy_idle_advance_matches_wake_by_wake > /dev/null
+  airtime_heavy_idle_advance_matches_wake_by_wake \
+  long_quiet_chains_match_wake_by_wake > /dev/null
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets --offline -- -D warnings

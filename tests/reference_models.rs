@@ -578,6 +578,51 @@ props! {
     }
 }
 
+props! {
+    #![cases(24)]
+
+    /// Fault-free nodes over segments of millions of cycles, where the
+    /// idle advance repeats runs of identical quiet iterations in one
+    /// jump (no predicate, no fault plan): GDI-style nodes on a chained
+    /// period (`base` × `count` cycles, hundreds of silent underflows
+    /// per sample) and deaf airtime nodes on a cycle-counted period
+    /// (long chains of airtime), with epochs and telemetry on or off,
+    /// agree bit for bit with the engine's loop one wake at a time.
+    /// Jumps are cut by binade crossings, epoch boundaries, deadlines,
+    /// the chained timer's last silent underflow, timer underflows on
+    /// air and the frame's end.
+    #[test]
+    fn long_quiet_chains_match_wake_by_wake(
+        gdi in any_bool(),
+        chained in (50u16..12_000, 2u16..800),
+        airtime in (2_000u16..60_000, 1u8..22),
+        epoch in (any_bool(), 1u64..3_000_000),
+        telemetry in any_bool(),
+        segments in vec_of(1u32..4_000_000, 1..3),
+    ) {
+        let horizon: u64 = segments.iter().map(|&n| n as u64).sum();
+        let node = || {
+            if gdi {
+                random_node(chained.0, chained.1, &[], &[], (0, 0), horizon, telemetry)
+            } else {
+                airtime_node(airtime.0, airtime.1, false, &[], (0, 0), horizon, telemetry)
+            }
+        };
+        let epoch = epoch.0.then_some(epoch.1);
+        let mut engine = Engine::new(node());
+        if let Some(len) = epoch {
+            engine.set_epoch(Cycles(len));
+        }
+        let mut reference = WakeByWake::new(node(), epoch);
+        for &n in &segments {
+            let a = engine.run_for(Cycles(n as u64));
+            let (b, _) = reference.run_until(Cycles(n as u64), |_| false);
+            prop_assert_eq!(a, b);
+            assert_same_node(engine.machine(), &reference.sys);
+        }
+    }
+}
+
 /// An airtime-heavy node: the stage-1 program (deaf) or the stage-3
 /// program (listening: rx frames for the base station are forwarded, or
 /// missed when they end mid-frame) on a short cycle-counted period,
