@@ -224,7 +224,7 @@ impl UlpProgram {
         if self.auto_prepare > 0 {
             sys.slaves_mut()
                 .msgproc
-                .write(map::MSG_BASE + map::MSG_AUTO_PREPARE, self.auto_prepare);
+                .write(map::MSG_AUTO_PREPARE, self.auto_prepare);
         }
         if self.radio_listen {
             sys.radio_listen();

@@ -245,7 +245,10 @@ impl Walk<'_> {
         let end = u32::from(base) + u32::from(len); // exclusive
         let region_end = u32::from(region.base) + u32::from(region.len);
         if end > region_end {
-            let message = if region.kind == map::RegionKind::Buffer {
+            let message = if matches!(
+                region.kind,
+                map::RegionKind::TxBuffer | map::RegionKind::RxBuffer
+            ) {
                 format!(
                     "transfer {what} block 0x{base:04X}..0x{end:04X} overruns the \
                      {}-byte buffer `{}`",
