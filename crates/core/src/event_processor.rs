@@ -26,24 +26,7 @@ use crate::map;
 use crate::power::WakeLatency;
 use crate::slaves::{BusError, Slaves};
 use ulp_isa::ep::{Instruction, Opcode};
-use ulp_sim::{Cycles, EpInsn, TraceBuffer, TraceKind};
-
-/// Mirror an ISA instruction into the kernel crate's typed trace
-/// representation (`ulp-sim` cannot depend on `ulp-isa`; `EpInsn`'s
-/// `Display` byte-matches the assembler syntax, verified by tests on
-/// both sides).
-fn ep_insn(insn: &Instruction) -> EpInsn {
-    match *insn {
-        Instruction::SwitchOn(c) => EpInsn::SwitchOn(c.raw()),
-        Instruction::SwitchOff(c) => EpInsn::SwitchOff(c.raw()),
-        Instruction::Read(a) => EpInsn::Read(a),
-        Instruction::Write(a) => EpInsn::Write(a),
-        Instruction::WriteI { addr, value } => EpInsn::WriteI { addr, value },
-        Instruction::Transfer { src, dst, len } => EpInsn::Transfer { src, dst, len },
-        Instruction::Terminate => EpInsn::Terminate,
-        Instruction::Wakeup(v) => EpInsn::Wakeup(v),
-    }
-}
+use ulp_sim::{Cycles, TraceBuffer, TraceKind};
 
 /// What the event processor did this cycle.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -259,7 +242,7 @@ impl EventProcessor {
                 }
                 let (insn, _) =
                     Instruction::decode(&buf[..have as usize]).expect("length satisfied");
-                trace.record(now, "ep", TraceKind::EpExecute { insn: ep_insn(&insn) });
+                trace.record(now, "ep", TraceKind::EpExecute { insn });
                 self.state = State::Execute {
                     irq,
                     insn,

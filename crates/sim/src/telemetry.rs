@@ -717,7 +717,7 @@ mod tests {
             Cycles(12),
             "ep",
             TraceKind::EpExecute {
-                insn: crate::trace::EpInsn::Terminate,
+                insn: ulp_isa::ep::Instruction::Terminate,
             },
         );
         t.record(Cycles(13), "ep", TraceKind::EpTerminate);
@@ -749,7 +749,7 @@ mod tests {
             Cycles(100),
             "ep",
             TraceKind::EpExecute {
-                insn: crate::trace::EpInsn::WriteI {
+                insn: ulp_isa::ep::Instruction::WriteI {
                     addr: 0x1200,
                     value: 1,
                 },

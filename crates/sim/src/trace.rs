@@ -12,59 +12,7 @@
 use crate::units::Cycles;
 use std::collections::VecDeque;
 use std::fmt;
-
-/// Mirror of the event-processor instruction set, carried by
-/// [`TraceKind::EpExecute`] so the kernel crate can render `EXECUTE`
-/// lines without depending on the ISA crate. The `Display` output is
-/// byte-identical to `ulp_isa::ep::Instruction`'s.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EpInsn {
-    /// `SWITCHON component`.
-    SwitchOn(u8),
-    /// `SWITCHOFF component`.
-    SwitchOff(u8),
-    /// `READ addr` into the temporary register.
-    Read(u16),
-    /// `WRITE addr` from the temporary register.
-    Write(u16),
-    /// `WRITEI addr, value`.
-    WriteI {
-        /// Destination bus address.
-        addr: u16,
-        /// Immediate byte.
-        value: u8,
-    },
-    /// `TRANSFER src, dst, len`.
-    Transfer {
-        /// Source bus address.
-        src: u16,
-        /// Destination bus address.
-        dst: u16,
-        /// Bytes to move.
-        len: u8,
-    },
-    /// `TERMINATE`.
-    Terminate,
-    /// `WAKEUP vector`.
-    Wakeup(u8),
-}
-
-impl fmt::Display for EpInsn {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EpInsn::SwitchOn(c) => write!(f, "switchon {c}"),
-            EpInsn::SwitchOff(c) => write!(f, "switchoff {c}"),
-            EpInsn::Read(a) => write!(f, "read 0x{a:04X}"),
-            EpInsn::Write(a) => write!(f, "write 0x{a:04X}"),
-            EpInsn::WriteI { addr, value } => write!(f, "writei 0x{addr:04X}, {value}"),
-            EpInsn::Transfer { src, dst, len } => {
-                write!(f, "transfer 0x{src:04X}, 0x{dst:04X}, {len}")
-            }
-            EpInsn::Terminate => write!(f, "terminate"),
-            EpInsn::Wakeup(v) => write!(f, "wakeup {v}"),
-        }
-    }
-}
+use ulp_isa::ep::Instruction;
 
 /// What happened, as structured data. The `Display` implementation is
 /// lossless and, for the kinds that existed before the typed layer,
@@ -84,7 +32,7 @@ pub enum TraceKind {
     /// Event processor begins executing one ISR instruction.
     EpExecute {
         /// The decoded instruction.
-        insn: EpInsn,
+        insn: Instruction,
     },
     /// ISR finished with `TERMINATE`; the EP returned to `READY`.
     EpTerminate,
@@ -542,7 +490,7 @@ mod tests {
             at: Cycles(42),
             component: "ep",
             kind: TraceKind::EpExecute {
-                insn: EpInsn::Terminate,
+                insn: Instruction::Terminate,
             },
         };
         assert_eq!(e.to_string(), "[        42] ep           EXECUTE terminate");
@@ -591,32 +539,6 @@ mod tests {
             .to_string(),
             "FAULT dropped irq 18 -> degraded"
         );
-    }
-
-    #[test]
-    fn ep_insn_display_matches_isa_syntax() {
-        assert_eq!(EpInsn::SwitchOn(4).to_string(), "switchon 4");
-        assert_eq!(EpInsn::SwitchOff(15).to_string(), "switchoff 15");
-        assert_eq!(EpInsn::Read(0x1401).to_string(), "read 0x1401");
-        assert_eq!(EpInsn::Write(0x1202).to_string(), "write 0x1202");
-        assert_eq!(
-            EpInsn::WriteI {
-                addr: 0x1200,
-                value: 1
-            }
-            .to_string(),
-            "writei 0x1200, 1"
-        );
-        assert_eq!(
-            EpInsn::Transfer {
-                src: 0x1280,
-                dst: 0x1340,
-                len: 12
-            }
-            .to_string(),
-            "transfer 0x1280, 0x1340, 12"
-        );
-        assert_eq!(EpInsn::Wakeup(2).to_string(), "wakeup 2");
     }
 
     #[test]
