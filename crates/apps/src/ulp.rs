@@ -530,7 +530,8 @@ pub fn blink(period: u16) -> UlpProgram {
             value: 1,
         },
         I::Terminate,
-    ]).unwrap();
+    ])
+    .unwrap();
     UlpProgram {
         images: vec![(EP_CODE_BASE, isr)],
         ep_vectors: vec![(Irq::Timer0.id(), EP_CODE_BASE)],
@@ -560,7 +561,8 @@ pub fn sense(period: u16) -> UlpProgram {
             value: 1,
         },
         I::Terminate,
-    ]).unwrap();
+    ])
+    .unwrap();
     UlpProgram {
         images: vec![(EP_CODE_BASE, isr)],
         ep_vectors: vec![(Irq::Timer0.id(), EP_CODE_BASE)],

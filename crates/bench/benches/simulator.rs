@@ -62,7 +62,8 @@ fn main() {
     use ulp_testkit::bench::{Harness, Throughput};
     let horizon = 1_000_000u64;
     let mut h = Harness::from_args("simulator");
-    h.group("ulp_system").throughput(Throughput::Elements(horizon));
+    h.group("ulp_system")
+        .throughput(Throughput::Elements(horizon));
     for (name, period) in [("busy_1k", 1_000u64), ("idle_100k", 100_000u64)] {
         h.bench(&format!("run/{name}"), || run_ulp(period, horizon));
     }
@@ -70,6 +71,7 @@ fn main() {
     h.group("mica_board")
         .throughput(Throughput::Elements(horizon))
         .bench("run/sampling_every_tick", || run_mica(horizon));
-    h.group("lifetime").bench("one_simulated_day_gdi", run_lifetime_day);
+    h.group("lifetime")
+        .bench("one_simulated_day_gdi", run_lifetime_day);
     h.finish();
 }

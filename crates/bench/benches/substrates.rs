@@ -87,6 +87,7 @@ fn main() {
             mem.energy()
         });
 
-    h.group("tech").bench("figure3_sweep", || ulp_tech::figure3_sweep(25.0));
+    h.group("tech")
+        .bench("figure3_sweep", || ulp_tech::figure3_sweep(25.0));
     h.finish();
 }

@@ -57,7 +57,8 @@ fn mcu_only() -> (Power, u64) {
     let isr_txdone = encode_program(&[
         I::SwitchOff(ulp_isa::ep::ComponentId::new(Component::Radio as u8).unwrap()),
         I::Terminate,
-    ]).unwrap();
+    ])
+    .unwrap();
     sys.load(0x0100, &isr_timer);
     sys.load(0x0110, &isr_txdone);
     sys.install_ep_isr(Irq::Timer0.id(), 0x0100);

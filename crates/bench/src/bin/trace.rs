@@ -51,10 +51,12 @@ fn main() {
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |name: &str| args.next().unwrap_or_else(|| {
-            eprintln!("{name} needs a value");
-            usage()
-        });
+        let mut value = |name: &str| {
+            args.next().unwrap_or_else(|| {
+                eprintln!("{name} needs a value");
+                usage()
+            })
+        };
         match arg.as_str() {
             "--app" => app = value("--app"),
             "--cycles" => {
@@ -101,7 +103,10 @@ fn main() {
     if check {
         if let Some(snap) = &perf_snapshot {
             let (again, snap2) = tracegen::run_perf(&app, cycles, seed);
-            assert_eq!(export.json, again.json, "profiled JSON must be deterministic");
+            assert_eq!(
+                export.json, again.json,
+                "profiled JSON must be deterministic"
+            );
             assert_eq!(export.csv, again.csv, "CSV export must be deterministic");
             assert_eq!(
                 export.summary, again.summary,
@@ -116,7 +121,10 @@ fn main() {
             // CSV and summary exactly as the unprofiled run produces.
             let plain = tracegen::run(&app, cycles, seed);
             assert_eq!(export.csv, plain.csv, "profiling changed the CSV");
-            assert_eq!(export.summary, plain.summary, "profiling changed the summary");
+            assert_eq!(
+                export.summary, plain.summary,
+                "profiling changed the summary"
+            );
         } else {
             let again = tracegen::run(&app, cycles, seed);
             assert_eq!(export.json, again.json, "JSON export must be deterministic");

@@ -328,12 +328,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosSummary {
 }
 
 /// Build the app × fault-rate × seed campaign grid.
-pub fn campaign(
-    apps: &[ChaosApp],
-    rates: &[f64],
-    seeds: u64,
-    horizon: u64,
-) -> Sweep<ChaosConfig> {
+pub fn campaign(apps: &[ChaosApp], rates: &[f64], seeds: u64, horizon: u64) -> Sweep<ChaosConfig> {
     let mut sweep = Sweep::new("chaos-campaign", METRICS);
     for &app in apps {
         for &rate in rates {

@@ -93,7 +93,11 @@ impl CosimConfig {
     pub fn store_key(&self) -> String {
         format!(
             "cosim:nodes={};loss={};seed={};slots={};head={};relay={}",
-            self.nodes, self.loss, self.seed, self.horizon_slots, self.head_period,
+            self.nodes,
+            self.loss,
+            self.seed,
+            self.horizon_slots,
+            self.head_period,
             self.relay_period
         )
     }
@@ -394,7 +398,11 @@ pub(crate) fn run_events<M: Channel>(
                 // arrivals still queued behind the ones its poll drained.
                 // Either wakes at the slot whose poll will see the
                 // arrival (ceil to the next slot boundary).
-                let woken = if transmitted { 0..nodes.len() } else { i..i + 1 };
+                let woken = if transmitted {
+                    0..nodes.len()
+                } else {
+                    i..i + 1
+                };
                 for j in woken {
                     if let Some(a_us) = medium.next_arrival(nodes[j].0) {
                         let poll_at = a_us.div_ceil(SLOT_US).max(c + 1);
@@ -599,8 +607,18 @@ mod tests {
             "channel counters diverged:\nslot  {slot:?}\nevent {event:?}"
         );
         assert_eq!(
-            (slot.radio_tx, slot.mcu_wakeups, slot.service_p99, slot.irqs_serviced),
-            (event.radio_tx, event.mcu_wakeups, event.service_p99, event.irqs_serviced),
+            (
+                slot.radio_tx,
+                slot.mcu_wakeups,
+                slot.service_p99,
+                slot.irqs_serviced
+            ),
+            (
+                event.radio_tx,
+                event.mcu_wakeups,
+                event.service_p99,
+                event.irqs_serviced
+            ),
             "node counters diverged:\nslot  {slot:?}\nevent {event:?}"
         );
         let tol = slot.energy_j.abs() * 1e-12;

@@ -223,7 +223,11 @@ mod tests {
         let observed = sweep.run_observed(2, eval, &meter).unwrap();
 
         assert_eq!(plain.to_csv(), observed.to_csv(), "observer effect on CSV");
-        assert_eq!(plain.to_json(), observed.to_json(), "observer effect on JSON");
+        assert_eq!(
+            plain.to_json(),
+            observed.to_json(),
+            "observer effect on JSON"
+        );
 
         let bytes = buf.0.lock().unwrap().clone();
         let text = String::from_utf8(bytes).unwrap();

@@ -159,7 +159,12 @@ impl StoreStats {
         out.push_str(&format!(
             ",\"records\":{},\"torn\":{},\"corrupt\":{},\"hits\":{},\"misses\":{},\
              \"collisions\":{},\"appended\":{}}}",
-            self.records, self.torn, self.corrupt, self.hits, self.misses, self.collisions,
+            self.records,
+            self.torn,
+            self.corrupt,
+            self.hits,
+            self.misses,
+            self.collisions,
             self.appended
         ));
         out
@@ -172,7 +177,12 @@ impl fmt::Display for StoreStats {
             f,
             "{} record(s), {} hit(s), {} miss(es), {} appended \
              ({} torn, {} corrupt, {} collision(s) invalidated)",
-            self.records, self.hits, self.misses, self.appended, self.torn, self.corrupt,
+            self.records,
+            self.hits,
+            self.misses,
+            self.appended,
+            self.torn,
+            self.corrupt,
             self.collisions
         )
     }
@@ -281,7 +291,11 @@ fn parse_frame(bytes: &[u8], pos: usize) -> Result<(u64, Range<usize>, usize), F
     const MAX_LEN_DIGITS: usize = 9;
     let rest = &bytes[pos..];
     // Length token.
-    let sp = match rest.iter().take(MAX_LEN_DIGITS + 1).position(|&b| b == b' ') {
+    let sp = match rest
+        .iter()
+        .take(MAX_LEN_DIGITS + 1)
+        .position(|&b| b == b' ')
+    {
         Some(i) => i,
         None if rest.len() <= MAX_LEN_DIGITS => return Err(FrameErr::Truncated),
         None => return Err(FrameErr::Malformed),
@@ -483,7 +497,10 @@ impl Store {
                     .all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_'),
             "writer label `{label}` must be non-empty [A-Za-z0-9_-]"
         );
-        assert!(self.writer.is_none(), "writer label must be set before the first append");
+        assert!(
+            self.writer.is_none(),
+            "writer label must be set before the first append"
+        );
         self.writer_label = label.to_string();
     }
 
@@ -746,7 +763,11 @@ where
         (false, Some(_)) => &[false],
         (false, None) => &[],
     };
-    let plain = if cfg.check { 2 } else { usize::from(dir.is_none()) };
+    let plain = if cfg.check {
+        2
+    } else {
+        usize::from(dir.is_none())
+    };
 
     let selected = match cfg.shard {
         Some(s) => (0..sweep.len()).filter(|&i| s.contains(i)).count(),
@@ -764,7 +785,10 @@ where
         let (parallel, speedup) = fleet::measure_speedup(sweep, cfg.threads, &eval, observer)?;
         (Some(parallel), Some(speedup))
     } else if plain == 1 {
-        (Some(sweep.run_observed(cfg.threads, &eval, observer)?), None)
+        (
+            Some(sweep.run_observed(cfg.threads, &eval, observer)?),
+            None,
+        )
     } else {
         (None, None)
     };
@@ -858,7 +882,8 @@ mod tests {
     }
 
     fn tmp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("ulp-store-unit-{}-{name}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("ulp-store-unit-{}-{name}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
     }

@@ -138,7 +138,11 @@ fn stage4_run(cycles: u64, seed: u64, profiler: Option<&Profiler>) -> TraceExpor
     engine.set_epoch(Cycles(4_096));
     engine.run_for(Cycles(cycles));
     let sys = engine.into_machine();
-    assert!(sys.fault().is_none(), "stage-4 run faulted: {:?}", sys.fault());
+    assert!(
+        sys.fault().is_none(),
+        "stage-4 run faulted: {:?}",
+        sys.fault()
+    );
 
     let hz = sys.config().clock.hz();
     let mut ct = ChromeTrace::new();

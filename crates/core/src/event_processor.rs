@@ -612,9 +612,12 @@ mod tests {
             .events()
             .any(|e| e.detail().contains("EXECUTE switchon 4")));
         assert!(
-            trace
-                .events()
-                .any(|e| matches!(e.kind, TraceKind::PowerOn { component: "sensor" })),
+            trace.events().any(|e| matches!(
+                e.kind,
+                TraceKind::PowerOn {
+                    component: "sensor"
+                }
+            )),
             "typed power event recorded"
         );
     }

@@ -654,8 +654,7 @@ mod tests {
     #[test]
     fn register_lookup_handles_strides() {
         // Timer 2's live-count register, via the 8-byte stride.
-        let (region, reg) =
-            register_at(TIMER_BASE + 2 * TIMER_STRIDE + TIMER_COUNT_LO).unwrap();
+        let (region, reg) = register_at(TIMER_BASE + 2 * TIMER_STRIDE + TIMER_COUNT_LO).unwrap();
         assert_eq!(region.name, "timer");
         assert_eq!(reg.name, "TIMER_COUNT_LO");
         assert_eq!(reg.access, Access::ReadOnly);

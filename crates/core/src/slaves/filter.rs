@@ -100,31 +100,30 @@ impl ThresholdFilter {
     /// running average instead.
     pub fn write(&mut self, offset: u16, value: u8, mut fire_pass: impl FnMut()) {
         match offset {
-            map::FILTER_CTRL
-                if value == 1 => {
-                    self.evaluations += 1;
-                    match self.mode {
-                        0 | 1 => {
-                            let pass = if self.mode == 0 {
-                                self.input >= self.threshold
-                            } else {
-                                self.input < self.threshold
-                            };
-                            self.result = pass as u8;
-                            if pass {
-                                self.passes += 1;
-                                fire_pass();
-                            }
-                        }
-                        _ => {
-                            // EWMA with α = 1/4: avg += (x - avg)/4.
-                            let avg = self.average as u16;
-                            let x = self.input as u16;
-                            self.average = ((avg * 3 + x) / 4) as u8;
-                            self.result = self.average;
+            map::FILTER_CTRL if value == 1 => {
+                self.evaluations += 1;
+                match self.mode {
+                    0 | 1 => {
+                        let pass = if self.mode == 0 {
+                            self.input >= self.threshold
+                        } else {
+                            self.input < self.threshold
+                        };
+                        self.result = pass as u8;
+                        if pass {
+                            self.passes += 1;
+                            fire_pass();
                         }
                     }
+                    _ => {
+                        // EWMA with α = 1/4: avg += (x - avg)/4.
+                        let avg = self.average as u16;
+                        let x = self.input as u16;
+                        self.average = ((avg * 3 + x) / 4) as u8;
+                        self.result = self.average;
+                    }
                 }
+            }
             map::FILTER_THRESHOLD => self.threshold = value,
             map::FILTER_INPUT => self.input = value,
             map::FILTER_MODE => self.mode = value.min(2),

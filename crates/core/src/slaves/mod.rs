@@ -783,7 +783,8 @@ mod tests {
         }
         // Read-write registers do not lint.
         s.take_lints();
-        s.write(map::FILTER_BASE + map::FILTER_THRESHOLD, 7).unwrap();
+        s.write(map::FILTER_BASE + map::FILTER_THRESHOLD, 7)
+            .unwrap();
         assert!(s.take_lints().is_empty());
     }
 
@@ -829,7 +830,10 @@ mod tests {
         s.set_power(4, false, &wake).unwrap();
         assert_eq!(s.set_power(4, true, &wake).unwrap(), Cycles(2));
         // Absorbed cases: powered peripheral, non-handshake target.
-        assert!(!s.stick_handshake(4, Cycles(99)), "sensor is on: ready line up");
+        assert!(
+            !s.stick_handshake(4, Cycles(99)),
+            "sensor is on: ready line up"
+        );
         assert!(!s.stick_handshake(9, Cycles(99)), "not a gated peripheral");
         // A stuck window that expires before the switch-on adds nothing.
         s.set_power(4, false, &wake).unwrap();

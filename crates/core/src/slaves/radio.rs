@@ -196,12 +196,14 @@ impl Radio {
         }
         match value {
             v if v == RadioCommand::Transmit as u8
-                && self.tx_remaining.is_none() && self.tx_len > 0 => {
-                    let cycles = self
-                        .timing
-                        .frame_airtime_cycles(self.tx_len as usize, self.clock_hz);
-                    self.tx_remaining = Some(cycles.max(1));
-                }
+                && self.tx_remaining.is_none()
+                && self.tx_len > 0 =>
+            {
+                let cycles = self
+                    .timing
+                    .frame_airtime_cycles(self.tx_len as usize, self.clock_hz);
+                self.tx_remaining = Some(cycles.max(1));
+            }
             v if v == RadioCommand::Listen as u8 => self.listening = true,
             v if v == RadioCommand::Standby as u8 => {
                 self.listening = false;

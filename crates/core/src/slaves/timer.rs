@@ -563,7 +563,11 @@ mod tests {
                 silent_underflows.push(c);
             }
         }
-        assert_eq!(silent_underflows, vec![10, 20, 40], "30 raises timer 1's alarm");
+        assert_eq!(
+            silent_underflows,
+            vec![10, 20, 40],
+            "30 raises timer 1's alarm"
+        );
         // A timer without REPEAT stops silently; with IRQ_EN it is loud.
         let mut t = TimerBlock::new();
         t.write(map::TIMER_RELOAD_LO, 2);

@@ -186,10 +186,9 @@ impl<I: Isa> Assembler<I> {
         for line in lines {
             let err = |msg: String| AsmError::new(line.number, msg);
             for label in &line.labels {
-                if defining
-                    && symbols.insert(label.clone(), lc).is_some() {
-                        return Err(err(format!("duplicate symbol `{label}`")));
-                    }
+                if defining && symbols.insert(label.clone(), lc).is_some() {
+                    return Err(err(format!("duplicate symbol `{label}`")));
+                }
             }
             match &line.body {
                 Body::Empty => {}
@@ -215,10 +214,9 @@ impl<I: Isa> Assembler<I> {
                         };
                         let ctx = EncodeCtx { symbols, pc: lc };
                         let value = ctx.eval(rest).map_err(&err)?;
-                        if defining
-                            && symbols.insert(sym.clone(), value).is_some() {
-                                return Err(err(format!("duplicate symbol `{sym}`")));
-                            }
+                        if defining && symbols.insert(sym.clone(), value).is_some() {
+                            return Err(err(format!("duplicate symbol `{sym}`")));
+                        }
                     }
                     "db" => {
                         let mut bytes = Vec::new();

@@ -705,7 +705,10 @@ mod tests {
         // `decode` goes through the checked path (defensively — an
         // in-range first word always produces a 3-bit field).
         let err = DecodeError::BadOpcode { bits: 0b1010 };
-        assert_eq!(err.to_string(), "opcode field 0b1010 does not fit in 3 bits");
+        assert_eq!(
+            err.to_string(),
+            "opcode field 0b1010 does not fit in 3 bits"
+        );
     }
 
     #[test]

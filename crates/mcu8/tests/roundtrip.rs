@@ -162,8 +162,8 @@ fn relative_branches_roundtrip_via_listing_labels() {
             src.push_str("nop\n");
         }
         src.push_str("target: nop\n");
-        let words = words_of(&src)
-            .unwrap_or_else(|| panic!("labeled `{mnemonic}` source must assemble"));
+        let words =
+            words_of(&src).unwrap_or_else(|| panic!("labeled `{mnemonic}` source must assemble"));
         assert_eq!(
             decode(words[0], 0).insn,
             d.insn,

@@ -238,10 +238,9 @@ impl Bus for MicaBus {
                 }
             }
             io::TIMER_COMPARE => self.timer.compare = value,
-            io::ADC_CTRL
-                if value == 1 && self.adc_busy.is_none() => {
-                    self.adc_busy = Some(io::ADC_LATENCY);
-                }
+            io::ADC_CTRL if value == 1 && self.adc_busy.is_none() => {
+                self.adc_busy = Some(io::ADC_LATENCY);
+            }
             io::RADIO_SEND => {
                 let len = (value as u16).min(io::PKT_BUF_LEN) as usize;
                 let mut pkt = Vec::with_capacity(len);
@@ -1027,7 +1026,11 @@ mod tests {
         b.set_exec_trace(8);
         run_to_halt(&mut b, 100);
         let pcs: Vec<u16> = b.exec_trace().map(|(_, pc)| pc).collect();
-        assert_eq!(pcs, vec![0, 1, 3], "ldi at 0, sts at 1 (two words), break at 3");
+        assert_eq!(
+            pcs,
+            vec![0, 1, 3],
+            "ldi at 0, sts at 1 (two words), break at 3"
+        );
         let listing = b.exec_trace_listing();
         assert!(listing[0].contains("ldi r16, 7"), "{}", listing[0]);
         assert!(listing[1].contains("sts 0x0300, r16"));

@@ -152,8 +152,7 @@ impl ChannelConfig {
         // distance a transmission can neither be received nor deter a
         // CSMA sender.
         let floor = self.sensitivity_dbm.min(self.cca_dbm);
-        let exponent = (self.tx_power_dbm - self.ref_loss_db - floor)
-            / (10.0 * self.pathloss_exp);
+        let exponent = (self.tx_power_dbm - self.ref_loss_db - floor) / (10.0 * self.pathloss_exp);
         10f64.powf(exponent).max(1.0)
     }
 }
@@ -493,7 +492,10 @@ impl SpatialMedium {
             // instant forever would livelock.
             let delay = self.backoff_us(node, nth, attempt) + self.config.backoff_unit_us;
             let retry = at.saturating_add(delay);
-            self.log(SpatialEvent::Deferred { node, retry_us: retry });
+            self.log(SpatialEvent::Deferred {
+                node,
+                retry_us: retry,
+            });
             self.wheel.schedule(
                 retry,
                 WheelEvent::Sense {

@@ -171,11 +171,7 @@ impl<T> EventWheel<T> {
             }
         }
         // Sparse tail: nothing within one rotation — scan everything.
-        self.buckets
-            .iter()
-            .flatten()
-            .map(|e| (e.at, e.seq))
-            .min()
+        self.buckets.iter().flatten().map(|e| (e.at, e.seq)).min()
     }
 
     /// Rebuild the calendar for roughly `target` entries: bucket count
@@ -184,11 +180,7 @@ impl<T> EventWheel<T> {
     /// spacing of the live entries, so a day holds O(1) of them. Purely
     /// internal: ordering is unaffected (and property-tested to be).
     fn resize(&mut self, target: usize) {
-        let entries: Vec<Entry<T>> = self
-            .buckets
-            .iter_mut()
-            .flat_map(std::mem::take)
-            .collect();
+        let entries: Vec<Entry<T>> = self.buckets.iter_mut().flat_map(std::mem::take).collect();
         let n = (2 * target.max(1))
             .next_power_of_two()
             .clamp(MIN_BUCKETS, MAX_BUCKETS);

@@ -601,8 +601,16 @@ mod tests {
         use ulp_testkit::Rng;
         let specs = [
             PowerSpec::new(Power::from_uw(14.25), Power::from_nw(18.0), Power::ZERO),
-            PowerSpec::new(Power::from_uw(1.13), Power::from_nw(0.07), Power::from_pw(3.0)),
-            PowerSpec::new(Power::from_uw(0.6), Power::from_nw(0.4), Power::from_pw(1.0)),
+            PowerSpec::new(
+                Power::from_uw(1.13),
+                Power::from_nw(0.07),
+                Power::from_pw(3.0),
+            ),
+            PowerSpec::new(
+                Power::from_uw(0.6),
+                Power::from_nw(0.4),
+                Power::from_pw(1.0),
+            ),
             PowerSpec::zero(),
         ];
         let mut rng = Rng::from_seed(0x5EED);

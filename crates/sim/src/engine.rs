@@ -209,10 +209,7 @@ impl<M: Simulatable> Engine<M> {
     /// profiler is attached.
     #[inline]
     fn step_machine(&mut self) -> StepOutcome {
-        let _span = self
-            .prof
-            .as_ref()
-            .map(|p| p.profiler.enter(p.step));
+        let _span = self.prof.as_ref().map(|p| p.profiler.enter(p.step));
         self.machine.step()
     }
 
@@ -220,8 +217,10 @@ impl<M: Simulatable> Engine<M> {
     #[inline]
     fn count_run(&self, stats: &RunStats) {
         if let Some(p) = &self.prof {
-            p.profiler.counter_add("sim.cycles_stepped", stats.stepped.0);
-            p.profiler.counter_add("sim.cycles_skipped", stats.skipped.0);
+            p.profiler
+                .counter_add("sim.cycles_stepped", stats.stepped.0);
+            p.profiler
+                .counter_add("sim.cycles_skipped", stats.skipped.0);
         }
     }
 
@@ -351,10 +350,7 @@ impl<M: Simulatable> Engine<M> {
         if !self.fast_forward {
             return false;
         }
-        let _span = self
-            .prof
-            .as_ref()
-            .map(|p| p.profiler.enter(p.idle_skip));
+        let _span = self.prof.as_ref().map(|p| p.profiler.enter(p.idle_skip));
         let horizon = match self.epoch_len {
             Some(_) => deadline.min(Cycles(self.epoch_next)),
             None => deadline,
@@ -568,7 +564,12 @@ mod tests {
                 e.set_profiler(&prof);
             }
             let stats = e.run_for(Cycles(10_000));
-            (stats, e.machine().busy_cycles_seen, e.machine().epochs_seen.clone(), prof.snapshot())
+            (
+                stats,
+                e.machine().busy_cycles_seen,
+                e.machine().epochs_seen.clone(),
+                prof.snapshot(),
+            )
         };
         let (stats_on, busy_on, epochs_on, snap) = run(true);
         let (stats_off, busy_off, epochs_off, _) = run(false);
@@ -579,10 +580,7 @@ mod tests {
         // The deterministic side matches the run stats exactly.
         assert_eq!(snap.counter("sim.cycles_stepped"), Some(stats_on.stepped.0));
         assert_eq!(snap.counter("sim.cycles_skipped"), Some(stats_on.skipped.0));
-        assert_eq!(
-            snap.phase("engine.step").unwrap().calls,
-            stats_on.stepped.0
-        );
+        assert_eq!(snap.phase("engine.step").unwrap().calls, stats_on.stepped.0);
         assert_eq!(
             snap.phase("engine.epoch_fire").unwrap().calls,
             epochs_on.len() as u64

@@ -102,7 +102,10 @@ impl fmt::Display for FaultKind {
                 write!(f, "sram bit-flip bank {bank} addr=0x{addr:04X} bit {bit}")
             }
             FaultKind::StuckHandshake { component, cycles } => {
-                write!(f, "stuck handshake component {component} for {cycles} cycles")
+                write!(
+                    f,
+                    "stuck handshake component {component} for {cycles} cycles"
+                )
             }
             FaultKind::DroppedIrq { line } => write!(f, "dropped irq {line}"),
             FaultKind::SpuriousIrq { line } => write!(f, "spurious irq {line}"),
@@ -197,10 +200,18 @@ impl FaultPlan {
                     component: rng.gen_range(0u8..5),
                     cycles: rng.gen_range(1u8..=16),
                 },
-                2 => FaultKind::DroppedIrq { line: rng.gen_range(0u8..64) },
-                3 => FaultKind::SpuriousIrq { line: rng.gen_range(0u8..64) },
-                4 => FaultKind::RadioByteError { burst: rng.gen_range(1u8..=4) },
-                _ => FaultKind::Brownout { duration: rng.gen_range(1u16..=8) },
+                2 => FaultKind::DroppedIrq {
+                    line: rng.gen_range(0u8..64),
+                },
+                3 => FaultKind::SpuriousIrq {
+                    line: rng.gen_range(0u8..64),
+                },
+                4 => FaultKind::RadioByteError {
+                    burst: rng.gen_range(1u8..=4),
+                },
+                _ => FaultKind::Brownout {
+                    duration: rng.gen_range(1u16..=8),
+                },
             };
             plan.push(at, kind);
         }
@@ -350,20 +361,38 @@ mod tests {
     #[test]
     fn display_is_stable() {
         assert_eq!(
-            FaultKind::SramBitFlip { bank: 2, addr: 0x2A0, bit: 7 }.to_string(),
+            FaultKind::SramBitFlip {
+                bank: 2,
+                addr: 0x2A0,
+                bit: 7
+            }
+            .to_string(),
             "sram bit-flip bank 2 addr=0x02A0 bit 7"
         );
         assert_eq!(
-            FaultKind::StuckHandshake { component: 3, cycles: 5 }.to_string(),
+            FaultKind::StuckHandshake {
+                component: 3,
+                cycles: 5
+            }
+            .to_string(),
             "stuck handshake component 3 for 5 cycles"
         );
-        assert_eq!(FaultKind::DroppedIrq { line: 9 }.to_string(), "dropped irq 9");
-        assert_eq!(FaultKind::SpuriousIrq { line: 4 }.to_string(), "spurious irq 4");
+        assert_eq!(
+            FaultKind::DroppedIrq { line: 9 }.to_string(),
+            "dropped irq 9"
+        );
+        assert_eq!(
+            FaultKind::SpuriousIrq { line: 4 }.to_string(),
+            "spurious irq 4"
+        );
         assert_eq!(
             FaultKind::RadioByteError { burst: 3 }.to_string(),
             "radio byte error burst 3"
         );
-        assert_eq!(FaultKind::Brownout { duration: 70 }.to_string(), "brownout 70 cycles");
+        assert_eq!(
+            FaultKind::Brownout { duration: 70 }.to_string(),
+            "brownout 70 cycles"
+        );
         assert_eq!(FaultDisposition::Absorbed.to_string(), "absorbed");
         assert_eq!(FaultDisposition::Degraded.to_string(), "degraded");
         assert_eq!(FaultDisposition::Fatal.to_string(), "fatal");

@@ -552,10 +552,7 @@ mod tests {
             kind: TraceKind::EpTerminate,
         };
         let s = big.to_string();
-        assert!(
-            s.starts_with("[123456789012] "),
-            "no truncation/shift: {s}"
-        );
+        assert!(s.starts_with("[123456789012] "), "no truncation/shift: {s}");
 
         let mut t = TraceBuffer::new(8);
         t.set_enabled(true);

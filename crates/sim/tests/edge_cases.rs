@@ -60,7 +60,10 @@ fn meter_week_long_accumulation_is_monotone_and_precise() {
     }
     let ew = whole.stats(a).energy.joules();
     let ed = daily.stats(b).energy.joules();
-    assert!((ew - ed).abs() <= ew * 1e-12, "split charging drifted: {ew} vs {ed}");
+    assert!(
+        (ew - ed).abs() <= ew * 1e-12,
+        "split charging drifted: {ew} vs {ed}"
+    );
 }
 
 #[test]

@@ -123,7 +123,13 @@ fn powered_off_access_faults_dynamically() {
     assert_eq!(classes(&report), vec![DiagClass::PoweredOffAccess]);
     let sim = simulate(&bytes, |_| {});
     assert!(
-        matches!(sim.fault, Some(BusError::Gated { slave: "msgproc", .. })),
+        matches!(
+            sim.fault,
+            Some(BusError::Gated {
+                slave: "msgproc",
+                ..
+            })
+        ),
         "{:?}",
         sim.fault
     );
@@ -191,10 +197,7 @@ fn bad_power_target_faults_dynamically() {
 fn isr_bank_gating_faults_dynamically() {
     // The ISR gates memory bank 2 — the bank its own code (and next
     // fetch) lives in.
-    let prog = [
-        I::SwitchOff(cid(map::Component::mem_bank(2))),
-        I::Terminate,
-    ];
+    let prog = [I::SwitchOff(cid(map::Component::mem_bank(2))), I::Terminate];
     let (report, bytes) = check(&prog, &ctx());
     assert_eq!(classes(&report), vec![DiagClass::IsrBankGated]);
     let sim = simulate(&bytes, |_| {});
@@ -380,8 +383,10 @@ fn arb_clean_program() -> impl ulp_testkit::Gen<Value = Vec<I>> {
         for _ in 0..rng.gen_range(0usize..10) {
             match rng.gen_range(0u8..6) {
                 0 => {
-                    let off: Vec<u8> =
-                        [MSGPROC, RADIO, SENSOR].into_iter().filter(|&c| !on[idx(c)]).collect();
+                    let off: Vec<u8> = [MSGPROC, RADIO, SENSOR]
+                        .into_iter()
+                        .filter(|&c| !on[idx(c)])
+                        .collect();
                     if !off.is_empty() {
                         let c = pick(rng, &off);
                         on[idx(c)] = true;
@@ -389,8 +394,10 @@ fn arb_clean_program() -> impl ulp_testkit::Gen<Value = Vec<I>> {
                     }
                 }
                 1 => {
-                    let lit: Vec<u8> =
-                        [MSGPROC, RADIO, SENSOR].into_iter().filter(|&c| on[idx(c)]).collect();
+                    let lit: Vec<u8> = [MSGPROC, RADIO, SENSOR]
+                        .into_iter()
+                        .filter(|&c| on[idx(c)])
+                        .collect();
                     if !lit.is_empty() {
                         let c = pick(rng, &lit);
                         on[idx(c)] = false;

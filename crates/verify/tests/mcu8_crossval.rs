@@ -153,7 +153,10 @@ fn assert_covers(report: &FirmwareReport, measured: &Measured) {
         measured.stack
     );
     let bound = report.stack_bound.expect("whole-firmware bound exists");
-    assert!(measured.stack <= bound, "whole-firmware stack bound violated");
+    assert!(
+        measured.stack <= bound,
+        "whole-firmware stack bound violated"
+    );
 }
 
 /// Wrap a handler body in the two-vector firmware skeleton: saves for
@@ -251,7 +254,10 @@ fn counted_loop_wcet_is_exact() {
         );
         let entry = &report.entries[1];
         let WcetBound::Exact(c) = entry.wcet.unwrap() else {
-            panic!("{k}-iteration counted loop should be exact: {:?}", entry.wcet);
+            panic!(
+                "{k}-iteration counted loop should be exact: {:?}",
+                entry.wcet
+            );
         };
         assert_eq!(measured.cycles, c, "K={k}");
     }
@@ -282,7 +288,10 @@ fn branchy_handler_bound_covers_both_arms() {
     // slack of it (the longest arm really is reachable).
     let (report, _) = check_body(body, &[(0x0201, 3)]);
     let bound = report.entries[1].wcet.unwrap().cycles().unwrap();
-    assert!(worst + 4 >= bound, "worst run {worst} far below bound {bound}");
+    assert!(
+        worst + 4 >= bound,
+        "worst run {worst} far below bound {bound}"
+    );
 }
 
 #[test]

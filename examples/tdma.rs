@@ -54,12 +54,14 @@ fn build_node() -> System {
             value: 0x09, // ENABLE | IRQ_EN: one-shot
         },
         I::Terminate,
-    ]).unwrap();
+    ])
+    .unwrap();
     // Slot end: gate the radio.
     let isr_close = encode_program(&[I::SwitchOff(radio), I::Terminate]).unwrap();
     // Received frames inside the slot: just acknowledge the event (a
     // real application would chain into the message processor here).
-    let isr_rx = encode_program(&[I::Read(map::RADIO_BASE + map::RADIO_RX_LEN), I::Terminate]).unwrap();
+    let isr_rx =
+        encode_program(&[I::Read(map::RADIO_BASE + map::RADIO_RX_LEN), I::Terminate]).unwrap();
 
     sys.load(0x0100, &isr_open);
     sys.load(0x0130, &isr_close);

@@ -167,7 +167,11 @@ fn hist_count(summary: &str, name: &str) -> u64 {
         .find(|l| l.starts_with(name))
         .unwrap_or_else(|| panic!("no `{name}` row in summary:\n{summary}"));
     let mut cols = row.split_whitespace();
-    assert_eq!(cols.nth(1), Some("histogram"), "`{name}` is not a histogram");
+    assert_eq!(
+        cols.nth(1),
+        Some("histogram"),
+        "`{name}` is not a histogram"
+    );
     cols.next().expect("count column").parse().expect("count")
 }
 

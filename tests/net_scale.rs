@@ -170,7 +170,10 @@ fn dense_1k_population_is_worker_count_invariant() {
     let serial = dense::run_dense(&cfg);
     assert_eq!(serial.nodes, 1_088);
     assert_eq!(serial.tiles, 17);
-    assert!(serial.sent > 0, "a dense population must transmit: {serial:?}");
+    assert!(
+        serial.sent > 0,
+        "a dense population must transmit: {serial:?}"
+    );
     assert!(serial.sink_heard > 0, "sinks must hear traffic: {serial:?}");
 
     let sweep = dense::dense_sweep(std::slice::from_ref(&cfg));

@@ -216,10 +216,16 @@ fn chaos_campaign_with_progress_meter_is_byte_identical() {
 
     let buf = SharedBuf(Arc::new(Mutex::new(Vec::new())));
     let meter = ProgressMeter::with_sink(sweep.name(), sweep.len(), Box::new(buf.clone()));
-    let observed = sweep.run_observed(2, eval, &meter).expect("observed campaign");
+    let observed = sweep
+        .run_observed(2, eval, &meter)
+        .expect("observed campaign");
 
     assert_eq!(plain.to_csv(), observed.to_csv(), "meter changed the CSV");
-    assert_eq!(plain.to_json(), observed.to_json(), "meter changed the JSON");
+    assert_eq!(
+        plain.to_json(),
+        observed.to_json(),
+        "meter changed the JSON"
+    );
     assert_eq!(
         campaign_summary(&plain),
         campaign_summary(&observed),

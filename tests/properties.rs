@@ -6,7 +6,10 @@ use ulp_node::isa::ep::{ComponentId, Instruction};
 use ulp_node::net::{crc16, Frame, FrameType};
 use ulp_node::sim::{Cycles, Energy, Frequency, Power, PowerMode, PowerSpec, Seconds};
 use ulp_node::sram::{BankedSram, SramConfig};
-use ulp_testkit::{any_bool, any_u16, any_u64, any_u8, from_fn, prop_assert, prop_assert_eq, prop_assert_ne, props, vec_of, Rng};
+use ulp_testkit::{
+    any_bool, any_u16, any_u64, any_u8, from_fn, prop_assert, prop_assert_eq, prop_assert_ne,
+    props, vec_of, Rng,
+};
 
 // ---------------------------------------------------------------------
 // Event-processor ISA

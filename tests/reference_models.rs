@@ -797,7 +797,11 @@ fn events_mid_frame_cut_the_airtime_chain() {
         assert_eq!(sys.now(), stop, "{event:?}: chain stops before the event");
         assert_eq!(run.stepped, stop - start, "{event:?}");
         assert_eq!(run.skipped, Cycles::ZERO, "{event:?}");
-        assert_eq!(sys.idle_skip_spans().count(), spans, "{event:?}: no span on air");
+        assert_eq!(
+            sys.idle_skip_spans().count(),
+            spans,
+            "{event:?}: no span on air"
+        );
         assert!(sys.slaves().radio.transmitting(), "{event:?}: still on air");
         if event != MidFrame::EpochBoundary {
             let outcome = sys.step();

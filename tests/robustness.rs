@@ -184,7 +184,8 @@ fn pathological_isr_soak() {
             len: 32,
         },
         I::Terminate,
-    ]).unwrap();
+    ])
+    .unwrap();
     sys.load(0x0200, &isr);
     sys.install_ep_isr(0, 0x0200);
     sys.slaves_mut().timer.configure_periodic(0, 50);

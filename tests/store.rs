@@ -238,7 +238,11 @@ fn truncation_at_every_byte_boundary_recovers() {
         drop(store);
         let store = Store::open(&dir).unwrap();
         assert_eq!(store.stats().records, 5, "cut at byte {cut}");
-        assert_eq!(store.stats().torn + store.stats().corrupt, 0, "cut at byte {cut}");
+        assert_eq!(
+            store.stats().torn + store.stats().corrupt,
+            0,
+            "cut at byte {cut}"
+        );
         // Restore the intact file for the next truncation point.
         std::fs::write(&seg, &full).unwrap();
     }
@@ -262,7 +266,10 @@ fn bit_flips_are_detected_and_recomputed_never_served() {
         sweep.push(Coords::new().with("i", i), i);
     }
     let f = |_: &Coords, &i: &u64| {
-        vec![Cell::U64(i.wrapping_mul(0x2545_F491_4F6C_DD1D)), Cell::Text(format!("cell-{i}"))]
+        vec![
+            Cell::U64(i.wrapping_mul(0x2545_F491_4F6C_DD1D)),
+            Cell::Text(format!("cell-{i}")),
+        ]
     };
     let k = |_: &Coords, &i: &u64| format!("flip:{i}");
     let plain = sweep.run(2, f).unwrap();
@@ -313,7 +320,9 @@ fn bit_flips_are_detected_and_recomputed_never_served() {
 fn collision_guard_recomputes_on_key_or_arity_mismatch() {
     let dir = scratch("collision");
     let mut store = Store::open(&dir).unwrap();
-    store.append("real-key", &[Cell::U64(1), Cell::U64(2)]).unwrap();
+    store
+        .append("real-key", &[Cell::U64(1), Cell::U64(2)])
+        .unwrap();
     let digest = digest64(b"real-key");
 
     // Honest lookup serves.
@@ -407,10 +416,17 @@ fn pinned_records() -> Vec<(String, Vec<Cell>)> {
     vec![
         (
             format!("key={hostile};|payload|v0.1.0+e"),
-            vec![Cell::Text(hostile.to_string()), Cell::U64(7), Cell::F64(0.1)],
+            vec![
+                Cell::Text(hostile.to_string()),
+                Cell::U64(7),
+                Cell::F64(0.1),
+            ],
         ),
         ("empty-cells".to_string(), vec![]),
-        ("extremes".to_string(), vec![Cell::U64(u64::MAX), Cell::U64(0)]),
+        (
+            "extremes".to_string(),
+            vec![Cell::U64(u64::MAX), Cell::U64(0)],
+        ),
         (
             "floats".to_string(),
             vec![
@@ -467,7 +483,11 @@ fn record_bytes_are_pinned() {
     for (key, cells) in &records {
         let served = store.lookup(digest64(key.as_bytes()), key, cells.len());
         // Debug, not `==`: it tells -0.0 from 0.0.
-        assert_eq!(format!("{served:?}"), format!("{:?}", Some(cells)), "{key:?}");
+        assert_eq!(
+            format!("{served:?}"),
+            format!("{:?}", Some(cells)),
+            "{key:?}"
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&golden_dir);
@@ -494,25 +514,54 @@ fn dense_campaign_resumes_to_golden_bytes() {
     let shard = Shard { index: 0, of: 2 };
     let mut store = Store::open(&dir).unwrap();
     store.set_writer_label(&shard.label());
-    run_stored(&sweep, &mut store, 2, Some(shard), dense_store_key, dense_eval, &()).unwrap();
+    run_stored(
+        &sweep,
+        &mut store,
+        2,
+        Some(shard),
+        dense_store_key,
+        dense_eval,
+        &(),
+    )
+    .unwrap();
     assert_eq!(store.stats().appended, 8);
     drop(store);
 
     // Resume: only the 8 dirty tiles execute; the report is the golden.
     let mut store = Store::open(&dir).unwrap();
-    let resumed =
-        run_stored(&sweep, &mut store, 2, None, dense_store_key, dense_eval, &()).unwrap();
+    let resumed = run_stored(
+        &sweep,
+        &mut store,
+        2,
+        None,
+        dense_store_key,
+        dense_eval,
+        &(),
+    )
+    .unwrap();
     assert_eq!(store.stats().hits, 8, "served tiles");
     assert_eq!(store.stats().misses, 8, "re-executed (dirty) tiles");
     let report = dense_report(&resumed);
     let golden = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/dense_sweep.txt");
     let expected = std::fs::read_to_string(&golden).expect("golden dense_sweep.txt exists");
-    assert_eq!(report, expected, "resumed campaign must reproduce the golden bytes");
+    assert_eq!(
+        report, expected,
+        "resumed campaign must reproduce the golden bytes"
+    );
     drop(store);
 
     // Fully warm: zero executions, same bytes again.
     let mut store = Store::open(&dir).unwrap();
-    let warm = run_stored(&sweep, &mut store, 2, None, dense_store_key, dense_eval, &()).unwrap();
+    let warm = run_stored(
+        &sweep,
+        &mut store,
+        2,
+        None,
+        dense_store_key,
+        dense_eval,
+        &(),
+    )
+    .unwrap();
     assert_eq!(store.stats().misses, 0, "a warm campaign executes nothing");
     assert_eq!(store.stats().hits, 16);
     assert_eq!(dense_report(&warm), expected);
