@@ -59,6 +59,7 @@ pub mod cosim;
 pub mod dense;
 pub mod epcheck;
 pub mod fleet;
+pub mod lint;
 pub mod mcu8check;
 pub mod measure;
 pub mod perf;

@@ -33,7 +33,6 @@
 //! # let _ = Frequency::from_khz(100.0);
 //! ```
 
-pub mod diag;
 pub mod energy;
 pub mod engine;
 pub mod fault;

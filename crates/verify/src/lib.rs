@@ -1,5 +1,6 @@
 #![warn(missing_docs)]
-//! `ulp-verify`: a static checker for event-processor ISR programs.
+//! `ulp-verify`: static checkers for event-processor ISR programs and
+//! mcu8 firmware.
 //!
 //! The paper's core claim is that EP ISRs run autonomously against
 //! power-gated peripherals while the microcontroller sleeps — which
@@ -41,12 +42,21 @@
 //! gets its own analyzer, [`check_firmware`]: CFG recovery from the
 //! same `ulp_mcu8::Predecoded` table the simulator steps, a
 //! register/stack abstract interpretation composed bottom-up through
-//! the call graph, interrupt-safety lints ([`FwDiagClass`]), WCET
-//! bounds that recover immediate-counted loop trip counts, and a
-//! whole-firmware stack bound. Cross-validated the same way: exact
-//! WCETs equal measured dispatch-to-`reti` cycles, upper bounds cover
-//! every run, stack figures match the observed SP excursion
-//! (`tests/mcu8_crossval.rs`).
+//! the call graph, interrupt-safety lints, WCET bounds that recover
+//! immediate-counted loop trip counts, and a whole-firmware stack
+//! bound. Cross-validated the same way: exact WCETs equal measured
+//! dispatch-to-`reti` cycles, upper bounds cover every run, stack
+//! figures match the observed SP excursion (`tests/mcu8_crossval.rs`).
+//!
+//! # One diagnostic vocabulary
+//!
+//! Both checkers report in one vocabulary: one [`DiagClass`] enum (the
+//! two classes both raise, `vector-overlap` and `wcet-overrun`, are one
+//! variant each), one [`Diagnostic`] type, and one findings tail on
+//! [`Report`] and [`FirmwareReport`] — error and warning counts,
+//! `is_clean`, and the rustc-style diagnostic lines plus the summary
+//! line. A location renders as `isr+0xOFF` in an ISR and as
+//! `fw:sym+0xOFF` or `fw:0xADDR` in firmware.
 //!
 //! # Example
 //!
@@ -70,6 +80,5 @@ mod mcu8;
 pub use check::{check_isr, CheckContext, PowerState};
 pub use diag::{DiagClass, Diagnostic, Report, Severity};
 pub use mcu8::{
-    check_firmware, EntryReport, FirmwareConfig, FirmwareReport, FwDiagClass, FwDiagnostic,
-    VectorDispatch, WcetBound,
+    check_firmware, EntryReport, FirmwareConfig, FirmwareReport, VectorDispatch, WcetBound,
 };

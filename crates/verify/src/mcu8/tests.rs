@@ -4,6 +4,7 @@
 //! analysis results structurally.
 
 use super::*;
+use crate::DiagClass;
 use ulp_mcu8::{assemble, decode, Insn};
 
 /// Assemble AVR source into a word image starting at word address 0.
@@ -22,7 +23,7 @@ fn sym(src: &str, name: &str) -> u16 {
     (assemble(src).unwrap().symbol(name).unwrap() / 2) as u16
 }
 
-fn classes(report: &FirmwareReport) -> Vec<FwDiagClass> {
+fn classes(report: &FirmwareReport) -> Vec<DiagClass> {
     report.diags.iter().map(|d| d.class).collect()
 }
 
@@ -80,7 +81,7 @@ fn uninstalled_vector_slot_warns() {
     ";
     let cfg = FirmwareConfig::bare("fw", 2, 0x10FF, 0x1000);
     let report = check_firmware(&asm(src), &cfg);
-    assert_eq!(classes(&report), vec![FwDiagClass::UnreachableVector]);
+    assert_eq!(classes(&report), vec![DiagClass::UnreachableVector]);
     assert_eq!(report.errors(), 0);
     assert_eq!(report.warnings(), 1);
     assert_eq!(report.entries[1].dispatch, VectorDispatch::NotInstalled);
@@ -111,28 +112,28 @@ fn invalid_opcode_in_reachable_code() {
     words[2] = 0x0001;
     let cfg = FirmwareConfig::bare("fw", 1, 0x10FF, 0x1000);
     let report = check_firmware(&words, &cfg);
-    assert!(classes(&report).contains(&FwDiagClass::InvalidOpcode));
+    assert!(classes(&report).contains(&DiagClass::InvalidOpcode));
 }
 
 #[test]
 fn execution_running_off_the_image_is_flagged() {
     let cfg = FirmwareConfig::bare("fw", 1, 0x10FF, 0x1000);
     let report = check_firmware(&asm("jmp main\nmain: ldi r16, 1"), &cfg);
-    assert!(classes(&report).contains(&FwDiagClass::RunsOffImage));
+    assert!(classes(&report).contains(&DiagClass::RunsOffImage));
 }
 
 #[test]
 fn ijmp_is_always_rejected() {
     let cfg = FirmwareConfig::bare("fw", 1, 0x10FF, 0x1000);
     let report = check_firmware(&asm("jmp main\nmain: ijmp"), &cfg);
-    assert_eq!(classes(&report), vec![FwDiagClass::UnresolvedIndirect]);
+    assert_eq!(classes(&report), vec![DiagClass::UnresolvedIndirect]);
 }
 
 #[test]
 fn icall_without_declared_targets_is_rejected() {
     let cfg = FirmwareConfig::bare("fw", 1, 0x10FF, 0x1000);
     let report = check_firmware(&asm("jmp main\nmain: icall\nrjmp main"), &cfg);
-    assert!(classes(&report).contains(&FwDiagClass::UnresolvedIndirect));
+    assert!(classes(&report).contains(&DiagClass::UnresolvedIndirect));
     // An unresolved call poisons the stack bound.
     assert_eq!(report.stack_bound, None);
 }
@@ -161,7 +162,7 @@ fn icall_through_declared_targets_is_analyzed() {
 fn recursion_is_rejected() {
     let cfg = FirmwareConfig::bare("fw", 1, 0x10FF, 0x1000);
     let report = check_firmware(&asm("jmp main\nmain: rcall main\nret"), &cfg);
-    assert!(classes(&report).contains(&FwDiagClass::Recursion));
+    assert!(classes(&report).contains(&DiagClass::Recursion));
     assert_eq!(report.stack_bound, None);
 }
 
@@ -178,14 +179,14 @@ fn mutual_recursion_is_rejected() {
     ";
     let cfg = FirmwareConfig::bare("fw", 1, 0x10FF, 0x1000);
     let report = check_firmware(&asm(src), &cfg);
-    assert!(classes(&report).contains(&FwDiagClass::Recursion));
+    assert!(classes(&report).contains(&DiagClass::Recursion));
 }
 
 #[test]
 fn unbalanced_push_at_return_is_flagged() {
     let cfg = FirmwareConfig::bare("fw", 1, 0x10FF, 0x1000);
     let report = check_firmware(&asm("jmp main\nmain: push r16\nret"), &cfg);
-    assert!(classes(&report).contains(&FwDiagClass::StackImbalance));
+    assert!(classes(&report).contains(&DiagClass::StackImbalance));
 }
 
 #[test]
@@ -200,7 +201,7 @@ fn conditionally_skipped_push_is_flagged_at_the_join() {
     ";
     let cfg = FirmwareConfig::bare("fw", 1, 0x10FF, 0x1000);
     let report = check_firmware(&asm(src), &cfg);
-    assert!(classes(&report).contains(&FwDiagClass::StackImbalance));
+    assert!(classes(&report).contains(&DiagClass::StackImbalance));
 }
 
 #[test]
@@ -216,7 +217,7 @@ fn isr_clobbering_a_register_is_flagged() {
     ";
     let cfg = FirmwareConfig::bare("fw", 2, 0x10FF, 0x1000);
     let report = check_firmware(&asm(src), &cfg);
-    assert_eq!(classes(&report), vec![FwDiagClass::IsrClobbersRegister]);
+    assert_eq!(classes(&report), vec![DiagClass::IsrClobbersRegister]);
     assert!(report.diags[0].message.contains("r18"));
 }
 
@@ -236,7 +237,7 @@ fn isr_clobbering_flags_is_flagged() {
     ";
     let cfg = FirmwareConfig::bare("fw", 2, 0x10FF, 0x1000);
     let report = check_firmware(&asm(src), &cfg);
-    assert_eq!(classes(&report), vec![FwDiagClass::IsrClobbersSreg]);
+    assert_eq!(classes(&report), vec![DiagClass::IsrClobbersSreg]);
 }
 
 #[test]
@@ -244,7 +245,7 @@ fn sleep_with_interrupts_provably_off_is_flagged() {
     // Reset enters with I clear and nothing ever sets it.
     let cfg = FirmwareConfig::bare("fw", 1, 0x10FF, 0x1000);
     let report = check_firmware(&asm("jmp main\nmain: sleep\nrjmp main"), &cfg);
-    assert!(classes(&report).contains(&FwDiagClass::SleepWhileIrqOff));
+    assert!(classes(&report).contains(&DiagClass::SleepWhileIrqOff));
 }
 
 #[test]
@@ -252,7 +253,7 @@ fn sleep_after_sei_is_clean() {
     let cfg = FirmwareConfig::bare("fw", 1, 0x10FF, 0x1000);
     let report = check_firmware(&asm("jmp main\nmain: sei\nsleep\nrjmp main"), &cfg);
     assert!(
-        !classes(&report).contains(&FwDiagClass::SleepWhileIrqOff),
+        !classes(&report).contains(&DiagClass::SleepWhileIrqOff),
         "false positive: {:?}",
         report.diags
     );
@@ -271,7 +272,7 @@ fn sei_inside_an_isr_warns_about_nesting() {
     ";
     let cfg = FirmwareConfig::bare("fw", 2, 0x10FF, 0x1000);
     let report = check_firmware(&asm(src), &cfg);
-    assert!(classes(&report).contains(&FwDiagClass::IsrReenablesIrq));
+    assert!(classes(&report).contains(&DiagClass::IsrReenablesIrq));
 }
 
 #[test]
@@ -286,8 +287,8 @@ fn reachable_code_overlapping_the_table_is_flagged() {
     let cfg = FirmwareConfig::bare("fw", 2, 0x10FF, 0x1000);
     let report = check_firmware(&asm(src), &cfg);
     let classes = classes(&report);
-    assert!(classes.contains(&FwDiagClass::VectorOverlap));
-    assert!(classes.contains(&FwDiagClass::UnreachableVector));
+    assert!(classes.contains(&DiagClass::VectorOverlap));
+    assert!(classes.contains(&DiagClass::UnreachableVector));
 }
 
 #[test]
@@ -303,7 +304,7 @@ fn isr_over_cycle_budget_is_flagged() {
     let mut cfg = FirmwareConfig::bare("fw", 2, 0x10FF, 0x1000);
     cfg.isr_budget = Some(10); // dispatch 4 + jmp 3 + reti 4 = 11
     let report = check_firmware(&asm(src), &cfg);
-    assert_eq!(classes(&report), vec![FwDiagClass::WcetOverrun]);
+    assert_eq!(classes(&report), vec![DiagClass::WcetOverrun]);
     cfg.isr_budget = Some(11);
     assert!(check_firmware(&asm(src), &cfg).is_clean());
 }
@@ -386,7 +387,7 @@ fn data_dependent_loop_in_isr_is_unbounded() {
     ";
     let cfg = FirmwareConfig::bare("fw", 2, 0x10FF, 0x1000);
     let report = check_firmware(&asm(src), &cfg);
-    assert_eq!(classes(&report), vec![FwDiagClass::UnboundedLoop]);
+    assert_eq!(classes(&report), vec![DiagClass::UnboundedLoop]);
     assert_eq!(report.entries[1].wcet, Some(WcetBound::Unbounded));
 }
 
@@ -407,7 +408,7 @@ fn counter_clobbered_inside_the_loop_defeats_the_bound() {
     ";
     let cfg = FirmwareConfig::bare("fw", 2, 0x10FF, 0x1000);
     let report = check_firmware(&asm(src), &cfg);
-    assert!(classes(&report).contains(&FwDiagClass::UnboundedLoop));
+    assert!(classes(&report).contains(&DiagClass::UnboundedLoop));
 }
 
 #[test]
@@ -448,7 +449,7 @@ fn whole_firmware_stack_overflow_is_flagged() {
     // Interrupt frame (2) + two saves = 4 bytes > 3-byte region.
     let mut cfg = FirmwareConfig::bare("fw", 2, 0x10FF, 0x10FD);
     let report = check_firmware(&asm(src), &cfg);
-    assert_eq!(classes(&report), vec![FwDiagClass::StackOverflow]);
+    assert_eq!(classes(&report), vec![DiagClass::StackOverflow]);
     assert_eq!(report.stack_bound, Some(4));
     cfg.stack_low = 0x10FC;
     assert!(check_firmware(&asm(src), &cfg).is_clean());
@@ -495,7 +496,7 @@ fn callee_clobbers_propagate_to_isr_lints() {
     ";
     let cfg = FirmwareConfig::bare("fw", 2, 0x10FF, 0x1000);
     let report = check_firmware(&asm(src), &cfg);
-    assert_eq!(classes(&report), vec![FwDiagClass::IsrClobbersRegister]);
+    assert_eq!(classes(&report), vec![DiagClass::IsrClobbersRegister]);
     assert!(report.diags[0].message.contains("r20"));
 }
 
@@ -537,7 +538,7 @@ fn diagnostics_are_ordered_by_address() {
     ";
     let cfg = FirmwareConfig::bare("fw", 2, 0x10FF, 0x1000);
     let report = check_firmware(&asm(src), &cfg);
-    let addrs: Vec<Option<u32>> = report.diags.iter().map(|d| d.addr).collect();
+    let addrs: Vec<Option<u32>> = report.diags.iter().map(|d| d.offset).collect();
     let mut sorted = addrs.clone();
     sorted.sort_by_key(|a| a.unwrap_or(u32::MAX));
     assert_eq!(addrs, sorted);
@@ -561,7 +562,7 @@ fn locations_render_relative_to_symbols() {
     let diag = report
         .diags
         .iter()
-        .find(|d| d.class == FwDiagClass::UnresolvedIndirect)
+        .find(|d| d.class == DiagClass::UnresolvedIndirect)
         .unwrap();
     assert_eq!(diag.loc.as_deref(), Some("tick+0x0002"));
     assert!(diag.render("fw").contains("fw:tick+0x0002"));
