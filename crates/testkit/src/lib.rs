@@ -9,7 +9,7 @@
 //!
 //! * [`rng`] — a seedable SplitMix64/xoshiro256\*\* PRNG ([`Rng`]) with
 //!   the distribution helpers the simulators use (`gen_range`,
-//!   `gen_bool`, byte/word vectors, exponential inter-arrivals). Every
+//!   `gen_bool`, byte/word vectors). Every
 //!   random stimulus in the workspace flows through it, which makes any
 //!   simulation bit-reproducible from a printed 64-bit seed.
 //! * [`prop`] — a property-testing harness ([`props!`], generators,
