@@ -1,7 +1,7 @@
 //! Mica2 power model: the measured current draws of Table 1 (from the
 //! PowerTOSSIM study) and the duty-cycle power comparison of §6.3.
 
-use ulp_sim::{Cycles, Energy, Power, Seconds, Voltage};
+use ulp_sim::{Energy, Power, Seconds, Voltage};
 
 /// CPU sleep modes with distinct currents (Table 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,17 +118,6 @@ impl Mica2Power {
     /// [`energy_for_cycles`](Self::energy_for_cycles)).
     pub fn board_energy(&self, modes: (u64, u64, u64), clock_hz: f64) -> Energy {
         self.energy_for_cycles(modes.0, modes.1, modes.2, clock_hz)
-    }
-
-    /// Average board power over `elapsed` total cycles.
-    pub fn board_average_power(
-        &self,
-        modes: (u64, u64, u64),
-        elapsed: Cycles,
-        clock_hz: f64,
-    ) -> Power {
-        let e = self.board_energy(modes, clock_hz);
-        e.average_over(Seconds(elapsed.0 as f64 / clock_hz))
     }
 }
 

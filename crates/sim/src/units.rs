@@ -80,10 +80,6 @@ impl Frequency {
     pub fn from_khz(khz: f64) -> Frequency {
         Frequency::from_hz(khz * 1e3)
     }
-    /// Construct from megahertz.
-    pub fn from_mhz(mhz: f64) -> Frequency {
-        Frequency::from_hz(mhz * 1e6)
-    }
     /// The frequency in hertz.
     pub fn hz(self) -> f64 {
         self.0
@@ -117,10 +113,6 @@ impl Seconds {
     /// Construct from microseconds.
     pub fn from_us(us: f64) -> Seconds {
         Seconds(us * 1e-6)
-    }
-    /// Construct from milliseconds.
-    pub fn from_ms(ms: f64) -> Seconds {
-        Seconds(ms * 1e-3)
     }
     /// The duration in microseconds.
     pub fn us(self) -> f64 {
