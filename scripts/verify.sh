@@ -12,6 +12,11 @@ cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
 
+echo "== cargo fmt --all --check =="
+# rustfmt's default style over the root package and every crate under
+# crates/. examples/benchmark is its own workspace and is not covered.
+cargo fmt --all --check
+
 echo "== cargo build --release --offline =="
 cargo build --release --offline
 
