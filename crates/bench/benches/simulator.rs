@@ -1,13 +1,15 @@
 //! Benches of the simulators themselves: how many simulated cycles per
 //! wall-clock second each platform model delivers, and how much the
 //! idle-skip engine buys on low-duty-cycle workloads — the property that
-//! makes the lifetime studies (years of simulated time) tractable.
+//! makes the lifetime studies (years of simulated time) tractable — and
+//! one end-to-end job, the Figure 6 cross-check of `repro fig6`.
 //!
 //! Runs on the in-tree `ulp_testkit::bench` harness, so `cargo bench`
 //! works offline with zero external crates.
 
 use ulp_apps::mica as mapps;
 use ulp_apps::ulp::{stages, SamplePeriod};
+use ulp_apps::workload::{profile_event, run_duty, sim_crosscheck_duties, EventProfile};
 use ulp_core::slaves::ConstSensor;
 use ulp_core::SystemConfig;
 use ulp_sim::{Cycles, Engine};
@@ -58,6 +60,15 @@ fn run_lifetime_day() -> ulp_sim::Power {
     sys.average_power()
 }
 
+/// The Figure 6 cross-check of `repro fig6`: the full simulation of
+/// every sustainable duty of the paper's grid.
+fn run_fig6_crosscheck(profile: &EventProfile) -> u64 {
+    sim_crosscheck_duties(profile)
+        .into_iter()
+        .map(|duty| run_duty(duty, profile).0.busy_cycles().0)
+        .sum()
+}
+
 fn main() {
     use ulp_testkit::bench::{Harness, Throughput};
     let horizon = 1_000_000u64;
@@ -73,5 +84,8 @@ fn main() {
         .bench("run/sampling_every_tick", || run_mica(horizon));
     h.group("lifetime")
         .bench("one_simulated_day_gdi", run_lifetime_day);
+    let profile = profile_event();
+    h.group("e2e")
+        .bench("fig6_crosscheck", || run_fig6_crosscheck(&profile));
     h.finish();
 }

@@ -17,7 +17,8 @@
 //! * a `"host"` block, where present, is an object with
 //!   `"logical_cores"` (a positive integer or null), `"cpus_allowed"`
 //!   and `"cpu_model"` (strings or null) and `"profile"` (`"debug"` or
-//!   `"release"`).
+//!   `"release"`), and `"rustc"` and `"git_rev"`, where present, are
+//!   strings or null.
 //!
 //! Exits 1 if any file fails, 2 on usage errors. Wired into
 //! `scripts/verify.sh` and CI so a bench-harness schema drift cannot land
@@ -80,6 +81,11 @@ fn check_host(host: &Value) -> Result<(), String> {
             return Err(format!("host needs \"{key}\": a string or null"));
         }
     }
+    for key in ["rustc", "git_rev"] {
+        if !matches!(host.get(key), None | Some(Value::Null | Value::String(_))) {
+            return Err(format!("host \"{key}\" must be a string or null"));
+        }
+    }
     match host.get("profile") {
         Some(Value::String(p)) if p == "debug" || p == "release" => Ok(()),
         _ => Err("host needs \"profile\": \"debug\" or \"release\"".into()),
@@ -122,12 +128,16 @@ mod tests {
         assert_eq!(check_text(&doc("")), Ok(1), "no host block");
         let host = r#","host":{"logical_cores":2,"cpus_allowed":"0-1","cpu_model":null,"profile":"release"}"#;
         assert_eq!(check_text(&doc(host)), Ok(1));
+        let host = r#","host":{"logical_cores":2,"cpus_allowed":"0-1","cpu_model":null,"profile":"release","rustc":"rustc 1.0.0","git_rev":null}"#;
+        assert_eq!(check_text(&doc(host)), Ok(1));
         for bad in [
             r#","host":[]"#,
             r#","host":{"logical_cores":0,"cpus_allowed":null,"cpu_model":null,"profile":"release"}"#,
             r#","host":{"logical_cores":2,"cpus_allowed":3,"cpu_model":null,"profile":"release"}"#,
             r#","host":{"logical_cores":2,"cpus_allowed":null,"profile":"release"}"#,
             r#","host":{"logical_cores":2,"cpus_allowed":null,"cpu_model":null,"profile":"fast"}"#,
+            r#","host":{"logical_cores":2,"cpus_allowed":null,"cpu_model":null,"profile":"release","rustc":1}"#,
+            r#","host":{"logical_cores":2,"cpus_allowed":null,"cpu_model":null,"profile":"release","git_rev":[]}"#,
         ] {
             assert!(check_text(&doc(bad)).is_err(), "{bad}");
         }

@@ -705,6 +705,39 @@ pub struct DriveConfig {
     pub shard: Option<Shard>,
 }
 
+/// Why [`drive`] failed.
+#[derive(Debug)]
+pub enum DriveError {
+    /// Grid points failed.
+    Sweep(FleetError),
+    /// The campaign store at `dir` could not be opened.
+    Store {
+        /// The store directory.
+        dir: PathBuf,
+        /// What opening it reported.
+        error: io::Error,
+    },
+}
+
+impl fmt::Display for DriveError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            DriveError::Sweep(e) => e.fmt(f),
+            DriveError::Store { dir, error } => {
+                write!(f, "campaign store {}: cannot open: {error}", dir.display())
+            }
+        }
+    }
+}
+
+impl std::error::Error for DriveError {}
+
+impl From<FleetError> for DriveError {
+    fn from(e: FleetError) -> Self {
+        DriveError::Sweep(e)
+    }
+}
+
 /// Run one campaign sweep with the shared `--check` / `--progress` /
 /// `--store` machinery and return its (thread-count-invariant) results.
 /// This is the single execution path behind every mode of the `fleet`
@@ -716,19 +749,22 @@ pub struct DriveConfig {
 /// [`fleet::measure_speedup`] followed by a cold and a warm stored
 /// pass, each of which must serialize to the parallel pass's bytes.
 ///
+/// # Errors
+///
+/// Fails if grid points fail, or if the store cannot be opened.
+///
 /// # Panics
 ///
 /// Panics if `--check` is combined with a shard or a shard comes
 /// without a store directory, if a `--check` pass breaks byte identity,
 /// if the JSON export fails validation, if a warm stored pass failed to
-/// serve every point, or if the store itself cannot be opened or
-/// written.
+/// serve every point, or if the store cannot be written.
 pub fn drive<P: Sync, K, F>(
     sweep: &Sweep<P>,
     cfg: &DriveConfig,
     key_of: K,
     eval: F,
-) -> Result<SweepResults, FleetError>
+) -> Result<SweepResults, DriveError>
 where
     K: Fn(&Coords, &P) -> String + Sync,
     F: Fn(&Coords, &P) -> Vec<Cell> + Sync,
@@ -794,8 +830,10 @@ where
     };
     for &warm in stored {
         let dir = dir.as_ref().expect("a stored pass has a store directory");
-        let mut store = Store::open(dir)
-            .unwrap_or_else(|e| panic!("campaign store {}: cannot open: {e}", dir.display()));
+        let mut store = Store::open(dir).map_err(|error| DriveError::Store {
+            dir: dir.clone(),
+            error,
+        })?;
         if let Some(shard) = cfg.shard {
             store.set_writer_label(&shard.label());
         }

@@ -141,6 +141,29 @@ fn bad_command_lines_are_usage_errors_naming_the_flag() {
     }
 }
 
+/// A store that cannot be opened is an error naming its path: exit 1,
+/// after the sweep's banner one line on stderr, nothing on stdout, and
+/// never a panic.
+#[test]
+fn an_unopenable_store_is_an_error_naming_it() {
+    for args in [
+        &["--store", "/dev/null/x", "--nodes", "2", "--slots", "100"][..],
+        &["--store", "/dev/null/x", "--shard", "0/2", "--nodes", "2"],
+    ] {
+        let out = fleet(args);
+        assert_eq!(out.status.code(), Some(1), "fleet {args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let lines: Vec<&str> = stderr.lines().collect();
+        assert!(lines[0].starts_with("fleet: "), "fleet {args:?}: {stderr}");
+        assert_eq!(
+            lines[1..],
+            ["campaign store /dev/null/x: cannot open: Not a directory (os error 20)"],
+            "fleet {args:?}"
+        );
+        assert!(out.stdout.is_empty(), "fleet {args:?}");
+    }
+}
+
 /// `fleet --chaos` writes the campaign summary the golden suite pins,
 /// byte for byte.
 #[test]

@@ -23,9 +23,11 @@
 //! access energy and slave "touched" activity are charged naturally.
 
 use crate::map;
+use crate::periods::push_bytes;
 use crate::power::WakeLatency;
 use crate::slaves::{BusError, Slaves};
 use ulp_isa::ep::{Instruction, Opcode};
+use ulp_sim::repeat::Totals;
 use ulp_sim::{Cycles, TraceBuffer, TraceKind};
 
 /// What the event processor did this cycle.
@@ -163,6 +165,52 @@ impl EventProcessor {
     /// Cumulative statistics.
     pub fn stats(&self) -> &EpStats {
         &self.stats
+    }
+
+    /// Append the EP's state to a state key at cycle `now`: its control
+    /// state, its register, and the last dispatch relative to `now`. The
+    /// statistics and the dispatch's cycle stamp are
+    /// [`totals`](EventProcessor::totals).
+    pub(crate) fn key(&self, key: &mut Vec<u64>, now: Cycles) {
+        let word = |irq: u8, pc: u16, tag: u64| (irq as u64) << 24 | (pc as u64) << 8 | tag;
+        match &self.state {
+            State::Ready => key.push(0),
+            State::WaitBus => key.push(1),
+            State::Lookup { irq, lo } => key.push(word(*irq, *lo as u16, 2)),
+            State::Fetch { irq, pc, buf, have } => {
+                key.extend([word(*irq, *pc, 3), *have as u64]);
+                push_bytes(key, buf);
+            }
+            State::Execute {
+                irq,
+                insn,
+                next_pc,
+                step,
+                latch,
+            } => {
+                key.extend([word(*irq, *next_pc, 4), *step as u64, *latch as u64]);
+                push_bytes(key, &insn.encode().expect("a decoded instruction encodes"));
+            }
+            State::Stall {
+                irq,
+                remaining,
+                next_pc,
+            } => key.extend([word(*irq, *next_pc, 5), *remaining]),
+        }
+        let (at, waited) = self.last_dispatch;
+        key.extend([self.reg as u64, now.0.wrapping_sub(at.0), waited]);
+    }
+
+    pub(crate) fn totals(&mut self, t: &mut dyn Totals) {
+        let s = &mut self.stats;
+        for n in &mut s.events_by_irq {
+            t.count(n);
+        }
+        t.count(&mut s.events);
+        t.count(&mut s.active_cycles);
+        t.count(&mut s.wait_bus_cycles);
+        t.count(&mut s.instructions);
+        t.count(&mut self.last_dispatch.0 .0);
     }
 
     /// Advance one cycle. `bus_free` is false while the microcontroller

@@ -9,6 +9,7 @@
 //! and the drop is counted — overload is observable, not silent.
 
 use crate::map::NUM_IRQS;
+use ulp_sim::repeat::Totals;
 use ulp_sim::telemetry::Log2Histogram;
 use ulp_sim::Cycles;
 
@@ -185,6 +186,32 @@ impl InterruptArbiter {
         self.pending = 0;
         self.cleared += n;
         n
+    }
+
+    /// Append the arbiter's state to a state key at cycle `now`: the
+    /// pending lines with how long each has waited, the lines raised
+    /// since the last drain, and whether timing is on. The counters and
+    /// the cycle stamps are [`totals`](InterruptArbiter::totals).
+    pub(crate) fn key(&self, key: &mut Vec<u64>, now: Cycles) {
+        key.extend([self.pending, self.newly, self.timing as u64]);
+        let mut pending = self.pending;
+        while pending != 0 {
+            let id = pending.trailing_zeros() as usize;
+            pending &= pending - 1;
+            key.push(now.0.wrapping_sub(self.pending_since[id].0));
+        }
+    }
+
+    pub(crate) fn totals(&mut self, t: &mut dyn Totals) {
+        t.count(&mut self.raised);
+        t.count(&mut self.dropped);
+        t.count(&mut self.taken);
+        t.count(&mut self.cleared);
+        t.count(&mut self.now.0);
+        for (raised, since) in self.raised_by_irq.iter_mut().zip(&mut self.pending_since) {
+            t.count(raised);
+            t.count(&mut since.0);
+        }
     }
 
     /// Events raised successfully.

@@ -51,6 +51,7 @@ pub mod event_processor;
 pub mod interrupt;
 pub mod map;
 pub mod mcu;
+mod periods;
 pub mod power;
 pub mod slaves;
 pub mod system;

@@ -14,9 +14,11 @@
 //! to the top of memory.
 
 use crate::map;
+use crate::periods::push_bytes;
 use crate::slaves::{BusError, Slaves};
 use std::fmt;
 use ulp_mcu8::{Bus, Cpu};
+use ulp_sim::repeat::Totals;
 
 /// Default stack top for freshly woken handlers (top of main memory;
 /// bank 7 doubles as stack space).
@@ -122,6 +124,27 @@ impl Mcu {
     /// Read-only view of the core (tests).
     pub fn cpu(&self) -> &Cpu {
         &self.cpu
+    }
+
+    /// Append the microcontroller's state to a state key: the core's
+    /// whole state and the stalls. The statistics are
+    /// [`totals`](Mcu::totals).
+    pub(crate) fn key(&self, key: &mut Vec<u64>) {
+        let cpu = &self.cpu;
+        key.extend([self.powered as u64, self.wake_stall, self.instr_stall]);
+        key.extend([cpu.pc as u64, cpu.sp as u64, cpu.sreg() as u64]);
+        key.extend([cpu.sleeping() as u64, cpu.halted() as u64]);
+        key.extend([
+            cpu.invalid_opcode().map_or(0, |op| op as u64 + 1),
+            cpu.total_cycles(),
+        ]);
+        push_bytes(key, &cpu.regs);
+    }
+
+    pub(crate) fn totals(&mut self, t: &mut dyn Totals) {
+        t.count(&mut self.stats.wakeups);
+        t.count(&mut self.stats.instructions);
+        t.count(&mut self.stats.active_cycles);
     }
 
     /// Power on and start at `handler` (byte address in main memory)

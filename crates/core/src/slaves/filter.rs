@@ -10,6 +10,7 @@
 //! branching.
 
 use crate::map;
+use ulp_sim::repeat::Totals;
 
 /// The threshold filter slave.
 #[derive(Debug, Clone)]
@@ -62,6 +63,22 @@ impl ThresholdFilter {
             self.result = 0;
         }
         self.powered = on;
+    }
+
+    /// Append the filter's state to a state key: every field but the
+    /// two tallies, which [`totals`](ThresholdFilter::totals) visits.
+    pub(crate) fn key(&self, key: &mut Vec<u64>) {
+        key.extend([
+            self.powered as u64,
+            self.threshold as u64,
+            self.input as u64,
+        ]);
+        key.extend([self.result as u64, self.mode as u64, self.average as u64]);
+    }
+
+    pub(crate) fn totals(&mut self, t: &mut dyn Totals) {
+        t.count(&mut self.evaluations);
+        t.count(&mut self.passes);
     }
 
     /// Evaluations performed.

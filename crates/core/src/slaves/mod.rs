@@ -32,6 +32,7 @@ pub fn timer_counting_background(spec: &ulp_sim::PowerSpec) -> ulp_sim::Power {
 use crate::interrupt::InterruptArbiter;
 use crate::map::{self, Component, Irq, RegionDef, RegionKind};
 use std::fmt;
+use ulp_sim::repeat::Totals;
 use ulp_sim::Cycles;
 use ulp_sram::{BankedSram, SramError};
 
@@ -365,6 +366,55 @@ impl Slaves {
             self.timer.repeat_silent_underflows(n);
             self.now += Cycles(n * period);
         }
+    }
+
+    /// Append the slave side's state to a state key at cycle `now`:
+    /// every field but the running totals, which
+    /// [`totals`](Slaves::totals) visits, and the SRAM's bytes, which the
+    /// caller compares on their own; the stuck-handshake deadlines
+    /// relative to `now`. Returns `false` when the state cannot
+    /// repeat: the sensor's signal model has no key, or bus lints are
+    /// being recorded.
+    pub(crate) fn key(&self, key: &mut Vec<u64>, now: Cycles) -> bool {
+        if self.lint_enabled || !self.sensor.key(key) {
+            return false;
+        }
+        key.extend([self.touched as u64, now.0.wrapping_sub(self.now.0)]);
+        key.extend(self.stuck_until.map(|until| until.saturating_sub(now.0)));
+        let sys = &self.sys;
+        key.extend([sys.mcu_sleep_requested as u64, sys.wake_cause as u64]);
+        key.extend([sys.gpio as u64, sys.power_requests.len() as u64]);
+        key.extend(
+            sys.power_requests
+                .iter()
+                .map(|&(on, id)| (on as u64) << 8 | id as u64),
+        );
+        key.extend(
+            (0..self.mem.config().banks())
+                .map(|b| (self.mem.bank_state(b) == ulp_sram::BankState::Gated) as u64),
+        );
+        self.timer.key(key);
+        self.filter.key(key);
+        self.msgproc.key(key);
+        self.radio.key(key);
+        self.irqs.key(key, now);
+        true
+    }
+
+    /// Visit the slave side's running totals: the SRAM's, each slave's
+    /// tallies, the arbiter's, and the cycle stamps that move with time.
+    pub(crate) fn totals(&mut self, t: &mut dyn Totals) {
+        self.mem.totals(t);
+        t.count(&mut self.now.0);
+        for until in &mut self.stuck_until {
+            t.count(until);
+        }
+        self.timer.totals(t);
+        self.filter.totals(t);
+        self.msgproc.totals(t);
+        self.radio.totals(t);
+        self.sensor.totals(t);
+        self.irqs.totals(t);
     }
 
     /// Take and clear this cycle's touched flags.

@@ -17,8 +17,10 @@
 
 use super::BUF_LEN;
 use crate::map;
+use crate::periods::push_bytes;
 use std::collections::VecDeque;
 use ulp_net::{Frame, FrameType};
+use ulp_sim::repeat::Totals;
 use ulp_sim::Cycles;
 
 /// Capacity of the duplicate-suppression CAM.
@@ -104,6 +106,10 @@ pub struct MessageProcessor {
     busy: Option<(Cycles, Op)>,
     auto_prepare: u8,
     tx_count: u16,
+    /// Whether a bus read has returned `tx_count`. Until one does,
+    /// nothing the node does depends on the count, so the state key
+    /// leaves it out and it repeats as a tally.
+    tx_count_read: bool,
     status: u8,
     stats: MsgStats,
     /// Cycles a `Prepare` takes (hardware header + CRC engine).
@@ -136,6 +142,7 @@ impl MessageProcessor {
             busy: None,
             auto_prepare: 0,
             tx_count: 0,
+            tx_count_read: false,
             status: 0,
             stats: MsgStats::default(),
             prepare_latency: Cycles(4),
@@ -182,6 +189,51 @@ impl MessageProcessor {
     /// Cumulative statistics.
     pub fn stats(&self) -> MsgStats {
         self.stats
+    }
+
+    /// The sequence number the next prepared frame carries.
+    pub fn seq(&self) -> u8 {
+        self.seq
+    }
+
+    /// Append the block's state to a state key: every field but the
+    /// statistics and, until a read has seen it, the transmit count,
+    /// which [`totals`](MessageProcessor::totals) visits.
+    pub(crate) fn key(&self, key: &mut Vec<u64>) {
+        key.extend([self.powered as u64, self.seq as u64, self.status as u64]);
+        key.extend([self.pan as u64, self.addr as u64, self.dest as u64]);
+        key.extend([self.auto_prepare as u64, self.tx_count_read as u64]);
+        if self.tx_count_read {
+            key.push(self.tx_count as u64);
+        }
+        key.extend([self.prepare_latency.0, self.process_latency.0]);
+        key.push(match self.busy {
+            None => 0,
+            Some((left, Op::Prepare)) => left.0 << 2 | 1,
+            Some((left, Op::ProcessRx)) => left.0 << 2 | 2,
+        });
+        key.extend([self.tx_len as u64, self.rx_len as u64]);
+        push_bytes(key, &self.tx_buf);
+        push_bytes(key, &self.rx_buf);
+        push_bytes(key, &self.samples);
+        key.push(self.cam.len() as u64);
+        key.extend(
+            self.cam
+                .iter()
+                .map(|&(src, seq)| (src as u64) << 8 | seq as u64),
+        );
+    }
+
+    pub(crate) fn totals(&mut self, t: &mut dyn Totals) {
+        let s = &mut self.stats;
+        t.count(&mut s.prepared);
+        t.count(&mut s.forwarded);
+        t.count(&mut s.duplicates);
+        t.count(&mut s.irregular);
+        t.count(&mut s.decode_errors);
+        let mut tx_count = self.tx_count as u64;
+        t.count(&mut tx_count);
+        self.tx_count = tx_count as u16;
     }
 
     /// The prepared/forward frame bytes (for the EP to transfer out).
@@ -262,7 +314,10 @@ impl MessageProcessor {
     }
 
     /// Register read at `offset` into the register window.
-    pub fn read(&self, offset: u16) -> u8 {
+    pub fn read(&mut self, offset: u16) -> u8 {
+        if matches!(offset, map::MSG_TX_COUNT_LO | map::MSG_TX_COUNT_HI) {
+            self.tx_count_read = true;
+        }
         match offset {
             map::MSG_CTRL => 0,
             map::MSG_STATUS => self.status | if self.busy.is_some() { status::BUSY } else { 0 },

@@ -11,7 +11,9 @@
 
 use super::BUF_LEN;
 use crate::map;
+use crate::periods::push_bytes;
 use ulp_net::PhyTiming;
+use ulp_sim::repeat::Totals;
 use ulp_sim::Cycles;
 
 /// Commands writable to `RADIO_CTRL`.
@@ -103,6 +105,24 @@ impl Radio {
     /// Cumulative statistics.
     pub fn stats(&self) -> RadioStats {
         self.stats
+    }
+
+    /// Append the radio's state to a state key: every field but the
+    /// statistics, which [`totals`](Radio::totals) visits, and the PHY
+    /// timing and clock, which never change.
+    pub(crate) fn key(&self, key: &mut Vec<u64>) {
+        key.extend([self.powered as u64, self.listening as u64]);
+        key.push(self.tx_remaining.map_or(0, |left| left + 1));
+        key.extend([self.tx_len as u64, self.rx_len as u64]);
+        push_bytes(key, &self.tx_buf);
+        push_bytes(key, &self.rx_buf);
+        key.push(self.outbox.len() as u64);
+    }
+
+    pub(crate) fn totals(&mut self, t: &mut dyn Totals) {
+        t.count(&mut self.stats.transmitted);
+        t.count(&mut self.stats.received);
+        t.count(&mut self.stats.missed);
     }
 
     /// Frames transmitted so far, with their completion times; the

@@ -9,6 +9,7 @@
 //! interrupt is also provided for slower ADCs.
 
 use crate::map;
+use ulp_sim::repeat::Totals;
 use ulp_sim::Cycles;
 
 /// A model of the physical quantity being sensed.
@@ -16,6 +17,15 @@ pub trait SensorModel {
     /// Sample the signal at simulated time `at` on `channel`, as the
     /// 8-bit ADC would convert it.
     fn sample(&mut self, at: Cycles, channel: u8) -> u8;
+
+    /// The model's whole state as one word, for a model whose samples
+    /// depend on that state alone (not on `at`), so that a node whose
+    /// state repeats samples the same values again. `None`, the
+    /// default, for any other model: its node's state is never keyed
+    /// and its periods are never repeated in a jump.
+    fn state_key(&self) -> Option<u64> {
+        None
+    }
 }
 
 /// A constant signal.
@@ -25,6 +35,10 @@ pub struct ConstSensor(pub u8);
 impl SensorModel for ConstSensor {
     fn sample(&mut self, _at: Cycles, _channel: u8) -> u8 {
         self.0
+    }
+
+    fn state_key(&self) -> Option<u64> {
+        Some(self.0 as u64)
     }
 }
 
@@ -162,6 +176,24 @@ impl SensorBlock {
     /// Total conversions performed.
     pub fn conversions(&self) -> u64 {
         self.conversions
+    }
+
+    /// Append the block's state to a state key: every field but
+    /// `conversions`, which [`totals`](SensorBlock::totals) visits.
+    /// Returns `false`, appending nothing, when the signal model has no
+    /// [`state_key`](SensorModel::state_key).
+    pub(crate) fn key(&self, key: &mut Vec<u64>) -> bool {
+        let Some(model) = self.model.state_key() else {
+            return false;
+        };
+        key.extend([model, self.powered as u64, self.channel as u64]);
+        key.extend([self.latched as u64, self.conversion_latency.0]);
+        key.push(self.converting.map_or(0, |left| left.0 + 1));
+        true
+    }
+
+    pub(crate) fn totals(&mut self, t: &mut dyn Totals) {
+        t.count(&mut self.conversions);
     }
 
     /// Whether a triggered conversion is in flight.

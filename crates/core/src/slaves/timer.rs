@@ -16,6 +16,7 @@
 //! from a counter it reads. The timers are integers, so this is exact.
 
 use crate::map;
+use ulp_sim::repeat::Totals;
 
 /// Switching-activity factor of a merely-counting timer relative to the
 /// block's full active power: a down-counter toggles on average about two
@@ -116,6 +117,19 @@ impl TimerBlock {
     /// Total alarms fired since reset.
     pub fn alarms(&self) -> u64 {
         self.alarms
+    }
+
+    /// Append the block's state to a state key: every field but
+    /// `alarms`, which [`totals`](TimerBlock::totals) visits.
+    pub(crate) fn key(&self, key: &mut Vec<u64>) {
+        for t in &self.timers {
+            key.extend([t.reload as u64, t.count as u64, t.ctrl as u64]);
+        }
+        key.extend([self.powered as u64, self.lag, self.next, self.active as u64]);
+    }
+
+    pub(crate) fn totals(&mut self, t: &mut dyn Totals) {
+        t.count(&mut self.alarms);
     }
 
     /// Advance one cycle; calls `fire(i)` for each timer whose alarm goes

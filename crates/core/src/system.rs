@@ -5,13 +5,14 @@
 use crate::event_processor::{EpAction, EventProcessor};
 use crate::map::{self, Irq};
 use crate::mcu::{Mcu, McuError};
+use crate::periods::{push_bytes, Iteration, Periods, Snapshot};
 use crate::power::{SystemPower, WakeLatency};
 use crate::slaves::{BusError, SensorBlock, SensorModel, Slaves, Touched};
 use std::collections::VecDeque;
 use std::fmt;
 use ulp_sim::fault::{FaultDisposition, FaultKind, FaultPlan, FaultStats};
 use ulp_sim::perf::{PhaseId, Profiler};
-use ulp_sim::repeat::{Repeat, RepeatWatch};
+use ulp_sim::repeat::{Repeat, RepeatWatch, Totals};
 use ulp_sim::telemetry::{Log2Histogram, Metrics};
 use ulp_sim::{
     skip_target, ChargeBatch, Cycles, Draw, Energy, EnergyMeter, Frequency, IdleAdvance, Interval,
@@ -129,6 +130,8 @@ pub struct System {
     outbox: Vec<(Cycles, Vec<u8>)>,
     fault: Option<SystemFault>,
     busy_cycles: Cycles,
+    /// Cycles covered by skips so far, repeated ones included.
+    skipped: Cycles,
     mem_energy_mark: Energy,
     /// Telemetry master switch (default off: probes cost one branch).
     telemetry: bool,
@@ -153,6 +156,9 @@ pub struct System {
     /// Host-side profiler handles (`None` — the default — keeps every
     /// probe to a single untaken branch, like telemetry and tracing).
     prof: Option<SysProf>,
+    /// The watch for repeated states at period boundaries (see
+    /// `idle_advance`).
+    periods: Periods,
 }
 
 /// Pre-resolved span handles for the system's profiled phases.
@@ -211,6 +217,7 @@ impl System {
             outbox: Vec::new(),
             fault: None,
             busy_cycles: Cycles::ZERO,
+            skipped: Cycles::ZERO,
             mem_energy_mark: Energy::ZERO,
             telemetry: false,
             mcu_wake_hist: Log2Histogram::new(),
@@ -222,6 +229,7 @@ impl System {
             fault_stats: FaultStats::default(),
             tx_corrupt_remaining: 0,
             prof: None,
+            periods: Periods::default(),
         }
     }
 
@@ -232,7 +240,9 @@ impl System {
     /// masters); [`telemetry_snapshot`](System::telemetry_snapshot)
     /// becomes a `telemetry.export` span. The `sys.quiet_repeated`
     /// counter totals the quiet iterations the idle advance repeated in
-    /// a jump rather than stepped. Call counts and counters are
+    /// a jump rather than stepped, and `sys.periods_repeated`, added once
+    /// a jump of whole periods happens, the sample periods it repeated
+    /// that way. Call counts and counters are
     /// deterministic; the profiler only observes and never changes guest
     /// behaviour.
     pub fn set_profiler(&mut self, profiler: &Profiler) {
@@ -258,6 +268,7 @@ impl System {
 
     /// Mutable slave fabric (initialisation and tests).
     pub fn slaves_mut(&mut self) -> &mut Slaves {
+        self.periods.forget();
         &mut self.slaves
     }
 
@@ -283,6 +294,7 @@ impl System {
 
     /// The trace buffer (enable to observe EP state transitions).
     pub fn trace_mut(&mut self) -> &mut TraceBuffer {
+        self.periods.forget();
         &mut self.trace
     }
 
@@ -295,6 +307,7 @@ impl System {
     /// by default; when off every probe costs a single branch, mirroring
     /// the trace buffer, so the hot path is unchanged.
     pub fn set_telemetry(&mut self, on: bool) {
+        self.periods.forget();
         self.telemetry = on;
         self.slaves.irqs.set_timing(on);
     }
@@ -379,6 +392,7 @@ impl System {
     /// tallied in [`fault_stats`](System::fault_stats). An empty plan is
     /// discarded, keeping the unfaulted hot path to a single branch.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
+        self.periods.forget();
         self.fault_plan = if plan.events().is_empty() {
             None
         } else {
@@ -436,6 +450,7 @@ impl System {
     ///
     /// Panics if the image exceeds memory.
     pub fn load(&mut self, origin: u16, bytes: &[u8]) {
+        self.periods.forget();
         self.slaves.mem.load(origin, bytes);
     }
 
@@ -467,6 +482,7 @@ impl System {
     ///
     /// Panics on an invalid component id.
     pub fn set_component_power(&mut self, id: u8, on: bool) {
+        self.periods.forget();
         self.slaves
             .set_power(id, on, &self.config.wake.clone())
             .expect("valid component id");
@@ -505,11 +521,19 @@ impl System {
 
     /// Raise an interrupt directly (tests and measurement harnesses).
     pub fn inject_irq(&mut self, id: u8) {
+        self.periods.forget();
         self.slaves.irqs.raise(id);
+    }
+
+    /// The transmitted frames collected so far, with the cycles their
+    /// transmissions completed.
+    pub fn outbox(&self) -> &[(Cycles, Vec<u8>)] {
+        &self.outbox
     }
 
     /// Drain the transmitted-frame outbox.
     pub fn take_outbox(&mut self) -> Vec<(Cycles, Vec<u8>)> {
+        self.periods.forget();
         std::mem::take(&mut self.outbox)
     }
 
@@ -548,6 +572,9 @@ impl System {
                     break;
                 }
                 let (_, bytes) = self.rx_queue.pop_front().expect("checked front");
+                // Input from outside: what the node did before does not
+                // predict what it does next.
+                self.periods.forget();
                 if self.slaves.radio.deliver(&bytes) {
                     self.slaves.irqs.raise(Irq::RadioRxDone.id());
                     self.trace.record(now, "radio", TraceKind::RadioRxDelivered);
@@ -732,7 +759,12 @@ impl System {
     /// on the one-cycle quantities the meter caches.
     fn charge_cycle(&mut self, ep_active: bool) {
         let touched = self.slaves.take_touched();
-        self.meter.charge_cycle(&self.draws(touched, ep_active));
+        let draws = self.draws(touched, ep_active);
+        if let Some(tape) = &mut self.periods.tape {
+            let (leak, access) = self.slaves.mem.tick_addends(Cycles(1));
+            tape.tick(self.meter.addends(&draws, self.meter.cycle()), leak, access);
+        }
+        self.meter.charge_cycle(&draws);
         self.slaves.mem.tick(Cycles(1));
         self.sync_memory_energy();
     }
@@ -781,6 +813,21 @@ impl System {
         }
     }
 
+    /// Record a quiet charge of `span` (a skip, or a quiet cycle) on the
+    /// tape being recorded, if one is.
+    fn record_quiet(&mut self, span: Interval) {
+        if self.periods.tape.is_none() {
+            return;
+        }
+        let adds = self
+            .meter
+            .addends(&self.draws(Touched::default(), false), span);
+        let (leak, _) = self.slaves.mem.tick_addends(span.cycles());
+        if let Some(tape) = &mut self.periods.tape {
+            tape.tick(adds, leak, Energy::ZERO);
+        }
+    }
+
     fn close_quiet(&mut self, quiet: Quiet) {
         self.meter.commit(quiet.batch);
         self.slaves.mem.commit_quiet(quiet.sram);
@@ -791,10 +838,18 @@ impl System {
     /// to `quiet`.
     fn skip_quiet(&mut self, target: Cycles, quiet: &mut Quiet) {
         debug_assert!(target > self.now, "skip must move forward");
+        if self.periods.tape.is_some() && self.next_wakeup() != Some(target) {
+            // A skip cut short of the next wakeup (by a deadline) charges
+            // differently from the skip the node's own run makes.
+            self.periods.taint();
+        }
         let span = target - self.now;
         self.slaves.skip(span);
-        quiet.span(self.meter.interval(span));
+        let interval = self.meter.interval(span);
+        self.record_quiet(interval);
+        quiet.span(interval);
         self.now = target;
+        self.skipped += span;
         if self.telemetry {
             self.idle_skip_hist.record(span.0);
         }
@@ -836,6 +891,129 @@ impl System {
             k = k.min(at.0.saturating_sub(now + 1) / period);
         }
         k.min(self.slaves.quiet_repeats(period))
+    }
+
+    // ------------------------------------------------------------------
+    // Repeating whole periods
+    // ------------------------------------------------------------------
+
+    /// The node's state key: its whole state as a canonical list of
+    /// words, less every running total (meter energies and mode cycles,
+    /// busy cycles, SRAM and slave statistics, arbiter counters, timer
+    /// alarms), with every deadline and cycle stamp relative to `now`.
+    /// Two equal keys mean equal futures, as long as nothing reaches the
+    /// node from outside. `None` when the state cannot repeat: the
+    /// sensor's signal model has no
+    /// [`state_key`](crate::slaves::SensorModel::state_key), or bus
+    /// lints are being recorded.
+    pub fn state_key(&self) -> Option<Vec<u64>> {
+        let mut key = Vec::with_capacity(512);
+        let keyed = self.write_key(&mut key);
+        push_bytes(&mut key, self.slaves.mem.contents());
+        keyed.then_some(key)
+    }
+
+    /// The state key less the SRAM's bytes, which the period watch
+    /// compares on their own.
+    fn write_key(&self, key: &mut Vec<u64>) -> bool {
+        if !self.slaves.key(key, self.now) {
+            return false;
+        }
+        self.ep.key(key, self.now);
+        self.mcu.key(key);
+        key.extend([
+            self.prev_transmitting as u64,
+            self.tx_corrupt_remaining as u64,
+        ]);
+        key.push(self.fault.is_some() as u64);
+        true
+    }
+
+    /// Visit every running total the state key leaves out, and the cycle
+    /// stamps that move with time.
+    fn totals(&mut self, t: &mut dyn Totals) {
+        self.meter.totals(t);
+        self.slaves.totals(t);
+        t.count(&mut self.now.0);
+        t.count(&mut self.busy_cycles.0);
+        t.count(&mut self.skipped.0);
+        self.ep.totals(t);
+        self.mcu.totals(t);
+    }
+
+    fn read_totals(&mut self) -> Snapshot {
+        let mut totals = Snapshot::default();
+        self.totals(&mut totals);
+        totals
+    }
+
+    /// At a period boundary — the idle chain stopped on the cycle before
+    /// a timer interrupt, with compute idle and nothing on air — show the
+    /// state to the period watch, and repeat the iteration it recorded.
+    fn period_boundary(&mut self, horizon: Cycles, run: &mut IdleAdvance) {
+        let now = self.now.0;
+        if self.periods.pass(now) {
+            return;
+        }
+        let mut key = std::mem::take(&mut self.periods.scratch);
+        key.clear();
+        let repeated = if self.write_key(&mut key) {
+            self.periods.observe(now, &key, self.slaves.mem.contents())
+        } else {
+            self.periods.forget();
+            false
+        };
+        self.periods.scratch = key;
+        if repeated {
+            let mut periods = std::mem::take(&mut self.periods);
+            let outbox = std::mem::take(&mut self.outbox);
+            let iteration = periods.come_back(now, &outbox, || self.read_totals());
+            self.outbox = outbox;
+            if iteration.is_some_and(|it| self.repeat_periods(it, horizon, run)) {
+                periods.jumped(self.now.0);
+            }
+            self.periods = periods;
+        }
+    }
+
+    /// Repeat `k` more iterations like the recorded `it` from the
+    /// boundary the node is at, all of them ending by `horizon` and
+    /// before the next rx frame is due. The state is what it was; every
+    /// count grows by `k` times what the iteration added, the sums take
+    /// the iteration's addends `k` times more, and the outbox gets its
+    /// frames again, shifted by whole iterations. Returns whether it
+    /// jumped.
+    fn repeat_periods(&mut self, it: &Iteration, horizon: Cycles, run: &mut IdleAdvance) -> bool {
+        let now = self.now.0;
+        let mut k = (horizon.0 - now) / it.len;
+        if let Some((at, _)) = self.rx_queue.front() {
+            k = k.min(at.0.saturating_sub(now + 1) / it.len);
+        }
+        if k == 0 {
+            return false;
+        }
+        for j in 1..=k {
+            let end = now + j * it.len;
+            self.outbox.extend(
+                it.frames
+                    .iter()
+                    .map(|(before, bytes)| (Cycles(end - before), bytes.clone())),
+            );
+        }
+        let mut sums = self.read_totals().sums();
+        it.tape.replay(&mut sums, self.ids.memory.index(), k);
+        let (busy, skipped) = (self.busy_cycles, self.skipped);
+        self.totals(&mut it.advance(&sums, k));
+        self.mem_energy_mark = self.slaves.mem.energy();
+        let skipped = self.skipped - skipped;
+        run.skipped += skipped;
+        run.stepped += Cycles(k * it.len) - skipped;
+        run.busy += self.busy_cycles - busy;
+        if let Some(p) = &self.prof {
+            p.profiler
+                .counter_add("sys.periods_repeated", k * it.periods);
+        }
+        true
     }
 
     // ------------------------------------------------------------------
@@ -1079,6 +1257,14 @@ impl Simulatable for System {
     /// (`ulp_sim::repeat`), so the sums keep every bit they would have
     /// had; `quiet_repeats` bounds the jump so that each iteration it
     /// covers would have been quiet and of the same shape.
+    ///
+    /// Where the chain stops at a period boundary (the next tick raises a
+    /// timer interrupt, compute is idle and nothing is on air), and with
+    /// tracing and telemetry off too, the state key goes to the period
+    /// watch (`crate::periods`). Once the node is back in a state it
+    /// was in at an earlier boundary, it records the next iteration,
+    /// and from then on `repeat_periods` repeats whole iterations, busy
+    /// steps included, in one jump.
     fn idle_advance(
         &mut self,
         deadline: Cycles,
@@ -1091,6 +1277,7 @@ impl Simulatable for System {
         }
         let mut quiet = self.open_quiet();
         let jumps = stop.is_none() && self.fault_plan.is_none();
+        let periods = jumps && !self.telemetry && !self.trace.is_enabled();
         let mut watch = RepeatWatch::new(quiet.sums());
         let mut repeated = 0;
         loop {
@@ -1128,6 +1315,7 @@ impl Simulatable for System {
                 quiet = self.open_quiet();
             }
             quiet.cycle();
+            self.record_quiet(self.meter.cycle());
             run.stepped += Cycles(1);
             if !jumps {
                 continue;
@@ -1144,11 +1332,15 @@ impl Simulatable for System {
                 let k = rep.room().min(self.quiet_repeats(period, horizon));
                 if k > 0 {
                     quiet.repeat(&rep, k, period);
+                    if let Some(tape) = &mut self.periods.tape {
+                        tape.repeat_last(1 + (span.0 > 0) as usize, k);
+                    }
                     self.slaves.repeat_quiet(k, period);
                     self.now += Cycles(k * period);
                     self.slaves.irqs.set_now(self.now);
                     run.stepped += Cycles(k);
                     run.skipped += Cycles(k * span.0);
+                    self.skipped += Cycles(k * span.0);
                     if self.telemetry && span.0 > 0 {
                         self.idle_skip_hist.record_n(span.0, k);
                     }
@@ -1158,6 +1350,15 @@ impl Simulatable for System {
             }
         }
         self.close_quiet(quiet);
+        if !periods {
+            self.periods.forget();
+        } else if self.now < horizon
+            && self.compute_idle()
+            && !self.slaves.radio.transmitting()
+            && !self.slaves.timer.next_tick_is_silent()
+        {
+            self.period_boundary(horizon, &mut run);
+        }
         if let Some(p) = &self.prof {
             let n = run.stepped.0;
             if self.fault_plan.is_some() {
@@ -1795,6 +1996,78 @@ mod tests {
         let m = sys.telemetry_snapshot();
         assert_eq!(m.counter("fault.injected"), None, "no fault keys appear");
         assert_eq!(m.counter("irq.fault_cleared"), None);
+    }
+
+    /// The state key leaves every running total out and changes with
+    /// every field it keys.
+    #[test]
+    fn state_key_ignores_totals_and_sees_every_keyed_field() {
+        let node = || {
+            let mut engine = Engine::new(monitoring_system(1000));
+            engine.run_for(Cycles(3_500));
+            engine.into_machine()
+        };
+        let key = node().state_key().expect("a constant sensor keys");
+        // Every count moved by one amount (the cycle stamps with `now`),
+        // every sum changed: the same key.
+        struct Bump;
+        impl Totals for Bump {
+            fn sum(&mut self, x: &mut f64) {
+                *x = *x * 2.0 + 1.0;
+            }
+            fn count(&mut self, n: &mut u64) {
+                *n += 12_345;
+            }
+        }
+        let mut sys = node();
+        sys.totals(&mut Bump);
+        assert_eq!(sys.state_key(), Some(key.clone()));
+        type Change = fn(&mut System);
+        let changes: [(&str, Change); 15] = [
+            ("sram byte", |s| s.slaves_mut().mem.poke(0x0700, 0x5A)),
+            ("sram bank", |s| s.slaves_mut().mem.gate_bank(7)),
+            ("timer", |s| s.slaves_mut().timer.configure_periodic(2, 77)),
+            ("filter", |s| {
+                s.slaves_mut().filter.write(map::FILTER_THRESHOLD, 9, || {})
+            }),
+            ("msgproc samples", |s| {
+                s.slaves_mut().msgproc.write(map::MSG_SAMPLE_IN, 7)
+            }),
+            ("msgproc count read", |s| {
+                s.slaves_mut().msgproc.read(map::MSG_TX_COUNT_LO);
+            }),
+            ("radio", |s| s.slaves_mut().radio.set_powered(true)),
+            ("sensor", |s| {
+                s.slaves_mut().sensor.write(map::SENSOR_CHANNEL, 3)
+            }),
+            ("sys latch", |s| s.slaves_mut().sys.gpio = 1),
+            ("pending irq", |s| s.inject_irq(5)),
+            ("ep", |s| {
+                s.inject_irq(Irq::Timer0.id());
+                s.step();
+                s.slaves_mut().irqs.clear_all_pending();
+            }),
+            ("mcu", |s| s.mcu.wake(0x0400, 2).unwrap()),
+            ("tx edge", |s| s.prev_transmitting = true),
+            ("tx corruption", |s| s.tx_corrupt_remaining = 1),
+            ("stuck handshake", |s| {
+                let until = s.now + Cycles(50);
+                assert!(s.slaves_mut().stick_handshake(4, until));
+            }),
+        ];
+        for (what, change) in changes {
+            let mut sys = node();
+            change(&mut sys);
+            assert_ne!(sys.state_key(), Some(key.clone()), "{what}");
+        }
+        let mut sys = node();
+        sys.slaves_mut().set_lint(true);
+        assert_eq!(sys.state_key(), None, "lints are recorded");
+        let sys = System::new(
+            SystemConfig::default(),
+            Box::new(crate::slaves::RandomWalkSensor::new(1, 2)),
+        );
+        assert_eq!(sys.state_key(), None, "a random walk never repeats");
     }
 
     #[test]

@@ -24,6 +24,7 @@
 //! ([`ChargeBatch::repeat`], on the exact rule of [`crate::repeat`]).
 
 use crate::power::{PowerMode, PowerSpec};
+use crate::repeat::Totals;
 use crate::units::{Cycles, Energy, Frequency, Power, Seconds};
 
 /// A cycle count together with its duration on a meter's clock (made by
@@ -56,6 +57,13 @@ pub enum Draw {
 /// Handle to a component registered with an [`EnergyMeter`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MeterId(usize);
+
+impl MeterId {
+    /// The component's place in registration order.
+    pub fn index(self) -> usize {
+        self.0
+    }
+}
 
 /// Accumulated statistics for one component.
 #[derive(Debug, Clone)]
@@ -284,6 +292,20 @@ impl EnergyMeter {
         }
     }
 
+    /// What charging `span` at `draws` adds to each component, in
+    /// registration order: the very products
+    /// [`charge_cycle`](EnergyMeter::charge_cycle) (for one cycle) and a
+    /// [`ChargeBatch`] add.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `draws` does not name one draw per registered component,
+    /// or if a fraction is not within `[0, 1]`.
+    pub fn addends<const N: usize>(&self, draws: &[Draw; N], span: Interval) -> [Energy; N] {
+        assert_eq!(N, self.components.len(), "one draw per component");
+        std::array::from_fn(|i| resolve(&self.components[i].spec, draws[i]).1 * span.seconds)
+    }
+
     /// Charge a one-off energy cost (e.g. a per-access SRAM charge) without
     /// advancing any mode time.
     pub fn charge_energy(&mut self, id: MeterId, energy: Energy) {
@@ -358,6 +380,17 @@ impl EnergyMeter {
             );
             c.energy = batch.energy[i];
             c.mode_cycles[batch.slot[i]] += batch.cycles;
+        }
+    }
+
+    /// Visit every component's energy and mode cycles, in registration
+    /// order.
+    pub fn totals(&mut self, t: &mut dyn Totals) {
+        for c in &mut self.components {
+            t.sum(&mut c.energy.0);
+            for cycles in &mut c.mode_cycles {
+                t.count(&mut cycles.0);
+            }
         }
     }
 

@@ -69,7 +69,10 @@ pub trait Simulatable {
     /// cycle. A run of identical further iterations (a skip, then a
     /// step) may be repeated in one go, provided it ends in the state the
     /// iterations one by one would reach and counts each as a step and
-    /// its skip.
+    /// its skip. So may whole stretches of the engine's loop, busy steps
+    /// included, from a state the machine has been in before: the result
+    /// then also counts, in `busy`, the steps the engine would have
+    /// stepped as [`StepOutcome::Busy`].
     fn idle_advance(
         &mut self,
         deadline: Cycles,
@@ -118,6 +121,10 @@ pub struct IdleAdvance {
     pub stepped: Cycles,
     /// Cycles covered by skips.
     pub skipped: Cycles,
+    /// Of `stepped`, the cycles a repeat covered that the engine would
+    /// have stepped as [`StepOutcome::Busy`] (each a step, but no idle
+    /// skip).
+    pub busy: Cycles,
     /// Whether `stop` returned `true`.
     pub stopped: bool,
 }
@@ -339,8 +346,9 @@ impl<M: Simulatable> Engine<M> {
     /// the machine's [`Simulatable::idle_advance`], bounded by the
     /// deadline and the next epoch boundary. Its further
     /// steps count as stepped cycles and, to the profiler, as that many
-    /// `engine.step` and `engine.idle_skip` calls. Returns whether `stop`
-    /// ended it (the caller's predicate then holds).
+    /// `engine.step` calls and, busy ones aside, `engine.idle_skip`
+    /// calls. Returns whether `stop` ended it (the caller's predicate
+    /// then holds).
     fn idle_skip(
         &mut self,
         deadline: Cycles,
@@ -360,7 +368,8 @@ impl<M: Simulatable> Engine<M> {
         stats.skipped += run.skipped;
         if let Some(p) = &self.prof {
             p.profiler.add_calls(p.step, run.stepped.0);
-            p.profiler.add_calls(p.idle_skip, run.stepped.0);
+            p.profiler
+                .add_calls(p.idle_skip, (run.stepped - run.busy).0);
         }
         run.stopped
     }

@@ -20,6 +20,22 @@
 //! adds exactly the ulps the third one added, until a sum leaves its
 //! binade. [`RepeatWatch`] applies that rule, and [`Repeat`] applies `k`
 //! iterations in integer ulps.
+//!
+//! A machine that repeats whole iterations of its own state hands every
+//! running total it keeps to a [`Totals`] visitor, in one fixed order,
+//! once to read them at an iteration boundary and once to advance them.
+
+/// Visits a machine's running totals in one fixed order: read them at an
+/// iteration boundary, or take each `k` iterations on at once. A sum
+/// takes the value its repeated addends give; a count (an event tally, or
+/// a cycle stamp that moves with time) grows by `k` times what one
+/// iteration added.
+pub trait Totals {
+    /// An f64 running sum.
+    fn sum(&mut self, x: &mut f64);
+    /// An integer count or cycle stamp.
+    fn count(&mut self, n: &mut u64);
+}
 
 /// The exponent field of a nonnegative finite `x` (its binade; zero and
 /// the subnormals share field 0, one ulp apart like field 1), or `None`.

@@ -35,6 +35,7 @@
 //! ```
 
 use std::fmt;
+use ulp_sim::repeat::Totals;
 use ulp_sim::{Cycles, Energy, Frequency, Power, Seconds, Voltage};
 
 /// Configuration of the banked SRAM model.
@@ -459,6 +460,13 @@ impl BankedSram {
         self.access_energy_this_tick = Energy::ZERO;
     }
 
+    /// What [`tick`](Self::tick) of `cycles` would add to the total: the
+    /// leakage, then the access energy charged since the last tick.
+    pub fn tick_addends(&self, cycles: Cycles) -> (Energy, Energy) {
+        let leak = leak_over(self.leak, self.cycle, self.config.clock, cycles);
+        (leak, self.access_energy_this_tick)
+    }
+
     /// Check the array out for a run of quiet ticks — no access and no
     /// bank state change — summed in a [`QuietTicks`] and written back by
     /// [`commit_quiet`](Self::commit_quiet). Each quiet tick adds exactly
@@ -501,6 +509,36 @@ impl BankedSram {
     /// Total energy consumed so far.
     pub fn energy(&self) -> Energy {
         self.energy
+    }
+
+    /// Visit the array's running totals: its energy, the cycles ticked,
+    /// and per bank the accesses, the gated cycles and the tick it was
+    /// last gated at. The contents and bank states are what
+    /// [`contents`](Self::contents) and [`bank_state`](Self::bank_state)
+    /// show.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an access has been charged since the last tick.
+    pub fn totals(&mut self, t: &mut dyn Totals) {
+        assert!(
+            self.access_energy_this_tick == Energy::ZERO,
+            "totals with an access pending"
+        );
+        t.sum(&mut self.energy.0);
+        t.count(&mut self.ticked);
+        for (stats, gated_at) in self.stats.iter_mut().zip(&mut self.gated_at) {
+            t.count(&mut stats.reads);
+            t.count(&mut stats.writes);
+            t.count(&mut stats.gated_cycles);
+            t.count(gated_at);
+        }
+    }
+
+    /// The stored bytes, a gated bank's included (they are zeroed when
+    /// it wakes).
+    pub fn contents(&self) -> &[u8] {
+        &self.data
     }
 
     /// Current leakage power given bank states (no accesses).

@@ -228,13 +228,18 @@ impl Harness {
     ///   {"id":"g/work","iters_per_sample":8,"best_ns":120,"median_ns":140,
     ///    "throughput":{"elements":100}}],
     ///  "host":{"logical_cores":2,"cpus_allowed":"0-1",
-    ///    "cpu_model":"Intel(R) Xeon(R) Processor","profile":"release"}}
+    ///    "cpu_model":"Intel(R) Xeon(R) Processor","profile":"release",
+    ///    "rustc":"rustc 1.95.0 (59807616e 2026-04-14)",
+    ///    "git_rev":"56b800ff1b8a2b94822ffa32cf17efec81248720"}}
     /// ```
     ///
     /// Timings are integral nanoseconds, so the document never contains
     /// NaN/Infinity; `benchcheck` re-reads it with [`crate::json::parse`].
-    /// A host fact that cannot be read (no `/proc`) is `null`; `profile`
-    /// is the build profile of the harness itself.
+    /// A host fact that cannot be read (no `/proc`, no `rustc` or `git`
+    /// to ask, no git checkout) is `null`; `profile` is the build profile
+    /// of the harness itself, `rustc` the compiler cargo runs (`$RUSTC`,
+    /// else `rustc` on the path) and `git_rev` the commit checked out in
+    /// the working directory.
     pub fn to_json(&self) -> String {
         let mode = if self.test_mode { "test" } else { "measure" };
         let mut out = format!(
@@ -298,8 +303,10 @@ impl Harness {
 fn host_json() -> String {
     let cores = std::thread::available_parallelism().map(|n| n.get());
     let text = |v: Option<String>| v.map_or("null".to_string(), |s| Quoted(&s).to_string());
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".to_string());
     format!(
-        "{{\"logical_cores\":{},\"cpus_allowed\":{},\"cpu_model\":{},\"profile\":{}}}",
+        "{{\"logical_cores\":{},\"cpus_allowed\":{},\"cpu_model\":{},\"profile\":{},\
+         \"rustc\":{},\"git_rev\":{}}}",
         cores.map_or("null".to_string(), |n| n.to_string()),
         text(proc_field("/proc/self/status", "Cpus_allowed_list")),
         text(proc_field("/proc/cpuinfo", "model name")),
@@ -308,7 +315,20 @@ fn host_json() -> String {
         } else {
             "release"
         }),
+        text(command_line(&rustc, &["--version"])),
+        text(command_line("git", &["rev-parse", "HEAD"])),
     )
+}
+
+/// The first line `program args` prints, when it runs and succeeds.
+fn command_line(program: &str, args: &[&str]) -> Option<String> {
+    let out = std::process::Command::new(program)
+        .args(args)
+        .output()
+        .ok()?;
+    let text = String::from_utf8(out.stdout).ok()?;
+    let line = text.lines().next()?.trim();
+    (out.status.success() && !line.is_empty()).then(|| line.to_string())
 }
 
 /// The value of the first `key: value` line of a `/proc` file.
@@ -395,7 +415,14 @@ mod tests {
         assert!(!json.contains("NaN") && !json.contains("inf"));
         let doc = crate::json::parse(&json).expect("well-formed");
         let host = doc.get("host").expect("a host block");
-        for key in ["logical_cores", "cpus_allowed", "cpu_model", "profile"] {
+        for key in [
+            "logical_cores",
+            "cpus_allowed",
+            "cpu_model",
+            "profile",
+            "rustc",
+            "git_rev",
+        ] {
             assert!(host.get(key).is_some(), "host.{key}");
         }
     }

@@ -42,13 +42,16 @@ echo "== chained idle advance: bit-exact against one wake at a time =="
 # engine's loop one wake at a time) and compare every energy bit:
 # GDI-style nodes whose chains are mostly silent underflows,
 # airtime-heavy nodes whose chains mostly run through a frame on air,
-# and fault-free GDI-style and airtime nodes over millions of cycles,
-# where the jumps happen. Here they run on the release build the
-# benchmarks use, with more cases than the tier-1 default.
+# fault-free GDI-style and airtime nodes over millions of cycles, where
+# the quiet jumps happen, and constant-sensor nodes whose whole state
+# repeats every 256 frames, where whole periods are repeated in one jump.
+# Here they run on the release build the benchmarks use, with more cases
+# than the tier-1 default.
 ULP_PROPTEST_CASES=256 cargo test -q --release --offline --test reference_models -- \
   chained_idle_advance_matches_wake_by_wake \
   airtime_heavy_idle_advance_matches_wake_by_wake \
-  long_quiet_chains_match_wake_by_wake > /dev/null
+  long_quiet_chains_match_wake_by_wake \
+  repeated_periods_match_wake_by_wake > /dev/null
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets --offline -- -D warnings

@@ -12,11 +12,11 @@
 
 use ulp_node::apps::ulp::{monitoring, stages, AppStage, MonitoringConfig, SamplePeriod};
 use ulp_node::core_arch::map::{self, Irq};
-use ulp_node::core_arch::slaves::{timer_ctrl as ctrl, RandomWalkSensor, TimerBlock};
+use ulp_node::core_arch::slaves::{timer_ctrl as ctrl, ConstSensor, RandomWalkSensor, TimerBlock};
 use ulp_node::core_arch::{InterruptArbiter, System, SystemConfig};
 use ulp_node::isa::ep::{encode_program, Instruction};
 use ulp_node::net::Frame;
-use ulp_node::sim::{Cycles, Engine, FaultPlan, RunStats, Simulatable, StepOutcome};
+use ulp_node::sim::{Cycles, Engine, FaultPlan, Profiler, RunStats, Simulatable, StepOutcome};
 use ulp_testkit::{any_bool, any_u8, prop_assert, prop_assert_eq, props, vec_of};
 
 // ---------------------------------------------------------------------
@@ -524,6 +524,19 @@ fn assert_same_node(a: &System, b: &System) {
         a.telemetry_snapshot().summary(),
         b.telemetry_snapshot().summary()
     );
+    prop_assert_eq!(a.outbox(), b.outbox());
+    let (mem_a, mem_b) = (&a.slaves().mem, &b.slaves().mem);
+    prop_assert!(mem_a.contents() == mem_b.contents(), "SRAM bytes differ");
+    for bank in 0..mem_a.config().banks() {
+        prop_assert_eq!(
+            mem_a.bank_stats(bank),
+            mem_b.bank_stats(bank),
+            "bank {}",
+            bank
+        );
+    }
+    prop_assert_eq!(a.slaves().msgproc.seq(), b.slaves().msgproc.seq());
+    prop_assert_eq!(a.slaves().msgproc.stats(), b.slaves().msgproc.stats());
 }
 
 props! {
@@ -621,6 +634,111 @@ props! {
             assert_same_node(engine.machine(), &reference.sys);
         }
     }
+}
+
+/// A constant-sensor node: the stage-1 (sample and send), stage-2
+/// (filtered) or stage-3 (forwarding, listening) program on a
+/// cycle-counted or a chained period (`base` × `count` cycles),
+/// `samples` samples per packet. Its state repeats every 256 frames (the
+/// message processor's 8-bit sequence number), so a long run repeats
+/// whole periods in one jump.
+fn const_node(stage: AppStage, chained: bool, base: u16, count: u16, samples: u8) -> System {
+    let program = monitoring(&MonitoringConfig {
+        stage,
+        period: if chained {
+            SamplePeriod::Chained { base, count }
+        } else {
+            SamplePeriod::Cycles(base * count)
+        },
+        samples_per_packet: samples,
+        threshold: 0,
+    });
+    program.build_system(SystemConfig::default(), Box::new(ConstSensor(128)))
+}
+
+props! {
+    #![cases(4)]
+
+    /// Constant-sensor nodes over segments of millions of cycles, where
+    /// the idle advance repeats whole 256-frame iterations of periods in
+    /// one jump, agree with the engine's loop one wake at a time in
+    /// every energy bit, count, frame and SRAM byte. Jumps are cut by
+    /// deadlines, epoch boundaries and rx frames (forwarded by a
+    /// listening node, missed by a deaf one).
+    #[test]
+    fn repeated_periods_match_wake_by_wake(
+        stage in 0u8..3,
+        chained in any_bool(),
+        period in (100u16..250, 3u16..5),
+        samples in 1u8..5,
+        rx in vec_of((ulp_testkit::any_u32(), any_u8()), 0..3),
+        epoch in (any_bool(), 1u64..8_000_000),
+        segments in vec_of(1_000_000u32..3_000_000, 1..3),
+    ) {
+        let (base, count) = period;
+        let stage = [AppStage::SampleSend, AppStage::Filtered, AppStage::Forwarding][stage as usize];
+        let horizon: u64 = segments.iter().map(|&n| n as u64).sum();
+        let node = || {
+            let mut sys = const_node(stage, chained, base, count, samples);
+            for (seq, &(at, byte)) in rx.iter().enumerate() {
+                let frame = Frame::data(0x22, 0x0009, 0x0000, seq as u8, &[byte]).unwrap();
+                sys.schedule_rx(Cycles(1 + at as u64 % horizon), frame.encode());
+            }
+            sys
+        };
+        let epoch = epoch.0.then_some(epoch.1);
+        let mut engine = Engine::new(node());
+        if let Some(len) = epoch {
+            engine.set_epoch(Cycles(len));
+        }
+        let mut reference = WakeByWake::new(node(), epoch);
+        for &n in &segments {
+            let a = engine.run_for(Cycles(n as u64));
+            let (b, _) = reference.run_until(Cycles(n as u64), |_| false);
+            prop_assert_eq!(a, b);
+            assert_same_node(engine.machine(), &reference.sys);
+        }
+    }
+}
+
+/// A predicate turns jumps off, and a jump counts every step it covers:
+/// a node run with `run_for` (which repeats whole periods) and with
+/// `run_until(.., |_| false)` (which steps them) leaves the same profiler
+/// call counts, and the same node.
+#[test]
+fn jumps_count_every_step_they_cover() {
+    for chained in [false, true] {
+        jumps_count_every_step_on(chained);
+    }
+}
+
+fn jumps_count_every_step_on(chained: bool) {
+    let run = |jump: bool| {
+        let prof = Profiler::new();
+        let mut sys = const_node(AppStage::SampleSend, chained, 150, 4, 1);
+        sys.set_profiler(&prof);
+        let mut engine = Engine::new(sys);
+        engine.set_profiler(&prof);
+        let stats = if jump {
+            engine.run_for(Cycles(600 * 1_500))
+        } else {
+            engine.run_until(Cycles(600 * 1_500), |_| false).0
+        };
+        (stats, engine.into_machine(), prof.snapshot())
+    };
+    let (stats_a, a, prof_a) = run(true);
+    let (stats_b, b, prof_b) = run(false);
+    assert_eq!(stats_a, stats_b);
+    assert_same_node(&a, &b);
+    assert!(prof_a.counter("sys.periods_repeated").unwrap() >= 512);
+    assert_eq!(prof_b.counter("sys.periods_repeated"), None);
+    let calls = |p: &ulp_node::sim::PerfSnapshot| {
+        p.phases
+            .iter()
+            .map(|ph| (ph.name.clone(), ph.calls))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(calls(&prof_a), calls(&prof_b));
 }
 
 /// An airtime-heavy node: the stage-1 program (deaf) or the stage-3
