@@ -1,12 +1,14 @@
-//! Benches of the event-wheel co-simulation path: the same workload
-//! driven by the slot-stepped loop and by the wheel, so the checked-in
-//! `BENCH_net.json` records sim-events/sec for both and the scaling win
-//! is a tracked number instead of a claim.
+//! Benches of the event-driven co-simulation path: the same workload
+//! driven by the slot-stepped loop and by the event loop, so the
+//! checked-in `BENCH_net.json` records sim-events/sec for both and the
+//! scaling win is a tracked number instead of a claim. The `event_wheel`
+//! ids predate the binary-heap scheduler and keep their names so the
+//! `BENCH_net.json` history stays comparable.
 //!
 //! Throughput is annotated in *slot-equivalent touches* (nodes ×
 //! horizon slots — the work a poll-everything loop does by definition),
 //! so the elem/s figures of the two drivers are directly comparable:
-//! the wheel clears the same simulated workload in a fraction of the
+//! the event loop clears the same simulated workload in a fraction of the
 //! wall-clock because it only touches nodes with pending events
 //! (`tests/net_scale.rs` pins the byte-identity of the results; here
 //! only the wall-clock is interesting). The dense group does the same

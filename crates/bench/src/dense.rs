@@ -41,11 +41,11 @@
 //! classified by the channel and then discarded.
 //!
 //! A tile runs on the co-simulation event loop shared with
-//! [`crate::cosim::run_cosim_event`], with its senders not listening.
-//! The spatial channel produces deliveries only when [`run_tile`]
-//! drains it after the loop, so no sender would hear a frame mid-run
-//! anyway; the drain, the sink count and the conservation assert stay
-//! here.
+//! [`crate::cosim::run_cosim_event`]. The spatial channel produces
+//! deliveries only when [`run_tile`] drains it after the loop, so the
+//! loop's polls of sender endpoints find nothing and no sender hears a
+//! frame mid-run; the drain, the sink count and the conservation assert
+//! stay here.
 
 use ulp_apps::ulp::{monitoring, AppStage, MonitoringConfig, SamplePeriod};
 use ulp_core::slaves::RandomWalkSensor;
@@ -149,7 +149,7 @@ pub struct DenseSummary {
     pub mcu_wakeups: u64,
     /// Total node energy, joules.
     pub energy_j: f64,
-    /// Scheduler events processed: node activations plus channel wheel
+    /// Scheduler events processed: node activations plus channel queue
     /// events (CCA senses and TX ends). The numerator of the
     /// sim-events/sec figure `BENCH_net.json` tracks; compare against
     /// `nodes × horizon_slots` touches for a slot-stepped loop.
@@ -220,9 +220,15 @@ impl DenseSummary {
 ///
 /// [`MAX_NODES`]: crate::cosim::MAX_NODES
 pub fn run_tile(cfg: &DenseConfig, tile: usize) -> DenseSummary {
+    simulate_tile(cfg, tile).0
+}
+
+/// [`run_tile`], also handing back the tile's senders (each with its
+/// medium endpoint) as the run left them.
+fn simulate_tile(cfg: &DenseConfig, tile: usize) -> (DenseSummary, Vec<(usize, System)>) {
     let k = cfg.tile_nodes(tile);
     if k == 0 {
-        return DenseSummary::default();
+        return (DenseSummary::default(), Vec::new());
     }
     let side = cfg.side_m(k);
     let mut medium = SpatialMedium::new(ChannelConfig {
@@ -254,7 +260,7 @@ pub fn run_tile(cfg: &DenseConfig, tile: usize) -> DenseSummary {
         .collect();
 
     let horizon = cfg.horizon_slots;
-    let activations = run_events(&mut medium, &mut nodes, horizon, false);
+    let activations = run_events(&mut medium, &mut nodes, horizon);
     // Resolve every in-flight CSMA retry and TX so the conservation
     // invariant holds over the drained channel; the sink only counts
     // arrivals inside the horizon.
@@ -285,7 +291,7 @@ pub fn run_tile(cfg: &DenseConfig, tile: usize) -> DenseSummary {
         faded: stats.faded,
         deaf: stats.deaf,
         sink_heard,
-        // Activations + channel wheel events (one CCA sense per request
+        // Activations + channel queue events (one CCA sense per request
         // and per deferral, one TX-end per sent frame).
         events: activations + stats.requests + stats.deferrals + stats.sent,
         ..DenseSummary::default()
@@ -300,7 +306,7 @@ pub fn run_tile(cfg: &DenseConfig, tile: usize) -> DenseSummary {
         s.mcu_wakeups += node.mcu().stats().wakeups;
         s.energy_j += node.meter().total_energy().joules();
     }
-    s
+    (s, nodes)
 }
 
 /// Run a whole scenario serially: fold every tile in tile order.
@@ -506,8 +512,8 @@ mod tests {
     }
 
     /// One small tile: nodes sample and transmit, the sink hears
-    /// frames, the channel books balance, and the wheel does far less
-    /// work than a slot-stepped loop would.
+    /// frames, the channel books balance, and the event loop does far
+    /// less work than a slot-stepped loop would.
     #[test]
     fn tile_runs_and_conserves() {
         let cfg = tiny();
@@ -518,10 +524,34 @@ mod tests {
         assert!(s.energy_j > 0.0);
         assert!(
             s.events < s.nodes * cfg.horizon_slots / 10,
-            "event wheel should do <10% of slot-stepped touches: {} vs {}",
+            "event loop should do <10% of slot-stepped touches: {} vs {}",
             s.events,
             s.nodes * cfg.horizon_slots
         );
+    }
+
+    /// Senders hear nothing mid-run: the spatial channel delivers only
+    /// inside `advance`, which the event loop never calls, so its polls
+    /// of sender endpoints find nothing. Both contention regimes.
+    #[test]
+    fn senders_never_receive_or_miss_a_frame() {
+        for density_per_ha in [25.0, 400.0] {
+            let cfg = DenseConfig {
+                nodes: 64,
+                density_per_ha,
+                ..tiny()
+            };
+            let (s, nodes) = simulate_tile(&cfg, 0);
+            assert!(s.delivered > 0, "the drain must deliver to senders: {s:?}");
+            for (endpoint, node) in &nodes {
+                let radio = node.slaves().radio.stats();
+                assert_eq!(
+                    (radio.received, radio.missed),
+                    (0, 0),
+                    "sender at endpoint {endpoint}, density {density_per_ha}"
+                );
+            }
+        }
     }
 
     /// Serial fold and the fleet path agree exactly — counters and the

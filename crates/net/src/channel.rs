@@ -9,7 +9,7 @@
 //! retransmission-free, duplicate-suppressing forwarding logic of the
 //! message processor. For populations beyond a handful of nodes, use
 //! the scale path instead: [`crate::SpatialMedium`] (positions,
-//! pathloss, collisions, CSMA) scheduled on the [`crate::EventWheel`].
+//! pathloss, collisions, CSMA) scheduled on the [`crate::EventQueue`].
 //!
 //! # Determinism
 //!
@@ -19,7 +19,7 @@
 //! order within each transmission. Two runs that issue the same
 //! transmissions in the same order produce bit-identical deliveries,
 //! stats, and event logs — regardless of when or how often receivers
-//! [`Medium::poll`]. This is what lets the event-wheel co-simulation
+//! [`Medium::poll`]. This is what lets the event-driven co-simulation
 //! driver (`ulp_bench::cosim::run_cosim_event`) replay the slot-stepped
 //! driver byte-for-byte: it preserves transmit order, nothing else
 //! matters.

@@ -20,9 +20,9 @@
 //! * the **scale path** — [`SpatialMedium`] (node positions,
 //!   log-distance pathloss with a reception threshold,
 //!   collision/interference, CSMA-CA backoff) scheduled on the
-//!   [`EventWheel`] calendar queue, which only touches nodes with
-//!   pending events and carries 10k-node populations
-//!   (`ulp_bench::dense`).
+//!   [`EventQueue`] (a binary heap keyed by time and insertion order),
+//!   which only touches nodes with pending events and carries 10k-node
+//!   populations as 64-node tiles (`ulp_bench::dense`).
 //!
 //! Both are deterministic given their seed — every random decision is a
 //! draw from a seeded `ulp_testkit` PRNG consumed in a documented order
@@ -46,11 +46,11 @@
 mod channel;
 mod frame;
 mod phy;
+mod queue;
 mod spatial;
-mod wheel;
 
 pub use channel::{Delivery, Medium, MediumConfig, MediumStats, NetEvent, NetEventKind};
 pub use frame::{crc16, Frame, FrameError, FrameType, BROADCAST, MAX_FRAME, MAX_PAYLOAD, MHR_LEN};
 pub use phy::{PhyTiming, SymbolRate};
+pub use queue::EventQueue;
 pub use spatial::{ChannelConfig, LossCause, Position, SpatialEvent, SpatialMedium, SpatialStats};
-pub use wheel::EventWheel;

@@ -1,5 +1,5 @@
 //! Spatial channel model: positions, log-distance pathloss, collisions,
-//! and CSMA backoff on the [`EventWheel`](crate::EventWheel).
+//! and CSMA backoff on the [`EventQueue`](crate::EventQueue).
 //!
 //! The flat broadcast [`Medium`](crate::Medium) treats every receiver
 //! identically — fine for a 4-node flood, useless for the dense-network
@@ -63,7 +63,7 @@
 
 use crate::channel::Delivery;
 use crate::phy::PhyTiming;
-use crate::wheel::EventWheel;
+use crate::queue::EventQueue;
 use std::collections::VecDeque;
 use ulp_testkit::SplitMix64;
 
@@ -256,9 +256,9 @@ struct Transmission {
     overlaps: Vec<usize>,
 }
 
-/// What the wheel schedules.
+/// What the queue schedules.
 #[derive(Debug, Clone)]
-enum WheelEvent {
+enum QueueEvent {
     /// CSMA sense (first attempt or backoff expiry) for a pending frame.
     Sense {
         node: usize,
@@ -286,7 +286,7 @@ pub struct SpatialMedium {
     txs: Vec<Transmission>,
     /// Indices of transmissions currently on the air.
     active: Vec<usize>,
-    wheel: EventWheel<WheelEvent>,
+    queue: EventQueue<QueueEvent>,
     /// Internal clock: everything ≤ `now_us` has been resolved.
     now_us: u64,
     stats: SpatialStats,
@@ -312,7 +312,7 @@ impl SpatialMedium {
             draws: Vec::new(),
             txs: Vec::new(),
             active: Vec::new(),
-            wheel: EventWheel::new(),
+            queue: EventQueue::new(),
             now_us: 0,
             stats: SpatialStats::default(),
             events: None,
@@ -378,9 +378,9 @@ impl SpatialMedium {
         }
         self.stats.requests += 1;
         let at = at_us.max(self.now_us);
-        self.wheel.schedule(
+        self.queue.schedule(
             at,
-            WheelEvent::Sense {
+            QueueEvent::Sense {
                 node,
                 bytes: bytes.to_vec(),
                 attempt: 0,
@@ -392,7 +392,7 @@ impl SpatialMedium {
     /// the hook event-driven drivers use to know when the medium next
     /// needs attention.
     pub fn next_event_time(&self) -> Option<u64> {
-        self.wheel.peek_time()
+        self.queue.peek_time()
     }
 
     /// Earliest undrained delivery for `node`, if any.
@@ -404,19 +404,19 @@ impl SpatialMedium {
     /// (CSMA senses, transmission ends) in `(time, schedule order)`.
     /// Time never goes backwards: an older timestamp is a no-op.
     pub fn advance(&mut self, now_us: u64) {
-        while let Some(t) = self.wheel.peek_time() {
+        while let Some(t) = self.queue.peek_time() {
             if t > now_us {
                 break;
             }
-            let (t, ev) = self.wheel.pop().expect("peeked event");
+            let (t, ev) = self.queue.pop().expect("peeked event");
             self.now_us = self.now_us.max(t);
             match ev {
-                WheelEvent::Sense {
+                QueueEvent::Sense {
                     node,
                     bytes,
                     attempt,
                 } => self.sense(node, bytes, attempt, t),
-                WheelEvent::TxEnd { tx } => self.finish_tx(tx),
+                QueueEvent::TxEnd { tx } => self.finish_tx(tx),
             }
         }
         self.now_us = self.now_us.max(now_us);
@@ -496,9 +496,9 @@ impl SpatialMedium {
                 node,
                 retry_us: retry,
             });
-            self.wheel.schedule(
+            self.queue.schedule(
                 retry,
-                WheelEvent::Sense {
+                QueueEvent::Sense {
                     node,
                     bytes,
                     attempt: next_attempt,
@@ -526,7 +526,7 @@ impl SpatialMedium {
             node,
             until_us: end,
         });
-        self.wheel.schedule(end, WheelEvent::TxEnd { tx: idx });
+        self.queue.schedule(end, QueueEvent::TxEnd { tx: idx });
     }
 
     /// Resolve a finished transmission: classify every other node.

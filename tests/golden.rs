@@ -168,7 +168,7 @@ fn chaos_campaign_summary_is_pinned() {
 fn dense_network_sweep_is_pinned() {
     // The dense-network reproduction artifact: the default `fleet
     // --dense` scenario — 1024 nodes in 16 spatial tiles on the
-    // event-wheel medium — sharded over two fleet workers. The merge is
+    // event-driven medium — sharded over two fleet workers. The merge is
     // grid-order deterministic, so the aggregated report is
     // byte-identical whatever the worker count (tests/net_scale.rs
     // asserts that separately); any drift here is a real change to the
@@ -184,8 +184,8 @@ fn dense_network_sweep_is_pinned() {
 #[test]
 fn cosim_driver_outputs_are_pinned() {
     // Both multi-node loops on one small flood — the slot-stepped
-    // reference and the event wheel — plus one spatial tile on the
-    // wheel, with every energy total as raw f64 bits: the two drivers
+    // reference and the event loop — plus one spatial tile on the
+    // event loop, with every energy total as raw f64 bits: the two drivers
     // must keep every output bit, not just the integer counters.
     use std::fmt::Write as _;
     use ulp_bench::cosim::{run_cosim, run_cosim_event, CosimConfig};

@@ -1,4 +1,4 @@
-//! Scale guarantees of the event-wheel co-simulation path.
+//! Scale guarantees of the event-driven co-simulation path.
 //!
 //! Three layers of byte-identity keep the scalable path honest:
 //!
@@ -6,7 +6,7 @@
 //!    times resolves exactly like ticking it in fixed 10 µs slots —
 //!    same stats, same event log, same deliveries — on random
 //!    topologies and transmit schedules (property test).
-//! 2. **Driver**: `run_cosim_event` (wheel-scheduled nodes) reproduces
+//! 2. **Driver**: `run_cosim_event` (event-scheduled nodes) reproduces
 //!    `run_cosim` (poll every node every slot) counter-for-counter on
 //!    random configs; energy agrees to the fast-forward tolerance.
 //! 3. **Fleet**: a ≥1k-node dense population sharded across fleet
@@ -116,7 +116,7 @@ props! {
         }
     }
 
-    /// Layer 2: the wheel-scheduled driver reproduces the slot-stepped
+    /// Layer 2: the event-scheduled driver reproduces the slot-stepped
     /// driver on random small configs — every integer counter equal,
     /// energy within the fast-forward tolerance (idle spans are charged
     /// in one lump, which only reorders the floating-point sum).
@@ -198,7 +198,7 @@ fn dense_1k_population_is_worker_count_invariant() {
     }
 }
 
-/// The wheel's reason to exist: event count is a small fraction of the
+/// The event loop's reason to exist: event count is a small fraction of the
 /// nodes × slots touches a slot-stepped loop would make on the same
 /// population.
 #[test]
