@@ -23,7 +23,7 @@
 //!   `--seeds N` (seeds `0..N`, default `8`), `--slots N` (horizon in
 //!   10 µs slots, default `12000`)
 //! * `--dense` — spatial dense-network mode: tiles of 64 nodes on the
-//!   event-wheel [`SpatialMedium`](ulp_net::SpatialMedium), one grid
+//!   event-driven [`SpatialMedium`](ulp_net::SpatialMedium), one grid
 //!   point per tile, aggregated per scenario (see [`ulp_bench::dense`]):
 //!   `--nodes` (default `1024`), `--density A[,B,…]` (nodes per hectare,
 //!   default `25`), `--duty A[,B,…]` (sample period in cycles, default
@@ -70,7 +70,8 @@
 //! nothing on stdout. A summary table always goes to stdout and the
 //! per-sweep wall-clock to stderr, so stdout stays byte-identical across
 //! runs; a panicking grid point (a violated chaos invariant, say) exits
-//! 1 naming its scenario coordinates.
+//! 1 naming its scenario coordinates, and an output file that cannot be
+//! written exits 1 with one line naming it.
 
 use std::process::exit;
 
@@ -91,9 +92,14 @@ fn execute<P: Sync>(
     key_of: impl Fn(&Coords, &P) -> String + Sync,
     eval: impl Fn(&Coords, &P) -> Vec<Cell> + Sync,
 ) -> SweepResults {
-    drive(sweep, &args.drive, key_of, eval).unwrap_or_else(|e| {
+    or_exit(drive(sweep, &args.drive, key_of, eval))
+}
+
+/// The value, or the error's line on stderr and exit 1.
+fn or_exit<T, E: std::fmt::Display>(result: Result<T, E>) -> T {
+    result.unwrap_or_else(|e| {
         eprintln!("{e}");
-        exit(1);
+        exit(1)
     })
 }
 
@@ -158,7 +164,7 @@ fn main() {
                     ("p99", "service_p99"),
                 ],
             );
-            args.finish(&results);
+            or_exit(args.finish(&results));
         }
         Mode::Dense => {
             let (nodes, densities, duties) = (&args.nodes, &args.densities, &args.duties);
@@ -192,7 +198,7 @@ fn main() {
                 return;
             }
             print!("{}", dense::dense_report(&results));
-            args.finish(&results);
+            or_exit(args.finish(&results));
         }
         Mode::Chaos => {
             let (apps, rates) = (&args.apps, &args.rates);
@@ -234,10 +240,9 @@ fn main() {
                 .last()
                 .unwrap_or("# aggregate: empty campaign");
             println!("\n{aggregate}");
-            args.finish(&results);
+            or_exit(args.finish(&results));
             if let Some(path) = &args.summary {
-                std::fs::write(path, &summary).unwrap_or_else(|e| panic!("write {path}: {e}"));
-                eprintln!("wrote {path}");
+                or_exit(ulp_bench::write_output(path, &summary));
             }
         }
     }

@@ -23,7 +23,9 @@
 //!   the wall-clock self-time table after the summary, and append the
 //!   deterministic host-perf counter track to the `--out` JSON
 //!
-//! The metrics summary always goes to stdout. Open the JSON in
+//! The metrics summary goes to stdout once every artifact is written;
+//! an output file that cannot be written exits 1 with one line naming
+//! it instead. Open the JSON in
 //! `chrome://tracing` or <https://ui.perfetto.dev>.
 
 use std::process::exit;
@@ -140,17 +142,17 @@ fn main() {
         }
         eprintln!("check ok: double run byte-identical, JSON well-formed");
     }
-    if let Some(path) = &out {
-        std::fs::write(path, &export.json).expect("write --out");
-        eprintln!("wrote {path}");
-    }
-    if let Some(path) = &csv {
-        std::fs::write(path, &export.csv).expect("write --csv");
-        eprintln!("wrote {path}");
-    }
-    if let Some(path) = &summary {
-        std::fs::write(path, &export.summary).expect("write --summary");
-        eprintln!("wrote {path}");
+    for (path, text) in [
+        (&out, &export.json),
+        (&csv, &export.csv),
+        (&summary, &export.summary),
+    ] {
+        if let Some(path) = path {
+            if let Err(e) = ulp_bench::write_output(path, text) {
+                eprintln!("{e}");
+                exit(1);
+            }
+        }
     }
     print!("{}", export.summary);
     if let Some(snap) = &perf_snapshot {

@@ -228,21 +228,19 @@ impl CampaignArgs {
     /// The wall-clock line on stderr, then the `--csv` and `--json`
     /// exports. Stdout stays byte-identical across runs.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if an export cannot be written.
-    pub fn finish(&self, results: &SweepResults) {
+    /// One line naming the path and the OS error if an export cannot be
+    /// written (see [`crate::write_output`]).
+    pub fn finish(&self, results: &SweepResults) -> Result<(), String> {
         eprintln!("\n{}", results.wall_clock());
-        let exports = [
-            (&self.csv, results.to_csv()),
-            (&self.json, results.to_json()),
-        ];
-        for (path, text) in exports {
-            if let Some(path) = path {
-                std::fs::write(path, text).unwrap_or_else(|e| panic!("write {path}: {e}"));
-                eprintln!("wrote {path}");
-            }
+        if let Some(path) = &self.csv {
+            crate::write_output(path, &results.to_csv())?;
         }
+        if let Some(path) = &self.json {
+            crate::write_output(path, &results.to_json())?;
+        }
+        Ok(())
     }
 }
 

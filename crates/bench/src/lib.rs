@@ -70,3 +70,16 @@ pub mod tracegen;
 
 pub use measure::{measure_table4, SystemSide, Table4Row};
 pub use table::TableWriter;
+
+/// Write an output artifact (`--csv`, `--json`, `--out`, `--summary`)
+/// to `path` and say so on stderr.
+///
+/// # Errors
+///
+/// One line naming the path and the OS error when `path` cannot be
+/// written; the binaries print it and exit 1.
+pub fn write_output(path: &str, text: &str) -> Result<(), String> {
+    std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
+    eprintln!("wrote {path}");
+    Ok(())
+}

@@ -164,6 +164,67 @@ fn an_unopenable_store_is_an_error_naming_it() {
     }
 }
 
+/// An output file that cannot be written is an error naming its path:
+/// exit 1 with the OS error as the last line on stderr, never a panic.
+/// Every mode's exports and the chaos summary.
+#[test]
+fn an_unwritable_output_is_an_error_naming_it() {
+    for args in [
+        &[
+            "--nodes",
+            "2",
+            "--seeds",
+            "1",
+            "--slots",
+            "100",
+            "--csv",
+            "/dev/null/x",
+        ][..],
+        &[
+            "--nodes",
+            "2",
+            "--seeds",
+            "1",
+            "--slots",
+            "100",
+            "--json",
+            "/dev/null/x",
+        ],
+        &[
+            "--dense",
+            "--nodes",
+            "2",
+            "--slots",
+            "100",
+            "--json",
+            "/dev/null/x",
+        ],
+        &[
+            "--chaos",
+            "--apps",
+            "app1",
+            "--rates",
+            "0",
+            "--seeds",
+            "1",
+            "--horizon",
+            "1000",
+            "--summary",
+            "/dev/null/x",
+        ],
+    ] {
+        let out = fleet(args);
+        assert_eq!(out.status.code(), Some(1), "fleet {args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            stderr.lines().last(),
+            Some("cannot write /dev/null/x: Not a directory (os error 20)"),
+            "fleet {args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "fleet {args:?}: {stderr}");
+    }
+}
+
 /// `fleet --chaos` writes the campaign summary the golden suite pins,
 /// byte for byte.
 #[test]
