@@ -53,6 +53,15 @@ ULP_PROPTEST_CASES=256 cargo test -q --release --offline --test reference_models
   long_quiet_chains_match_wake_by_wake \
   repeated_periods_match_wake_by_wake > /dev/null
 
+echo "== event queue: pop order matches a sorted reference model =="
+# Every multi-node driver replays byte for byte only because the event
+# queue pops in strict (time, insertion order). This property runs random
+# interleavings of schedules and pops, duplicate times and scheduling in
+# the past against a sorted reference, on the release build with more
+# cases than the tier-1 default.
+ULP_PROPTEST_CASES=256 cargo test -q --release --offline -p ulp-net --lib -- \
+  queue::tests::random_interleavings_match_reference_model > /dev/null
+
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
