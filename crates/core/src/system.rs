@@ -15,10 +15,10 @@ use ulp_sim::perf::{PhaseId, Profiler};
 use ulp_sim::repeat::{Repeat, RepeatWatch, Totals};
 use ulp_sim::telemetry::{Log2Histogram, Metrics};
 use ulp_sim::{
-    skip_target, ChargeBatch, Cycles, Draw, Energy, EnergyMeter, Frequency, IdleAdvance, Interval,
-    MeterId, Power, PowerMode, PowerSpec, Simulatable, StepOutcome, TraceBuffer, TraceKind,
+    skip_target, Cycles, Draw, Energy, EnergyMeter, Frequency, IdleAdvance, Interval, MeterId,
+    Power, PowerMode, PowerSpec, Simulatable, StepOutcome, TraceBuffer, TraceKind,
 };
-use ulp_sram::{BankedSram, QuietTicks, SramConfig};
+use ulp_sram::{BankedSram, SramConfig};
 
 /// Configuration of a system instance.
 #[derive(Debug, Clone)]
@@ -760,13 +760,28 @@ impl System {
     fn charge_cycle(&mut self, ep_active: bool) {
         let touched = self.slaves.take_touched();
         let draws = self.draws(touched, ep_active);
-        if let Some(tape) = &mut self.periods.tape {
-            let (leak, access) = self.slaves.mem.tick_addends(Cycles(1));
-            tape.tick(self.meter.addends(&draws, self.meter.cycle()), leak, access);
-        }
+        self.record(&draws, self.meter.cycle());
         self.meter.charge_cycle(&draws);
         self.slaves.mem.tick(Cycles(1));
         self.sync_memory_energy();
+    }
+
+    /// Energy accounting for an idle span: nothing touched, the EP idle.
+    fn charge_span(&mut self, span: Interval) {
+        let draws = self.draws(Touched::default(), false);
+        self.record(&draws, span);
+        self.meter.charge_span(&draws, span);
+        self.slaves.mem.tick(span.cycles());
+        self.sync_memory_energy();
+    }
+
+    /// Record a charge of `span` at `draws` on the period tape, if one is
+    /// being recorded.
+    fn record(&mut self, draws: &[Draw; 8], span: Interval) {
+        if let Some(tape) = &mut self.periods.tape {
+            let (leak, access) = self.slaves.mem.tick_addends(span.cycles());
+            tape.tick(self.meter.addends(draws, span), leak, access);
+        }
     }
 
     fn sync_memory_energy(&mut self) {
@@ -802,57 +817,26 @@ impl System {
         ]
     }
 
-    /// Check the meter and the SRAM out for quiet charging.
-    fn open_quiet(&self) -> Quiet {
-        Quiet {
-            batch: self.meter.batch(self.draws(Touched::default(), false)),
-            sram: self.slaves.mem.quiet_ticks(),
-            mark: self.mem_energy_mark,
-            memory: self.ids.memory,
-            timers_counting: self.slaves.timer.active_count(),
+    /// The nine running totals a quiet jump repeats: the eight meter
+    /// components' energies, then the SRAM's.
+    fn sums(&self) -> [f64; 9] {
+        let mut sums = [self.slaves.mem.energy().0; 9];
+        for (sum, c) in sums.iter_mut().zip(self.meter.all()) {
+            *sum = c.energy.0;
         }
+        sums
     }
 
-    /// Record a quiet charge of `span` (a skip, or a quiet cycle) on the
-    /// tape being recorded, if one is.
-    fn record_quiet(&mut self, span: Interval) {
-        if self.periods.tape.is_none() {
-            return;
-        }
-        let adds = self
-            .meter
-            .addends(&self.draws(Touched::default(), false), span);
-        let (leak, _) = self.slaves.mem.tick_addends(span.cycles());
-        if let Some(tape) = &mut self.periods.tape {
-            tape.tick(adds, leak, Energy::ZERO);
-        }
-    }
-
-    fn close_quiet(&mut self, quiet: Quiet) {
-        self.meter.commit(quiet.batch);
-        self.slaves.mem.commit_quiet(quiet.sram);
-        self.mem_energy_mark = quiet.mark;
-    }
-
-    /// Fast-forward to `target` (strictly after `now`), charging the span
-    /// to `quiet`.
-    fn skip_quiet(&mut self, target: Cycles, quiet: &mut Quiet) {
-        debug_assert!(target > self.now, "skip must move forward");
-        if self.periods.tape.is_some() && self.next_wakeup() != Some(target) {
-            // A skip cut short of the next wakeup (by a deadline) charges
-            // differently from the skip the node's own run makes.
-            self.periods.taint();
-        }
-        let span = target - self.now;
-        self.slaves.skip(span);
-        let interval = self.meter.interval(span);
-        self.record_quiet(interval);
-        quiet.span(interval);
-        self.now = target;
-        self.skipped += span;
-        if self.telemetry {
-            self.idle_skip_hist.record(span.0);
-        }
+    /// Charge `k` more quiet iterations of `period` cycles, each adding
+    /// what the one `rep` was observed on added.
+    fn repeat_charges(&mut self, rep: &Repeat<9>, k: u64, period: u64) {
+        let sums = rep.apply(self.sums(), k);
+        let cycles = Cycles(k * period);
+        let draws = self.draws(Touched::default(), false);
+        let energies = std::array::from_fn(|i| Energy(sums[i]));
+        self.meter.repeat(&draws, energies, cycles);
+        self.slaves.mem.repeat(Energy(sums[8]), cycles);
+        self.mem_energy_mark = Energy(sums[8]);
     }
 
     /// Whether the next cycle is quiet: no compute is in flight, a frame
@@ -1141,56 +1125,6 @@ fn mode(powered: bool, active: bool) -> PowerMode {
     }
 }
 
-/// Accumulators of quiet charging (see `System::open_quiet`): the eight
-/// meter components at their quiet draws, the SRAM's running total, and
-/// the mark the memory meter is synced to.
-struct Quiet {
-    batch: ChargeBatch<8>,
-    sram: QuietTicks,
-    mark: Energy,
-    memory: MeterId,
-    /// Timers counting when the batch was opened (the timer's draw).
-    timers_counting: usize,
-}
-
-impl Quiet {
-    /// Charge one quiet cycle, as `System::charge_cycle` does.
-    #[inline]
-    fn cycle(&mut self) {
-        self.batch.cycle();
-        let total = self.sram.tick(Cycles(1));
-        self.batch.add(self.memory, settle(&mut self.mark, total));
-    }
-
-    /// Charge an idle span.
-    #[inline]
-    fn span(&mut self, span: Interval) {
-        self.batch.span(span);
-        let total = self.sram.tick(span.cycles());
-        self.batch.add(self.memory, settle(&mut self.mark, total));
-    }
-
-    /// The nine running totals: the eight components', then the SRAM's.
-    #[inline]
-    fn sums(&self) -> [f64; 9] {
-        let mut sums = [self.sram.energy().0; 9];
-        for (sum, e) in sums.iter_mut().zip(self.batch.energies()) {
-            *sum = e.0;
-        }
-        sums
-    }
-
-    /// Charge `k` more iterations of `period` cycles, each adding what
-    /// the one `rep` was observed on added.
-    fn repeat(&mut self, rep: &Repeat<9>, k: u64, period: u64) {
-        let sums = rep.apply(self.sums(), k);
-        let cycles = Cycles(k * period);
-        self.batch
-            .repeat(std::array::from_fn(|i| Energy(sums[i])), cycles);
-        self.mark = self.sram.repeat(Energy(sums[8]), cycles);
-    }
-}
-
 /// The SRAM energy since `mark`, moving `mark` to `total`: what the
 /// memory meter is charged after each SRAM tick.
 #[inline]
@@ -1236,27 +1170,39 @@ impl Simulatable for System {
     }
 
     fn skip_to(&mut self, target: Cycles) {
-        let mut quiet = self.open_quiet();
-        self.skip_quiet(target, &mut quiet);
-        self.close_quiet(quiet);
+        debug_assert!(target > self.now, "skip must move forward");
+        if self.periods.tape.is_some() && self.next_wakeup() != Some(target) {
+            // A skip cut short of the next wakeup (by a deadline) charges
+            // differently from the skip the node's own run makes.
+            self.periods.taint();
+        }
+        let span = target - self.now;
+        self.slaves.skip(span);
+        self.charge_span(self.meter.interval(span));
+        self.now = target;
+        self.skipped += span;
+        if self.telemetry {
+            self.idle_skip_hist.record(span.0);
+        }
     }
 
     /// The engine's idle skip, then a chain: while the next cycle is
     /// quiet (a silent underflow, like the GDI base timer's 699 of every
     /// 700 wakes, or a cycle of radio airtime), step it and skip on,
-    /// exactly as the engine would one wake at a time — the same
-    /// `step_cycle` state changes, the same energy addends in the same
-    /// order — but with the eight component totals and the SRAM's held in
-    /// a `Quiet` batch and written back once, and the profiler's calls
-    /// counted in bulk. A frame on air has no skip (`next_wakeup` is
-    /// `now`), so a chain through airtime only steps.
+    /// exactly as the engine would one wake at a time: the same
+    /// `step_cycle` state changes, charged through the same
+    /// `charge_cycle` and `skip_to`, with the profiler's calls counted in
+    /// bulk. A frame on air has no skip (`next_wakeup` is `now`), so a
+    /// chain through airtime only steps.
     ///
     /// Without a `stop` predicate or a fault plan, a run of identical
     /// iterations (a skip, then a quiet cycle) is repeated in one jump
     /// once three in a row have kept every running total in its binade
     /// (`ulp_sim::repeat`), so the sums keep every bit they would have
     /// had; `quiet_repeats` bounds the jump so that each iteration it
-    /// covers would have been quiet and of the same shape.
+    /// covers would have been quiet and of the same shape. The watch
+    /// restarts whenever the draws change: a timer without `REPEAT` that
+    /// stops changes the timer block's.
     ///
     /// Where the chain stops at a period boundary (the next tick raises a
     /// timer interrupt, compute is idle and nothing is on air), and with
@@ -1275,17 +1221,17 @@ impl Simulatable for System {
         if self.now >= deadline {
             return run;
         }
-        let mut quiet = self.open_quiet();
         let jumps = stop.is_none() && self.fault_plan.is_none();
         let periods = jumps && !self.telemetry && !self.trace.is_enabled();
-        let mut watch = RepeatWatch::new(quiet.sums());
+        let mut watch = RepeatWatch::new(self.sums());
+        let mut timers_counting = self.slaves.timer.active_count();
         let mut repeated = 0;
         loop {
             let now = self.now;
             let on_air = self.slaves.radio.transmitting();
             if !on_air {
                 if let Some(target) = skip_target(now, self.next_wakeup(), deadline) {
-                    self.skip_quiet(target, &mut quiet);
+                    self.skip_to(target);
                     run.skipped += target - now;
                 }
             }
@@ -1294,10 +1240,7 @@ impl Simulatable for System {
                 break;
             }
             if let Some(stop) = stop.as_deref_mut() {
-                // The predicate sees the machine up to date.
-                self.close_quiet(quiet);
                 run.stopped = stop(self);
-                quiet = self.open_quiet();
                 if run.stopped {
                     break;
                 }
@@ -1307,31 +1250,26 @@ impl Simulatable for System {
             let now = self.now;
             self.slaves.irqs.set_now(now);
             self.slaves.tick(now);
-            let reopen = self.slaves.timer.active_count() != quiet.timers_counting;
-            if reopen {
-                // A timer without `REPEAT` stopped: the timer block's
-                // draw changes from this cycle on.
-                self.close_quiet(quiet);
-                quiet = self.open_quiet();
-            }
-            quiet.cycle();
-            self.record_quiet(self.meter.cycle());
+            self.charge_cycle(false);
             run.stepped += Cycles(1);
             if !jumps {
                 continue;
             }
-            if reopen {
-                // The new draws began mid-iteration: the repeats count
-                // from this boundary.
-                watch.restart(quiet.sums());
+            let counting = self.slaves.timer.active_count();
+            if counting != timers_counting {
+                // A timer without `REPEAT` stopped: the timer block's
+                // draw changed mid-iteration, so the repeats count from
+                // this boundary.
+                timers_counting = counting;
+                watch.restart(self.sums());
                 continue;
             }
             let shape = span.0 << 1 | on_air as u64;
-            if let Some(rep) = watch.observe(shape, quiet.sums()) {
+            if let Some(rep) = watch.observe(shape, self.sums()) {
                 let period = span.0 + 1;
                 let k = rep.room().min(self.quiet_repeats(period, horizon));
                 if k > 0 {
-                    quiet.repeat(&rep, k, period);
+                    self.repeat_charges(&rep, k, period);
                     if let Some(tape) = &mut self.periods.tape {
                         tape.repeat_last(1 + (span.0 > 0) as usize, k);
                     }
@@ -1345,11 +1283,10 @@ impl Simulatable for System {
                         self.idle_skip_hist.record_n(span.0, k);
                     }
                     repeated += k;
-                    watch.restart(quiet.sums());
+                    watch.restart(self.sums());
                 }
             }
         }
-        self.close_quiet(quiet);
         if !periods {
             self.periods.forget();
         } else if self.now < horizon

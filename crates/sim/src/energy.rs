@@ -11,17 +11,14 @@
 //! every mode is computed once at registration, and of a fractional draw
 //! once per fraction ([`EnergyMeter::charge_cycle`] charges one cycle to
 //! every component from one list of draws), and a fast-forwarded span is
-//! converted once and charged to every component as an [`Interval`]. Each
-//! cached value is the very product the per-call formula forms, so the
-//! accumulated bits do not depend on which path charged them.
+//! converted once and charged to every component as an [`Interval`]
+//! ([`EnergyMeter::charge_span`]). Each cached value is the very product
+//! the per-id reference [`EnergyMeter::charge`] forms, so the accumulated
+//! bits do not depend on which path charged them.
 //!
-//! A machine that charges a run of quiet cycles and spans, in which every
-//! component's draw stays put, can sum them in a [`ChargeBatch`] instead:
-//! the running totals live in the batch (in registers, in a tight loop)
-//! and go back to the meter once. The batch adds exactly the addends the
-//! per-call methods add, in the same order, so the bits do not change;
-//! a run of identical charges it may also repeat in one step
-//! ([`ChargeBatch::repeat`], on the exact rule of [`crate::repeat`]).
+//! A run of identical charges can be repeated in one step: [`crate::repeat`]
+//! computes the totals exactly, and [`EnergyMeter::repeat`] writes them
+//! back with the cycles they cover.
 
 use crate::power::{PowerMode, PowerSpec};
 use crate::repeat::Totals;
@@ -44,14 +41,21 @@ impl Interval {
 }
 
 /// How a component draws power while charged: in one [`PowerMode`], or
-/// with a `fraction` of its logic active and the rest idle (see
-/// [`EnergyMeter::charge_fraction`]).
+/// with a `fraction` of its logic active and the rest idle. A fraction
+/// serves blocks with independently running sub-units: the paper's timer
+/// subsystem has four timers, of which typically one is counting (§6.3).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Draw {
     /// The whole component in one mode.
     Mode(PowerMode),
     /// A fraction in `[0, 1]` of the component active, the rest idle.
     Fraction(f64),
+}
+
+impl From<PowerMode> for Draw {
+    fn from(mode: PowerMode) -> Draw {
+        Draw::Mode(mode)
+    }
 }
 
 /// Handle to a component registered with an [`EnergyMeter`].
@@ -163,9 +167,7 @@ pub struct EnergyMeter {
 }
 
 /// One component's one-cycle energies: what
-/// [`charge_interval`](EnergyMeter::charge_interval) and
-/// [`charge_fraction_interval`](EnergyMeter::charge_fraction_interval)
-/// would add for one cycle.
+/// [`charge`](EnergyMeter::charge) would add for one cycle.
 #[derive(Debug, Clone, Copy)]
 struct Quanta {
     /// `spec.draw(mode) × cycle`, indexed by mode.
@@ -246,33 +248,29 @@ impl EnergyMeter {
         MeterId(self.components.len() - 1)
     }
 
-    /// Charge `cycles` of time in `mode` to a component.
-    pub fn charge(&mut self, id: MeterId, mode: PowerMode, cycles: Cycles) {
-        self.charge_interval(id, mode, self.interval(cycles));
-    }
-
-    /// Charge an [`Interval`] of time in `mode` to a component.
-    pub fn charge_interval(&mut self, id: MeterId, mode: PowerMode, span: Interval) {
-        self.charge_draw(id, Draw::Mode(mode), span);
-    }
-
-    /// Charge an [`Interval`] at `draw` to a component.
-    fn charge_draw(&mut self, id: MeterId, draw: Draw, span: Interval) {
+    /// Charge `cycles` at `draw` (a [`PowerMode`] or a [`Draw`]) to one
+    /// component: the per-id reference that the fused
+    /// [`charge_cycle`](EnergyMeter::charge_cycle) and
+    /// [`charge_span`](EnergyMeter::charge_span) are bit-identical to.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a fraction is not within `[0, 1]`.
+    pub fn charge(&mut self, id: MeterId, draw: impl Into<Draw>, cycles: Cycles) {
+        let seconds = cycles.at(self.clock);
         let c = &mut self.components[id.0];
-        let (slot, power) = resolve(&c.spec, draw);
-        if span.cycles == Cycles::ZERO {
+        let (slot, power) = resolve(&c.spec, draw.into());
+        if cycles == Cycles::ZERO {
             return;
         }
-        c.energy += power * span.seconds;
-        c.mode_cycles[slot] += span.cycles;
+        c.energy += power * seconds;
+        c.mode_cycles[slot] += cycles;
     }
 
     /// Charge one cycle to every component, the `i`-th registered at
     /// `draws[i]`, adding the cached one-cycle energies in registration
-    /// order: bit-identical to charging each component
-    /// [`cycle`](EnergyMeter::cycle) through
-    /// [`charge_interval`](EnergyMeter::charge_interval) or
-    /// [`charge_fraction_interval`](EnergyMeter::charge_fraction_interval).
+    /// order: bit-identical to charging each component one cycle through
+    /// [`charge`](EnergyMeter::charge).
     ///
     /// # Panics
     ///
@@ -292,10 +290,49 @@ impl EnergyMeter {
         }
     }
 
+    /// Charge `span` to every component, the `i`-th registered at
+    /// `draws[i]`: bit-identical to charging each component `span`
+    /// through [`charge`](EnergyMeter::charge).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `draws` does not name one draw per registered component,
+    /// or if a fraction is not within `[0, 1]`.
+    pub fn charge_span<const N: usize>(&mut self, draws: &[Draw; N], span: Interval) {
+        assert_eq!(N, self.components.len(), "one draw per component");
+        for (c, &draw) in self.components.iter_mut().zip(draws) {
+            let (slot, power) = resolve(&c.spec, draw);
+            c.energy += power * span.seconds;
+            c.mode_cycles[slot] += span.cycles;
+        }
+    }
+
+    /// Take every component's energy to `energies` and count `cycles`
+    /// more, the `i`-th registered at `draws[i]`: the outcome of
+    /// repeating a run of identical charges, which [`crate::repeat`]
+    /// computes exactly from the totals.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `draws` does not name one draw per registered component,
+    /// or if a fraction is not within `[0, 1]`.
+    pub fn repeat<const N: usize>(
+        &mut self,
+        draws: &[Draw; N],
+        energies: [Energy; N],
+        cycles: Cycles,
+    ) {
+        assert_eq!(N, self.components.len(), "one draw per component");
+        for ((c, &draw), energy) in self.components.iter_mut().zip(draws).zip(energies) {
+            c.energy = energy;
+            c.mode_cycles[resolve(&c.spec, draw).0] += cycles;
+        }
+    }
+
     /// What charging `span` at `draws` adds to each component, in
     /// registration order: the very products
-    /// [`charge_cycle`](EnergyMeter::charge_cycle) (for one cycle) and a
-    /// [`ChargeBatch`] add.
+    /// [`charge_cycle`](EnergyMeter::charge_cycle) (for one cycle) and
+    /// [`charge_span`](EnergyMeter::charge_span) add.
     ///
     /// # Panics
     ///
@@ -310,77 +347,6 @@ impl EnergyMeter {
     /// advancing any mode time.
     pub fn charge_energy(&mut self, id: MeterId, energy: Energy) {
         self.components[id.0].energy += energy;
-    }
-
-    /// Charge `cycles` of time during which the component was partially
-    /// active: `fraction` of its logic drew active power and the rest drew
-    /// idle power. Used for blocks with independently-running sub-units —
-    /// the paper's timer subsystem has four timers of which typically one
-    /// is counting (§6.3).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fraction` is not within `[0, 1]`.
-    pub fn charge_fraction(&mut self, id: MeterId, fraction: f64, cycles: Cycles) {
-        self.charge_fraction_interval(id, fraction, self.interval(cycles));
-    }
-
-    /// [`charge_fraction`](EnergyMeter::charge_fraction) over an
-    /// [`Interval`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fraction` is not within `[0, 1]`.
-    pub fn charge_fraction_interval(&mut self, id: MeterId, fraction: f64, span: Interval) {
-        self.charge_draw(id, Draw::Fraction(fraction), span);
-    }
-
-    /// Check out every component's running total into a [`ChargeBatch`]
-    /// that charges the `i`-th registered at the fixed `draws[i]`.
-    /// Charge nothing else until the batch is
-    /// [`commit`](EnergyMeter::commit)ted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `draws` does not name one draw per registered component,
-    /// or if a fraction is not within `[0, 1]`.
-    pub fn batch<const N: usize>(&self, draws: [Draw; N]) -> ChargeBatch<N> {
-        assert_eq!(N, self.components.len(), "one draw per component");
-        let t = self.cycle.seconds;
-        let mut slot = [0; N];
-        let mut power = [Power::ZERO; N];
-        let mut quantum = [Energy::ZERO; N];
-        let mut energy = [Energy::ZERO; N];
-        for (i, (c, &draw)) in self.components.iter().zip(&draws).enumerate() {
-            (slot[i], power[i]) = resolve(&c.spec, draw);
-            quantum[i] = power[i] * t;
-            energy[i] = c.energy;
-        }
-        ChargeBatch {
-            slot,
-            power,
-            quantum,
-            opened: energy,
-            energy,
-            cycles: Cycles::ZERO,
-        }
-    }
-
-    /// Write a batch's running totals and cycle counts back.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a component was charged since the batch was opened.
-    pub fn commit<const N: usize>(&mut self, batch: ChargeBatch<N>) {
-        for (i, c) in self.components.iter_mut().enumerate() {
-            assert!(
-                c.energy.0.to_bits() == batch.opened[i].0.to_bits(),
-                "{} was charged while a batch held it",
-                c.name
-            );
-            c.energy = batch.energy[i];
-            c.mode_cycles[batch.slot[i]] += batch.cycles;
-        }
     }
 
     /// Visit every component's energy and mode cycles, in registration
@@ -433,67 +399,6 @@ impl EnergyMeter {
             .iter()
             .position(|c| c.name == name)
             .map(MeterId)
-    }
-}
-
-/// Charges to every component of a meter, each at a fixed [`Draw`],
-/// summed outside the meter (made by [`EnergyMeter::batch`], written back
-/// by [`EnergyMeter::commit`]). A cycle adds each component's one-cycle
-/// quantum, as [`charge_cycle`](EnergyMeter::charge_cycle) does; a span
-/// adds `power × seconds`, as
-/// [`charge_interval`](EnergyMeter::charge_interval) does; so the
-/// totals are bit-identical to charging the same sequence call by call.
-#[derive(Debug, Clone)]
-pub struct ChargeBatch<const N: usize> {
-    slot: [usize; N],
-    power: [Power; N],
-    quantum: [Energy; N],
-    opened: [Energy; N],
-    energy: [Energy; N],
-    cycles: Cycles,
-}
-
-impl<const N: usize> ChargeBatch<N> {
-    /// Charge one cycle to every component.
-    #[inline]
-    pub fn cycle(&mut self) {
-        for i in 0..N {
-            self.energy[i] += self.quantum[i];
-        }
-        self.cycles += Cycles(1);
-    }
-
-    /// Charge `span` to every component.
-    #[inline]
-    pub fn span(&mut self, span: Interval) {
-        if span.cycles == Cycles::ZERO {
-            return;
-        }
-        for i in 0..N {
-            self.energy[i] += self.power[i] * span.seconds;
-        }
-        self.cycles += span.cycles;
-    }
-
-    /// Add a one-off energy to a component, as
-    /// [`charge_energy`](EnergyMeter::charge_energy) does.
-    #[inline]
-    pub fn add(&mut self, id: MeterId, energy: Energy) {
-        self.energy[id.0] += energy;
-    }
-
-    /// Every component's running total, in registration order.
-    #[inline]
-    pub fn energies(&self) -> [Energy; N] {
-        self.energy
-    }
-
-    /// Take the totals to `energies` and count `cycles` more: the
-    /// outcome of repeating a run of identical charges, which
-    /// [`crate::repeat`] computes exactly from the totals.
-    pub fn repeat(&mut self, energies: [Energy; N], cycles: Cycles) {
-        self.energy = energies;
-        self.cycles += cycles;
     }
 }
 
@@ -595,7 +500,7 @@ mod tests {
                 }
                 assert_eq!(m.stats(id).energy.0.to_bits(), want.0.to_bits());
                 for n in [1, 9_999, 7_000_000] {
-                    m.charge_interval(id, mode, m.interval(Cycles(n)));
+                    m.charge_span(&[Draw::Mode(mode)], m.interval(Cycles(n)));
                     want += spec.draw(mode) * Cycles(n).at(clock);
                     assert_eq!(m.stats(id).energy.0.to_bits(), want.0.to_bits());
                 }
@@ -611,12 +516,12 @@ mod tests {
                 }
                 assert_eq!(m.stats(id).energy.0.to_bits(), want.0.to_bits());
                 for _ in 0..1000 {
-                    m.charge_fraction_interval(id, f, m.cycle());
+                    m.charge(id, Draw::Fraction(f), Cycles(1));
                     want += w * one;
                 }
                 assert_eq!(m.stats(id).energy.0.to_bits(), want.0.to_bits());
                 for n in [1, 9_999, 7_000_000] {
-                    m.charge_fraction_interval(id, f, m.interval(Cycles(n)));
+                    m.charge_span(&[Draw::Fraction(f)], m.interval(Cycles(n)));
                     want += w * Cycles(n).at(clock);
                     assert_eq!(m.stats(id).energy.0.to_bits(), want.0.to_bits());
                 }
@@ -624,11 +529,12 @@ mod tests {
         }
     }
 
-    /// The fused per-cycle charge adds, per component, exactly the bits
-    /// and cycles the per-id calls add for the same cycle: random lists
-    /// of modes, the timer block's counting fractions, a register access
-    /// at `Fraction(1.0)` (active slot) and gated draws, with each
-    /// component's fraction changing from cycle to cycle or staying put.
+    /// The fused per-cycle and per-span charges add, per component,
+    /// exactly the bits and cycles the per-id calls add for the same
+    /// cycle or span: random lists of modes, the timer block's counting
+    /// fractions, a register access at `Fraction(1.0)` (active slot) and
+    /// gated draws, with each component's fraction changing from charge
+    /// to charge or staying put, over single cycles and random spans.
     #[test]
     fn fused_cycle_matches_per_id_calls() {
         use ulp_testkit::Rng;
@@ -664,12 +570,16 @@ mod tests {
                     3 => Draw::Fraction(1.0),
                     _ => Draw::Fraction(rng.gen_range(0u32..5) as f64 / 4.0 * 0.125),
                 });
-                fused.charge_cycle(&draws);
+                let cycles = if rng.gen_range(0u32..4) == 0 {
+                    let n = Cycles(rng.gen_range(0u64..1_000_000));
+                    fused.charge_span(&draws, fused.interval(n));
+                    n
+                } else {
+                    fused.charge_cycle(&draws);
+                    Cycles(1)
+                };
                 for (&id, &draw) in ids.iter().zip(&draws) {
-                    match draw {
-                        Draw::Mode(mode) => per_id.charge_interval(id, mode, per_id.cycle()),
-                        Draw::Fraction(f) => per_id.charge_fraction_interval(id, f, per_id.cycle()),
-                    }
+                    per_id.charge(id, draw, cycles);
                 }
             }
             for (a, b) in fused.all().iter().zip(per_id.all()) {

@@ -295,8 +295,8 @@ impl<M: Simulatable> Engine<M> {
     /// The one run loop behind [`run_until_cycle`] and [`run_until`]:
     /// step until `deadline`, a halt, or `stop` holding. Without `stop`
     /// the idle advance gets no predicate either, so a
-    /// [`Simulatable::idle_advance`] that batches quiet cycles never has
-    /// to close its batch to test one.
+    /// [`Simulatable::idle_advance`] may repeat quiet iterations in one
+    /// jump; a predicate must see the machine before every step.
     ///
     /// [`run_until_cycle`]: Engine::run_until_cycle
     /// [`run_until`]: Engine::run_until

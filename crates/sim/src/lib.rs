@@ -43,7 +43,7 @@ pub mod telemetry;
 pub mod trace;
 pub mod units;
 
-pub use energy::{ChargeBatch, ComponentStats, Draw, EnergyMeter, Interval, MeterId};
+pub use energy::{ComponentStats, Draw, EnergyMeter, Interval, MeterId};
 pub use engine::{skip_target, Engine, IdleAdvance, RunStats, Simulatable, StepOutcome};
 pub use fault::{FaultDisposition, FaultEvent, FaultKind, FaultPlan, FaultStats};
 pub use perf::{PerfSnapshot, Profiler};

@@ -5,7 +5,7 @@
 //! the corners a week-long lifetime study quietly relies on.
 
 use ulp_sim::{
-    Cycles, Energy, EnergyMeter, Engine, Frequency, Power, PowerMode, PowerSpec, Seconds,
+    Cycles, Draw, Energy, EnergyMeter, Engine, Frequency, Power, PowerMode, PowerSpec, Seconds,
     Simulatable, StepOutcome, TraceBuffer,
 };
 
@@ -88,9 +88,9 @@ fn charge_fraction_accepts_closed_unit_interval() {
         "timer",
         PowerSpec::new(Power::from_uw(5.68), Power::from_nw(24.0), Power::ZERO),
     );
-    m.charge_fraction(id, 0.0, Cycles(1000)); // pure idle
-    m.charge_fraction(id, 1.0, Cycles(1000)); // pure active
-    m.charge_fraction(id, 0.25, Cycles(1000)); // one of four timers
+    m.charge(id, Draw::Fraction(0.0), Cycles(1000)); // pure idle
+    m.charge(id, Draw::Fraction(1.0), Cycles(1000)); // pure active
+    m.charge(id, Draw::Fraction(0.25), Cycles(1000)); // one of four timers
     let s = m.stats(id);
     assert_eq!(s.total_cycles(), Cycles(3000));
     assert!(s.energy.joules().is_finite() && s.energy.joules() > 0.0);
@@ -101,7 +101,7 @@ fn charge_fraction_accepts_closed_unit_interval() {
 fn charge_fraction_rejects_out_of_range() {
     let mut m = EnergyMeter::new(Frequency::from_khz(100.0));
     let id = m.register("x", PowerSpec::zero());
-    m.charge_fraction(id, 1.0 + 1e-9, Cycles(1));
+    m.charge(id, Draw::Fraction(1.0 + 1e-9), Cycles(1));
 }
 
 // ---------------------------------------------------------------------

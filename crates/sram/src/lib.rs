@@ -199,44 +199,6 @@ fn leak_over(leak: Power, cycle: Seconds, clock: Frequency, cycles: Cycles) -> E
     leak * t
 }
 
-/// A run of quiet ticks of a [`BankedSram`] summed outside it (see
-/// [`BankedSram::quiet_ticks`]), so a simulator's tight loop keeps the
-/// running total in a register.
-#[derive(Debug, Clone, Copy)]
-pub struct QuietTicks {
-    leak: Power,
-    cycle: Seconds,
-    clock: Frequency,
-    opened: Energy,
-    energy: Energy,
-    ticked: u64,
-}
-
-impl QuietTicks {
-    /// Tick `cycles` quiet cycles; returns the array's total energy.
-    #[inline]
-    pub fn tick(&mut self, cycles: Cycles) -> Energy {
-        self.ticked += cycles.0;
-        self.energy += leak_over(self.leak, self.cycle, self.clock, cycles);
-        self.energy
-    }
-
-    /// The array's running total.
-    #[inline]
-    pub fn energy(&self) -> Energy {
-        self.energy
-    }
-
-    /// Take the total to `energy` over `cycles` more quiet cycles: the
-    /// outcome of repeating a run of identical ticks, computed exactly
-    /// from the total (`ulp_sim::repeat`). Returns the total.
-    pub fn repeat(&mut self, energy: Energy, cycles: Cycles) -> Energy {
-        self.ticked += cycles.0;
-        self.energy = energy;
-        self.energy
-    }
-}
-
 /// The banked SRAM: functional storage plus energy integration.
 #[derive(Debug, Clone)]
 pub struct BankedSram {
@@ -467,43 +429,21 @@ impl BankedSram {
         (leak, self.access_energy_this_tick)
     }
 
-    /// Check the array out for a run of quiet ticks — no access and no
-    /// bank state change — summed in a [`QuietTicks`] and written back by
-    /// [`commit_quiet`](Self::commit_quiet). Each quiet tick adds exactly
-    /// what [`tick`](Self::tick) would: the leakage, and a zero access
-    /// energy, which leaves the (never negative) total unchanged.
+    /// Take the total to `energy` over `cycles` more quiet ticks (no
+    /// access, no bank state change): the outcome of repeating a run of
+    /// identical ticks, which `ulp_sim::repeat` computes exactly from the
+    /// total.
     ///
     /// # Panics
     ///
     /// Panics if an access has been charged since the last tick.
-    pub fn quiet_ticks(&self) -> QuietTicks {
+    pub fn repeat(&mut self, energy: Energy, cycles: Cycles) {
         assert!(
             self.access_energy_this_tick == Energy::ZERO,
-            "quiet ticks with an access pending"
+            "repeated ticks with an access pending"
         );
-        QuietTicks {
-            leak: self.leak,
-            cycle: self.cycle,
-            clock: self.config.clock,
-            opened: self.energy,
-            energy: self.energy,
-            ticked: 0,
-        }
-    }
-
-    /// Write a run of quiet ticks back.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the array was ticked or changed state since the run was
-    /// checked out.
-    pub fn commit_quiet(&mut self, quiet: QuietTicks) {
-        assert!(
-            self.energy.0.to_bits() == quiet.opened.0.to_bits() && self.leak == quiet.leak,
-            "SRAM ticked or changed state during a quiet run"
-        );
-        self.energy = quiet.energy;
-        self.ticked += quiet.ticked;
+        self.energy = energy;
+        self.ticked += cycles.0;
     }
 
     /// Total energy consumed so far.

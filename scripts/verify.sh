@@ -36,9 +36,9 @@ cargo test -q --doc --workspace --offline
 
 echo "== chained idle advance: bit-exact against one wake at a time =="
 # The system steps quiet cycles (silent timer underflows and radio
-# airtime) inside its idle advance, with its energy sums held in
-# registers, and repeats runs of identical quiet iterations in one exact
-# jump. These properties drive random nodes both ways (chained, and the
+# airtime) inside its idle advance, charged exactly as stepped cycles
+# and skips are, and repeats runs of identical quiet iterations in one
+# exact jump. These properties drive random nodes both ways (chained, and the
 # engine's loop one wake at a time) and compare every energy bit:
 # GDI-style nodes whose chains are mostly silent underflows,
 # airtime-heavy nodes whose chains mostly run through a frame on air,

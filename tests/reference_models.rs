@@ -984,3 +984,34 @@ fn run_until_stops_partway_through_a_chain() {
     assert_eq!(calls_a, 14, "once before each of 13 steps, then true");
     assert_same_node(engine.machine(), &reference.sys);
 }
+
+/// A silent one-shot timer that stops inside a chain of silent GDI
+/// wakes, on a base-timer underflow, changes the timer block's draw in
+/// the middle of an iteration of the chain's own shape: its skip was
+/// charged at the old draw, its quiet cycle at the new one. The quiet
+/// jumps must count from that cycle on, not repeat the mixed iteration,
+/// and the run matches the engine's loop one wake at a time.
+#[test]
+fn a_one_shot_stopping_mid_chain_restarts_the_repeats() {
+    const BASE: u16 = 100;
+    let node = || {
+        // Timer 2 counts 650 base periods, without `REPEAT` or `IRQ_EN`:
+        // by then the chain's sums have room for jumps.
+        let one_shot = (true, 650 * BASE, ctrl::ENABLE);
+        let timers = [(false, 0, 0), (false, 0, 0), one_shot];
+        random_node(BASE, 700, &timers, &[], (0, 0), 0, false)
+    };
+    let prof = Profiler::new();
+    let mut sys = node();
+    sys.set_profiler(&prof);
+    assert_eq!(sys.slaves().timer.active_count(), 3);
+    let mut engine = Engine::new(sys);
+    engine.set_profiler(&prof);
+    let mut reference = WakeByWake::new(node(), None);
+    let a = engine.run_for(Cycles(2_000_000));
+    let (b, _) = reference.run_until(Cycles(2_000_000), |_| false);
+    assert_eq!(a, b);
+    assert_same_node(engine.machine(), &reference.sys);
+    assert_eq!(engine.machine().slaves().timer.active_count(), 2);
+    assert_eq!(prof.snapshot().counter("sys.quiet_repeated"), Some(20_406));
+}
