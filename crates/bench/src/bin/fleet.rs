@@ -70,8 +70,9 @@
 //! nothing on stdout. A summary table always goes to stdout and the
 //! per-sweep wall-clock to stderr, so stdout stays byte-identical across
 //! runs; a panicking grid point (a violated chaos invariant, say) exits
-//! 1 naming its scenario coordinates, and an output file that cannot be
-//! written exits 1 with one line naming it.
+//! 1 naming its scenario coordinates. Every output file is created
+//! before anything simulates, and one that cannot be written exits 1
+//! with one line naming it and nothing on stdout.
 
 use std::process::exit;
 
@@ -131,6 +132,7 @@ fn main() {
         eprintln!("{}", usage());
         exit(2)
     });
+    or_exit(args.create_outputs());
     let (seeds, horizon, threads) = (args.seeds, args.horizon, args.drive.threads);
     match args.mode {
         Mode::Cosim => {

@@ -23,9 +23,10 @@
 //!   the wall-clock self-time table after the summary, and append the
 //!   deterministic host-perf counter track to the `--out` JSON
 //!
-//! The metrics summary goes to stdout once every artifact is written;
-//! an output file that cannot be written exits 1 with one line naming
-//! it instead. Open the JSON in
+//! Every output file is created before the workload runs, and one that
+//! cannot be written exits 1 with one line naming it and nothing on
+//! stdout; otherwise the metrics summary goes to stdout once every
+//! artifact is written. Open the JSON in
 //! `chrome://tracing` or <https://ui.perfetto.dev>.
 
 use std::process::exit;
@@ -94,6 +95,10 @@ fn main() {
     if with_perf && app == "net" {
         eprintln!("--perf supports stage4|mica2 (net steps its nodes manually)");
         usage();
+    }
+    if let Err(e) = ulp_bench::create_outputs([&out, &csv, &summary]) {
+        eprintln!("{e}");
+        exit(1);
     }
 
     let (export, perf_snapshot) = if with_perf {

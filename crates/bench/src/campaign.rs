@@ -7,7 +7,9 @@
 //! fault-injection points ([`crate::chaos`]). [`CampaignArgs::parse`]
 //! reads the grid axes and the shared execution flags, validates every
 //! value before anything simulates, and builds the [`DriveConfig`];
-//! [`CampaignArgs::finish`] writes the shared `--csv`/`--json` exports.
+//! [`CampaignArgs::create_outputs`] creates every file the campaign will
+//! write before it runs, and [`CampaignArgs::finish`] writes the shared
+//! `--csv`/`--json` exports.
 //!
 //! Every rejection is a usage error whose message names the flag: an
 //! unknown flag, a list given to a scalar (`--seeds 2,9`), a zero count,
@@ -223,6 +225,21 @@ impl CampaignArgs {
     /// stdout artifact is written.
     pub fn fill_only(&self) -> bool {
         self.drive.shard.is_some()
+    }
+
+    /// Create every file the campaign will write (`--csv`, `--json`,
+    /// `--summary`; none for a `--shard` fill), so a path that cannot be
+    /// written fails before anything simulates.
+    ///
+    /// # Errors
+    ///
+    /// One line naming the first path that cannot be created (see
+    /// [`crate::create_outputs`]).
+    pub fn create_outputs(&self) -> Result<(), String> {
+        if self.fill_only() {
+            return Ok(());
+        }
+        crate::create_outputs([&self.csv, &self.json, &self.summary])
     }
 
     /// The wall-clock line on stderr, then the `--csv` and `--json`

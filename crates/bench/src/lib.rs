@@ -71,6 +71,24 @@ pub mod tracegen;
 pub use measure::{measure_table4, SystemSide, Table4Row};
 pub use table::TableWriter;
 
+/// Create every output artifact (`--csv`, `--json`, `--out`,
+/// `--summary`) a run will write, empty, so that a path that cannot be
+/// written fails before anything simulates; [`write_output`] fills each
+/// one once the run is done.
+///
+/// # Errors
+///
+/// One line naming the first path that cannot be created and the OS
+/// error; the binaries print it and exit 1.
+pub fn create_outputs<'a>(
+    paths: impl IntoIterator<Item = &'a Option<String>>,
+) -> Result<(), String> {
+    for path in paths.into_iter().flatten() {
+        std::fs::File::create(path).map_err(|e| format!("cannot write {path}: {e}"))?;
+    }
+    Ok(())
+}
+
 /// Write an output artifact (`--csv`, `--json`, `--out`, `--summary`)
 /// to `path` and say so on stderr.
 ///

@@ -165,8 +165,9 @@ fn an_unopenable_store_is_an_error_naming_it() {
 }
 
 /// An output file that cannot be written is an error naming its path:
-/// exit 1 with the OS error as the last line on stderr, never a panic.
-/// Every mode's exports and the chaos summary.
+/// exit 1 with the OS error as the last line on stderr, never a panic,
+/// and nothing on stdout: no grid point runs. Every mode's exports and
+/// the chaos summary.
 #[test]
 fn an_unwritable_output_is_an_error_naming_it() {
     for args in [
@@ -222,6 +223,7 @@ fn an_unwritable_output_is_an_error_naming_it() {
             "fleet {args:?}: {stderr}"
         );
         assert!(!stderr.contains("panicked"), "fleet {args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "fleet {args:?}");
     }
 }
 
