@@ -14,11 +14,10 @@
 //!   a non-empty `"results"` array;
 //! * every result is an object with a string `"id"` and non-negative
 //!   integer `"iters_per_sample"`, `"best_ns"` and `"median_ns"`;
-//! * a `"host"` block, where present, is an object with
-//!   `"logical_cores"` (a positive integer or null), `"cpus_allowed"`
-//!   and `"cpu_model"` (strings or null) and `"profile"` (`"debug"` or
-//!   `"release"`), and `"rustc"` and `"git_rev"`, where present, are
-//!   strings or null.
+//! * the `"host"` block the timings were taken on is an object with
+//!   `"logical_cores"` (a positive integer or null), `"cpus_allowed"`,
+//!   `"cpu_model"`, `"rustc"` and `"git_rev"` (strings or null) and
+//!   `"profile"` (`"debug"` or `"release"`).
 //!
 //! Exits 1 if any file fails, 2 on usage errors. Wired into
 //! `scripts/verify.sh` and CI so a bench-harness schema drift cannot land
@@ -60,9 +59,7 @@ fn check_text(text: &str) -> Result<usize, String> {
             }
         }
     }
-    if let Some(host) = doc.get("host") {
-        check_host(host)?;
-    }
+    check_host(doc.get("host").ok_or("top level needs a \"host\" block")?)?;
     Ok(results.len())
 }
 
@@ -76,14 +73,9 @@ fn check_host(host: &Value) -> Result<(), String> {
         Some(n) if n.as_u64().is_some_and(|n| n > 0) => {}
         _ => return Err("host needs \"logical_cores\": a positive integer or null".into()),
     }
-    for key in ["cpus_allowed", "cpu_model"] {
+    for key in ["cpus_allowed", "cpu_model", "rustc", "git_rev"] {
         if !matches!(host.get(key), Some(Value::Null | Value::String(_))) {
             return Err(format!("host needs \"{key}\": a string or null"));
-        }
-    }
-    for key in ["rustc", "git_rev"] {
-        if !matches!(host.get(key), None | Some(Value::Null | Value::String(_))) {
-            return Err(format!("host \"{key}\" must be a string or null"));
         }
     }
     match host.get("profile") {
@@ -124,20 +116,22 @@ mod tests {
     }
 
     #[test]
-    fn the_host_block_is_optional_but_checked_when_present() {
-        assert_eq!(check_text(&doc("")), Ok(1), "no host block");
-        let host = r#","host":{"logical_cores":2,"cpus_allowed":"0-1","cpu_model":null,"profile":"release"}"#;
-        assert_eq!(check_text(&doc(host)), Ok(1));
+    fn the_host_block_is_required_and_checked() {
         let host = r#","host":{"logical_cores":2,"cpus_allowed":"0-1","cpu_model":null,"profile":"release","rustc":"rustc 1.0.0","git_rev":null}"#;
         assert_eq!(check_text(&doc(host)), Ok(1));
+        let host = r#","host":{"logical_cores":null,"cpus_allowed":null,"cpu_model":"x","profile":"debug","rustc":null,"git_rev":"abc"}"#;
+        assert_eq!(check_text(&doc(host)), Ok(1));
         for bad in [
+            "",
             r#","host":[]"#,
-            r#","host":{"logical_cores":0,"cpus_allowed":null,"cpu_model":null,"profile":"release"}"#,
-            r#","host":{"logical_cores":2,"cpus_allowed":3,"cpu_model":null,"profile":"release"}"#,
-            r#","host":{"logical_cores":2,"cpus_allowed":null,"profile":"release"}"#,
-            r#","host":{"logical_cores":2,"cpus_allowed":null,"cpu_model":null,"profile":"fast"}"#,
-            r#","host":{"logical_cores":2,"cpus_allowed":null,"cpu_model":null,"profile":"release","rustc":1}"#,
-            r#","host":{"logical_cores":2,"cpus_allowed":null,"cpu_model":null,"profile":"release","git_rev":[]}"#,
+            r#","host":{"logical_cores":0,"cpus_allowed":null,"cpu_model":null,"profile":"release","rustc":null,"git_rev":null}"#,
+            r#","host":{"logical_cores":2,"cpus_allowed":3,"cpu_model":null,"profile":"release","rustc":null,"git_rev":null}"#,
+            r#","host":{"logical_cores":2,"cpus_allowed":null,"profile":"release","rustc":null,"git_rev":null}"#,
+            r#","host":{"logical_cores":2,"cpus_allowed":null,"cpu_model":null,"profile":"fast","rustc":null,"git_rev":null}"#,
+            r#","host":{"logical_cores":2,"cpus_allowed":null,"cpu_model":null,"profile":"release","rustc":1,"git_rev":null}"#,
+            r#","host":{"logical_cores":2,"cpus_allowed":null,"cpu_model":null,"profile":"release","rustc":null,"git_rev":[]}"#,
+            r#","host":{"logical_cores":2,"cpus_allowed":null,"cpu_model":null,"profile":"release","rustc":null}"#,
+            r#","host":{"logical_cores":2,"cpus_allowed":null,"cpu_model":null,"profile":"release"}"#,
         ] {
             assert!(check_text(&doc(bad)).is_err(), "{bad}");
         }

@@ -21,7 +21,7 @@ fn exit_code_for(name: &str, body: &str) -> Option<i32> {
     out.status.code()
 }
 
-const GOOD: &str = r#"{"bench":"x","mode":"measure","results":[{"id":"a","iters_per_sample":1,"best_ns":1,"median_ns":2}]}"#;
+const GOOD: &str = r#"{"bench":"x","mode":"measure","results":[{"id":"a","iters_per_sample":1,"best_ns":1,"median_ns":2}],"host":{"logical_cores":2,"cpus_allowed":"0-1","cpu_model":null,"profile":"release","rustc":null,"git_rev":null}}"#;
 
 #[test]
 fn structurally_wrong_files_fail() {
@@ -45,6 +45,11 @@ fn structurally_wrong_files_fail() {
         ("id-not-string", &GOOD.replace("\"id\":\"a\"", "\"id\":7")),
         ("no-mode", &GOOD.replace("\"mode\":\"measure\",", "")),
         ("empty", r#"{"bench":"x","mode":"measure","results":[]}"#),
+        // The timings without the host they were taken on.
+        (
+            "no-host",
+            &format!("{}}}", GOOD.split(r#","host""#).next().unwrap()),
+        ),
         ("nan", &GOOD.replace("\"best_ns\":1", "\"best_ns\":NaN")),
         ("deep", &"[".repeat(100_000)),
     ] {
