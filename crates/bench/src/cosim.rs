@@ -458,8 +458,7 @@ pub(crate) fn node_address(nodes: usize, i: usize) -> u16 {
 }
 
 /// Build the shared medium plus the head-and-relays population every
-/// flood runs on, with telemetry enabled on each node; returns
-/// `(medium, [(endpoint, node)], base)`.
+/// flood runs on; returns `(medium, [(endpoint, node)], base)`.
 ///
 /// # Panics
 ///
@@ -488,11 +487,10 @@ pub fn build_population(cfg: &CosimConfig) -> (Medium, Vec<(usize, System)>, usi
                 dest: 0x0000,
                 ..SystemConfig::default()
             };
-            let mut sys = program.build_system(
+            let sys = program.build_system(
                 config,
                 Box::new(RandomWalkSensor::new(90, cfg.seed ^ i as u64)),
             );
-            sys.set_telemetry(true);
             (medium.register(), sys)
         })
         .collect();

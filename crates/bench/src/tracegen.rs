@@ -2,10 +2,9 @@
 //! golden tests.
 //!
 //! Each generator runs one of the repository's reference workloads with
-//! tracing and telemetry enabled and returns the three byte-stable
-//! artifacts the observability layer produces: a Chrome/Perfetto
-//! trace-event JSON document, a CSV timeline, and a metrics summary
-//! table. Same seed, same horizon ⇒ byte-identical output — that is
+//! tracing enabled and returns the three byte-stable artifacts the
+//! observability layer produces: a Chrome/Perfetto trace-event JSON
+//! document, a CSV timeline, and a metrics summary table. Same seed, same horizon ⇒ byte-identical output — that is
 //! asserted by `tests/determinism.rs` and re-checked by the binary's
 //! `--check` flag on every `scripts/verify.sh` run.
 
@@ -104,9 +103,9 @@ pub fn stage4(cycles: u64, seed: u64) -> TraceExport {
     stage4_run(cycles, seed, None)
 }
 
-/// The node behind [`stage4`], before it runs: tracing and telemetry
-/// on, its inbound frames scheduled. [`stage4`] runs it on an engine
-/// with 4,096-cycle epochs.
+/// The node behind [`stage4`], before it runs: tracing on, its inbound
+/// frames scheduled. [`stage4`] runs it on an engine with 4,096-cycle
+/// epochs.
 pub fn stage4_node(seed: u64) -> System {
     let prog = stages::app4(SamplePeriod::Cycles(2_000), 40);
     let mut sys = prog.build_system(
@@ -114,7 +113,6 @@ pub fn stage4_node(seed: u64) -> System {
         Box::new(RandomWalkSensor::new(128, seed)),
     );
     sys.trace_mut().set_enabled(true);
-    sys.set_telemetry(true);
     for (i, at) in [3_000u64, 9_500, 9_500, 41_000].iter().enumerate() {
         let f = if i == 3 {
             Frame::command(0x22, 0x0009, 0x0001, 9, &[2, 60, 0]).unwrap()
@@ -171,7 +169,6 @@ fn mica2_run(cycles: u64, seed: u64, profiler: Option<&Profiler>) -> TraceExport
     let mut rng = Rng::from_seed(seed);
     let (mut board, _) = app.board(Box::new(move |_| rng.next_u64() as u8));
     board.trace_mut().set_enabled(true);
-    board.set_telemetry(true);
     let mut engine = Engine::new(board);
     if let Some(p) = profiler {
         engine.set_profiler(p);

@@ -15,10 +15,9 @@ use ulp_sim::Cycles;
 
 /// The interrupt arbiter: one pending bit per interrupt id.
 ///
-/// For observability the arbiter also timestamps each raise and, when
-/// timing is enabled via [`set_timing`](InterruptArbiter::set_timing),
-/// records the raise→take wait into an event-service latency histogram —
-/// the headline metric of PELS-style peripheral event systems. The
+/// For observability the arbiter also timestamps each raise and records
+/// the raise→take wait into an event-service latency histogram — the
+/// headline metric of PELS-style peripheral event systems. The
 /// current cycle must be fed in through
 /// [`set_now`](InterruptArbiter::set_now) (the system does this once per
 /// stepped cycle).
@@ -31,7 +30,6 @@ pub struct InterruptArbiter {
     now: Cycles,
     /// Bitmask of ids raised since the last `take_newly_raised` drain.
     newly: u64,
-    timing: bool,
     service: Log2Histogram,
     raised: u64,
     dropped: u64,
@@ -54,7 +52,6 @@ impl InterruptArbiter {
             raised_by_irq: [0; NUM_IRQS],
             now: Cycles::ZERO,
             newly: 0,
-            timing: false,
             service: Log2Histogram::new(),
             raised: 0,
             dropped: 0,
@@ -68,14 +65,7 @@ impl InterruptArbiter {
         self.now = now;
     }
 
-    /// Enable or disable service-latency histogram recording (default
-    /// off: the probe then costs only a branch).
-    pub fn set_timing(&mut self, on: bool) {
-        self.timing = on;
-    }
-
     /// IRQ→service latency distribution (raise→take, in cycles).
-    /// Populated only while timing is enabled.
     pub fn service_latency(&self) -> &Log2Histogram {
         &self.service
     }
@@ -142,8 +132,7 @@ impl InterruptArbiter {
     /// Like [`take`](InterruptArbiter::take), but also returns how many
     /// cycles the interrupt waited between raise and service (per the
     /// clock fed through [`set_now`](InterruptArbiter::set_now)). The
-    /// wait is recorded into the service-latency histogram when timing
-    /// is enabled.
+    /// wait is recorded into the service-latency histogram.
     pub fn take_with_latency(&mut self) -> Option<(u8, u64)> {
         if self.pending == 0 {
             return None;
@@ -152,9 +141,7 @@ impl InterruptArbiter {
         self.pending &= self.pending - 1;
         self.taken += 1;
         let waited = self.now.0.saturating_sub(self.pending_since[id].0);
-        if self.timing {
-            self.service.record(waited);
-        }
+        self.service.record(waited);
         Some((id as u8, waited))
     }
 
@@ -189,11 +176,11 @@ impl InterruptArbiter {
     }
 
     /// Append the arbiter's state to a state key at cycle `now`: the
-    /// pending lines with how long each has waited, the lines raised
-    /// since the last drain, and whether timing is on. The counters and
-    /// the cycle stamps are [`totals`](InterruptArbiter::totals).
+    /// pending lines with how long each has waited, and the lines raised
+    /// since the last drain. The counters, the service histogram and the
+    /// cycle stamps are [`totals`](InterruptArbiter::totals).
     pub(crate) fn key(&self, key: &mut Vec<u64>, now: Cycles) {
-        key.extend([self.pending, self.newly, self.timing as u64]);
+        key.extend([self.pending, self.newly]);
         let mut pending = self.pending;
         while pending != 0 {
             let id = pending.trailing_zeros() as usize;
@@ -212,6 +199,7 @@ impl InterruptArbiter {
             t.count(raised);
             t.count(&mut since.0);
         }
+        self.service.totals(t);
     }
 
     /// Events raised successfully.
@@ -297,7 +285,6 @@ mod tests {
     #[test]
     fn service_latency_measured_from_raise_to_take() {
         let mut a = InterruptArbiter::new();
-        a.set_timing(true);
         a.set_now(Cycles(100));
         a.raise(5);
         a.set_now(Cycles(117));
@@ -305,17 +292,6 @@ mod tests {
         let h = a.service_latency();
         assert_eq!(h.count(), 1);
         assert_eq!(h.min(), Some(17));
-    }
-
-    #[test]
-    fn timing_disabled_records_nothing() {
-        let mut a = InterruptArbiter::new();
-        a.set_now(Cycles(10));
-        a.raise(2);
-        a.set_now(Cycles(50));
-        // Wait is still reported, but the histogram stays empty.
-        assert_eq!(a.take_with_latency(), Some((2, 40)));
-        assert!(a.service_latency().is_empty());
     }
 
     #[test]

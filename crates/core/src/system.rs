@@ -133,8 +133,6 @@ pub struct System {
     /// Cycles covered by skips so far, repeated ones included.
     skipped: Cycles,
     mem_energy_mark: Energy,
-    /// Telemetry master switch (default off: probes cost one branch).
-    telemetry: bool,
     /// IRQ→µC-running latency distribution (cycles).
     mcu_wake_hist: Log2Histogram,
     /// Idle-skip span lengths (cycles per fast-forward jump).
@@ -146,7 +144,7 @@ pub struct System {
     /// Radio TX line state last cycle (edge detector for trace events).
     prev_transmitting: bool,
     /// Scheduled hardware faults (`None` — the default — keeps the hot
-    /// path to a single branch, mirroring the telemetry contract).
+    /// path to a single branch, mirroring the trace buffer).
     fault_plan: Option<FaultPlan>,
     /// Disposition tally of injected faults.
     fault_stats: FaultStats,
@@ -154,7 +152,7 @@ pub struct System {
     /// errors (one byte per frame while nonzero).
     tx_corrupt_remaining: u32,
     /// Host-side profiler handles (`None` — the default — keeps every
-    /// probe to a single untaken branch, like telemetry and tracing).
+    /// probe to a single untaken branch, like tracing).
     prof: Option<SysProf>,
     /// The watch for repeated states at period boundaries (see
     /// `idle_advance`).
@@ -219,7 +217,6 @@ impl System {
             busy_cycles: Cycles::ZERO,
             skipped: Cycles::ZERO,
             mem_energy_mark: Energy::ZERO,
-            telemetry: false,
             mcu_wake_hist: Log2Histogram::new(),
             idle_skip_hist: Log2Histogram::new(),
             bus_occupancy_hist: Log2Histogram::new(),
@@ -301,15 +298,6 @@ impl System {
     /// Recorded trace events.
     pub fn trace(&self) -> &TraceBuffer {
         &self.trace
-    }
-
-    /// Enable or disable telemetry (latency/occupancy histograms). Off
-    /// by default; when off every probe costs a single branch, mirroring
-    /// the trace buffer, so the hot path is unchanged.
-    pub fn set_telemetry(&mut self, on: bool) {
-        self.periods.forget();
-        self.telemetry = on;
-        self.slaves.irqs.set_timing(on);
     }
 
     /// IRQ→µC wake latency distribution: raise → first µC-powered cycle,
@@ -708,14 +696,12 @@ impl System {
                         .map_err(SystemFault::Mcu)?;
                     self.trace
                         .record(now, "mcu", TraceKind::McuWake { handler, cause });
-                    if self.telemetry {
-                        // Raise → µC running: arbiter wait + EP ISR time
-                        // since dispatch + the µC wake-handshake stall.
-                        let (taken_at, waited) = self.ep.last_dispatch();
-                        let isr = now.0.saturating_sub(taken_at.0);
-                        self.mcu_wake_hist
-                            .record(waited + isr + self.config.wake.mcu.0);
-                    }
+                    // Raise → µC running: arbiter wait + EP ISR time
+                    // since dispatch + the µC wake-handshake stall.
+                    let (taken_at, waited) = self.ep.last_dispatch();
+                    let isr = now.0.saturating_sub(taken_at.0);
+                    self.mcu_wake_hist
+                        .record(waited + isr + self.config.wake.mcu.0);
                 }
             }
         }
@@ -884,10 +870,10 @@ impl System {
     /// The node's state key: its whole state as a canonical list of
     /// words, less every running total (meter energies and mode cycles,
     /// busy cycles, SRAM and slave statistics, arbiter counters, timer
-    /// alarms), with every deadline and cycle stamp relative to `now`.
-    /// Two equal keys mean equal futures, as long as nothing reaches the
-    /// node from outside. `None` when the state cannot repeat: the
-    /// sensor's signal model has no
+    /// alarms, telemetry histograms), with every deadline and cycle stamp
+    /// relative to `now`. Two equal keys mean equal futures, as long as
+    /// nothing reaches the node from outside. `None` when the state
+    /// cannot repeat: the sensor's signal model has no
     /// [`state_key`](crate::slaves::SensorModel::state_key), or bus
     /// lints are being recorded.
     pub fn state_key(&self) -> Option<Vec<u64>> {
@@ -923,6 +909,9 @@ impl System {
         t.count(&mut self.skipped.0);
         self.ep.totals(t);
         self.mcu.totals(t);
+        self.mcu_wake_hist.totals(t);
+        self.idle_skip_hist.totals(t);
+        self.bus_occupancy_hist.totals(t);
     }
 
     fn read_totals(&mut self) -> Snapshot {
@@ -1181,9 +1170,7 @@ impl Simulatable for System {
         self.charge_span(self.meter.interval(span));
         self.now = target;
         self.skipped += span;
-        if self.telemetry {
-            self.idle_skip_hist.record(span.0);
-        }
+        self.idle_skip_hist.record(span.0);
     }
 
     /// The engine's idle skip, then a chain: while the next cycle is
@@ -1206,11 +1193,11 @@ impl Simulatable for System {
     ///
     /// Where the chain stops at a period boundary (the next tick raises a
     /// timer interrupt, compute is idle and nothing is on air), and with
-    /// tracing and telemetry off too, the state key goes to the period
-    /// watch (`crate::periods`). Once the node is back in a state it
-    /// was in at an earlier boundary, it records the next iteration,
-    /// and from then on `repeat_periods` repeats whole iterations, busy
-    /// steps included, in one jump.
+    /// tracing off too, the state key goes to the period watch
+    /// (`crate::periods`). Once the node is back in a state it was in at
+    /// an earlier boundary, it records the next iteration, and from then
+    /// on `repeat_periods` repeats whole iterations, busy steps and
+    /// telemetry histograms included, in one jump.
     fn idle_advance(
         &mut self,
         deadline: Cycles,
@@ -1222,7 +1209,7 @@ impl Simulatable for System {
             return run;
         }
         let jumps = stop.is_none() && self.fault_plan.is_none();
-        let periods = jumps && !self.telemetry && !self.trace.is_enabled();
+        let periods = jumps && !self.trace.is_enabled();
         let mut watch = RepeatWatch::new(self.sums());
         let mut timers_counting = self.slaves.timer.active_count();
         let mut repeated = 0;
@@ -1279,7 +1266,7 @@ impl Simulatable for System {
                     run.stepped += Cycles(k);
                     run.skipped += Cycles(k * span.0);
                     self.skipped += Cycles(k * span.0);
-                    if self.telemetry && span.0 > 0 {
+                    if span.0 > 0 {
                         self.idle_skip_hist.record_n(span.0, k);
                     }
                     repeated += k;
@@ -1308,11 +1295,15 @@ impl Simulatable for System {
         run
     }
 
+    /// Sample the bus occupancy. A recording of the period watch in
+    /// progress is dropped: jumps stop at the next epoch boundary, so the
+    /// iterations they cover take no sample.
     fn on_epoch(&mut self, _index: u64) {
-        if self.telemetry {
-            let busy = self.busy_cycles - self.epoch_busy_mark;
-            self.epoch_busy_mark = self.busy_cycles;
-            self.bus_occupancy_hist.record(busy.0);
+        let busy = self.busy_cycles - self.epoch_busy_mark;
+        self.epoch_busy_mark = self.busy_cycles;
+        self.bus_occupancy_hist.record(busy.0);
+        if self.periods.tape.is_some() {
+            self.periods.taint();
         }
     }
 }
@@ -1561,7 +1552,6 @@ mod tests {
     #[test]
     fn telemetry_histograms_populate() {
         let mut sys = monitoring_system(1000);
-        sys.set_telemetry(true);
         sys.trace_mut().set_enabled(true);
         let mut engine = Engine::new(sys);
         engine.set_epoch(Cycles(512));
@@ -1586,21 +1576,8 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_off_records_nothing() {
-        let mut engine = Engine::new(monitoring_system(1000));
-        engine.set_epoch(Cycles(512));
-        engine.run_for(Cycles(20_000));
-        let sys = engine.machine();
-        assert!(sys.slaves().irqs.service_latency().is_empty());
-        assert!(sys.idle_skip_spans().is_empty());
-        assert!(sys.bus_occupancy().is_empty());
-        assert!(sys.mcu_wake_latency().is_empty());
-    }
-
-    #[test]
     fn mcu_wake_latency_includes_handshake() {
         let mut sys = system();
-        sys.set_telemetry(true);
         let isr = encode_program(&[I::Wakeup(0)]).unwrap();
         sys.load(0x0200, &isr);
         sys.install_ep_isr(5, 0x0200);

@@ -125,8 +125,6 @@ struct MicaBus {
     newly: u8,
     /// Whether the CPU was sleeping (fed by the board).
     cpu_sleeping: bool,
-    /// Latency histogram recording on/off (default off).
-    timing: bool,
     /// Assert→dispatch wait distribution (cycles).
     irq_service: Log2Histogram,
     /// Assert→dispatch wait for asserts that arrived while sleeping.
@@ -164,7 +162,6 @@ impl MicaBus {
             sleep_at_assert: 0,
             newly: 0,
             cpu_sleeping: false,
-            timing: false,
             irq_service: Log2Histogram::new(),
             wake_latency: Log2Histogram::new(),
             raised_by_vec: [0; 8],
@@ -262,11 +259,9 @@ impl Bus for MicaBus {
         let v = self.pending.trailing_zeros() as u8;
         self.pending &= !(1 << v);
         let waited = self.now.saturating_sub(self.pending_since[v as usize]);
-        if self.timing {
-            self.irq_service.record(waited);
-            if self.sleep_at_assert & (1 << v) != 0 {
-                self.wake_latency.record(waited);
-            }
+        self.irq_service.record(waited);
+        if self.sleep_at_assert & (1 << v) != 0 {
+            self.wake_latency.record(waited);
         }
         self.sleep_at_assert &= !(1 << v);
         self.last_dispatch = Some((v, waited));
@@ -335,12 +330,6 @@ impl Mica2Board {
     /// Mutable trace buffer (enable/disable, set overflow policy).
     pub fn trace_mut(&mut self) -> &mut TraceBuffer {
         &mut self.trace
-    }
-
-    /// Enable or disable latency-histogram telemetry (default off; the
-    /// probes then cost only a branch).
-    pub fn set_telemetry(&mut self, on: bool) {
-        self.bus.timing = on;
     }
 
     /// Assert→dispatch interrupt service latency (cycles).
@@ -1065,7 +1054,6 @@ mod tests {
             reti
         "#;
         let mut b = board(src);
-        b.set_telemetry(true);
         b.trace_mut().set_enabled(true);
         let mut e = Engine::new(b);
         e.run_until_cycle(Cycles(3_300));
@@ -1097,15 +1085,6 @@ mod tests {
             .trace()
             .events()
             .any(|ev| matches!(ev.kind, TraceKind::McuSleep)));
-    }
-
-    #[test]
-    fn telemetry_off_by_default() {
-        let mut b = board("ldi r16, 7\nsts 0x0300, r16\nbreak");
-        run_to_halt(&mut b, 100);
-        assert!(b.irq_service_latency().is_empty());
-        assert!(b.wake_latency().is_empty());
-        assert!(b.trace().is_empty());
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! must produce identical exports, so the exporters never consult
 //! wall-clock time, hash-map iteration order, or locale.
 
+use crate::repeat::Totals;
 use crate::trace::{TraceBuffer, TraceKind};
 use std::fmt::Write as _;
 use ulp_testkit::json::Quoted;
@@ -166,6 +167,19 @@ impl Log2Histogram {
         self.sum = self.sum.saturating_add(other.sum);
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
+    }
+
+    /// Visit the buckets, `count` and `sum` as counts, for a machine
+    /// that repeats whole iterations of its state (until `sum`
+    /// saturates). `min` and `max` are left out: the iterations a jump
+    /// covers record only the values the recorded one did, which cannot
+    /// move them again.
+    pub fn totals(&mut self, t: &mut dyn Totals) {
+        for n in &mut self.buckets {
+            t.count(n);
+        }
+        t.count(&mut self.count);
+        t.count(&mut self.sum);
     }
 }
 
@@ -630,6 +644,64 @@ mod tests {
                 }
                 assert_eq!(bulk, one, "record_n({value}, {n})");
             }
+        }
+    }
+
+    /// Reads the counts `totals` visits, or adds `k` times `deltas` to
+    /// them.
+    struct Counts {
+        read: Vec<u64>,
+        deltas: Vec<u64>,
+        k: u64,
+    }
+
+    impl Totals for Counts {
+        fn sum(&mut self, _: &mut f64) {
+            unreachable!("a histogram has no f64 sum");
+        }
+
+        fn count(&mut self, n: &mut u64) {
+            let i = self.read.len();
+            self.read.push(*n);
+            if let Some(delta) = self.deltas.get(i) {
+                *n += self.k * delta;
+            }
+        }
+    }
+
+    /// Advancing the counts `totals` visits by `k` times what one
+    /// iteration of records added leaves the histogram `k` more such
+    /// iterations leave, min and max included, also where that iteration
+    /// moved them (from an empty histogram, or to new extremes).
+    #[test]
+    fn totals_repeat_an_iteration_of_records() {
+        let iteration = |h: &mut Log2Histogram| {
+            for v in [0, 7, 699, 1 << 33] {
+                h.record(v);
+            }
+        };
+        let counts = |h: &mut Log2Histogram, deltas: Vec<u64>, k: u64| {
+            let mut c = Counts {
+                read: Vec::new(),
+                deltas,
+                k,
+            };
+            h.totals(&mut c);
+            c.read
+        };
+        let mut pre = Log2Histogram::new();
+        pre.record(40);
+        for mut h in [Log2Histogram::new(), pre] {
+            let before = counts(&mut h, Vec::new(), 0);
+            iteration(&mut h);
+            let after = counts(&mut h, Vec::new(), 0);
+            let mut want = h.clone();
+            for _ in 0..5 {
+                iteration(&mut want);
+            }
+            let deltas = after.iter().zip(&before).map(|(b, a)| b - a).collect();
+            counts(&mut h, deltas, 5);
+            assert_eq!(h, want);
         }
     }
 

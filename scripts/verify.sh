@@ -17,6 +17,11 @@ echo "== cargo fmt --all --check =="
 # crates/. examples/benchmark is its own workspace and is not covered.
 cargo fmt --all --check
 
+echo "== line count: non-test Rust lines against HEAD (report only) =="
+# The counter every change quotes its net line delta with. Its numbers
+# are not gated, but a counter that fails fails the gate.
+scripts/loc.sh HEAD
+
 echo "== cargo build --release --offline =="
 cargo build --release --offline
 

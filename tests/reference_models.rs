@@ -438,7 +438,6 @@ fn random_node(
     rx: &[(u32, u8)],
     faults: (u64, u8),
     horizon: u64,
-    telemetry: bool,
 ) -> System {
     let program = stages::app3(SamplePeriod::Chained { base, count }, 0);
     let mut sys = program.build_system(
@@ -486,7 +485,6 @@ fn random_node(
     }
     sys.set_fault_plan(plan);
     sys.trace_mut().set_enabled(true);
-    sys.set_telemetry(telemetry);
     sys
 }
 
@@ -557,11 +555,10 @@ props! {
         rx in vec_of((ulp_testkit::any_u32(), any_u8()), 0..4),
         faults in (ulp_testkit::any_u64(), 0u8..4),
         epoch in (any_bool(), 1u64..40_000),
-        telemetry in any_bool(),
         segments in vec_of(1u32..60_000, 1..4),
     ) {
         let horizon: u64 = segments.iter().map(|&n| n as u64).sum::<u64>() + 60_000;
-        let node = || random_node(period.0, period.1, &timers, &rx, faults, horizon, telemetry);
+        let node = || random_node(period.0, period.1, &timers, &rx, faults, horizon);
         let epoch = epoch.0.then_some(epoch.1);
         let mut engine = Engine::new(node());
         if let Some(len) = epoch {
@@ -599,8 +596,8 @@ props! {
     /// jump (no predicate, no fault plan): GDI-style nodes on a chained
     /// period (`base` × `count` cycles, hundreds of silent underflows
     /// per sample) and deaf airtime nodes on a cycle-counted period
-    /// (long chains of airtime), with epochs and telemetry on or off,
-    /// agree bit for bit with the engine's loop one wake at a time.
+    /// (long chains of airtime), with epochs on or off, agree bit for
+    /// bit with the engine's loop one wake at a time.
     /// Jumps are cut by binade crossings, epoch boundaries, deadlines,
     /// the chained timer's last silent underflow, timer underflows on
     /// air and the frame's end.
@@ -610,15 +607,14 @@ props! {
         chained in (50u16..12_000, 2u16..800),
         airtime in (2_000u16..60_000, 1u8..22),
         epoch in (any_bool(), 1u64..3_000_000),
-        telemetry in any_bool(),
         segments in vec_of(1u32..4_000_000, 1..3),
     ) {
         let horizon: u64 = segments.iter().map(|&n| n as u64).sum();
         let node = || {
             if gdi {
-                random_node(chained.0, chained.1, &[], &[], (0, 0), horizon, telemetry)
+                random_node(chained.0, chained.1, &[], &[], (0, 0), horizon)
             } else {
-                airtime_node(airtime.0, airtime.1, false, &[], (0, 0), horizon, telemetry)
+                airtime_node(airtime.0, airtime.1, false, &[], (0, 0), horizon)
             }
         };
         let epoch = epoch.0.then_some(epoch.1);
@@ -662,9 +658,9 @@ props! {
     /// Constant-sensor nodes over segments of millions of cycles, where
     /// the idle advance repeats whole 256-frame iterations of periods in
     /// one jump, agree with the engine's loop one wake at a time in
-    /// every energy bit, count, frame and SRAM byte. Jumps are cut by
-    /// deadlines, epoch boundaries and rx frames (forwarded by a
-    /// listening node, missed by a deaf one).
+    /// every energy bit, count, frame, SRAM byte and telemetry
+    /// histogram. Jumps are cut by deadlines, epoch boundaries and rx
+    /// frames (forwarded by a listening node, missed by a deaf one).
     #[test]
     fn repeated_periods_match_wake_by_wake(
         stage in 0u8..3,
@@ -741,6 +737,36 @@ fn jumps_count_every_step_on(chained: bool) {
     assert_eq!(calls(&prof_a), calls(&prof_b));
 }
 
+/// An epoch boundary inside the iteration the period watch records
+/// drops the recording. The boundary samples the bus occupancy, and the
+/// iterations a jump repeats take no sample (a jump stops at the next
+/// boundary), so an iteration recorded across one would add a sample per
+/// repeat. A constant-sensor node (600-cycle periods, 153,600-cycle
+/// iterations) with 200,000-cycle epochs, fewer than two iterations
+/// apart, records across a boundary more often than not, still repeats
+/// 768 periods in jumps, and must agree with the engine's loop one wake
+/// at a time.
+#[test]
+fn an_epoch_inside_the_recorded_iteration_is_not_repeated() {
+    const EPOCH: u64 = 200_000;
+    const RUN: u64 = 3_000_000;
+    for chained in [false, true] {
+        let node = || const_node(AppStage::SampleSend, chained, 150, 4, 1);
+        let prof = Profiler::new();
+        let mut sys = node();
+        sys.set_profiler(&prof);
+        let mut engine = Engine::new(sys);
+        engine.set_epoch(Cycles(EPOCH));
+        let a = engine.run_for(Cycles(RUN));
+        let mut reference = WakeByWake::new(node(), Some(EPOCH));
+        let (b, _) = reference.run_until(Cycles(RUN), |_| false);
+        assert_eq!(a, b);
+        assert_same_node(engine.machine(), &reference.sys);
+        let repeated = prof.snapshot().counter("sys.periods_repeated");
+        assert_eq!(repeated, Some(768), "chained {chained}");
+    }
+}
+
 /// An airtime-heavy node: the stage-1 program (deaf) or the stage-3
 /// program (listening: rx frames for the base station are forwarded, or
 /// missed when they end mid-frame) on a short cycle-counted period,
@@ -754,7 +780,6 @@ fn airtime_node(
     rx: &[(u32, u8)],
     faults: (u64, u8),
     horizon: u64,
-    telemetry: bool,
 ) -> System {
     let program = monitoring(&MonitoringConfig {
         stage: if listen {
@@ -776,7 +801,6 @@ fn airtime_node(
     }
     sys.set_fault_plan(FaultPlan::generate(faults.0, horizon, faults.1 as usize));
     sys.trace_mut().set_enabled(true);
-    sys.set_telemetry(telemetry);
     sys
 }
 
@@ -795,11 +819,10 @@ props! {
         rx in vec_of((ulp_testkit::any_u32(), any_u8()), 0..6),
         faults in (ulp_testkit::any_u64(), 0u8..4),
         epoch in (any_bool(), 1u64..5_000),
-        telemetry in any_bool(),
         segments in vec_of(1u32..20_000, 1..4),
     ) {
         let horizon: u64 = segments.iter().map(|&n| n as u64).sum::<u64>() + 20_000;
-        let node = || airtime_node(period, samples, listen, &rx, faults, horizon, telemetry);
+        let node = || airtime_node(period, samples, listen, &rx, faults, horizon);
         let epoch = epoch.0.then_some(epoch.1);
         let mut engine = Engine::new(node());
         if let Some(len) = epoch {
@@ -855,7 +878,6 @@ fn events_mid_frame_cut_the_airtime_chain() {
             SystemConfig::default(),
             Box::new(RandomWalkSensor::new(100, 3)),
         );
-        sys.set_telemetry(true);
         sys.trace_mut().set_enabled(true);
         let terminate = encode_program(&[Instruction::Terminate]).unwrap();
         sys.load(0x07F0, &terminate);
@@ -999,7 +1021,7 @@ fn a_one_shot_stopping_mid_chain_restarts_the_repeats() {
         // by then the chain's sums have room for jumps.
         let one_shot = (true, 650 * BASE, ctrl::ENABLE);
         let timers = [(false, 0, 0), (false, 0, 0), one_shot];
-        random_node(BASE, 700, &timers, &[], (0, 0), 0, false)
+        random_node(BASE, 700, &timers, &[], (0, 0), 0)
     };
     let prof = Profiler::new();
     let mut sys = node();
