@@ -19,7 +19,7 @@
 //! are.
 
 use ulp_sim::repeat::{RepeatWatch, Totals};
-use ulp_sim::{Cycles, Energy};
+use ulp_sim::{Cycles, Energy, TraceBuffer, TraceEvent};
 
 /// The f64 running sums a system keeps: its eight meter components'
 /// energies, then the SRAM's.
@@ -309,7 +309,7 @@ struct Anchor {
 }
 
 /// One iteration, recorded once the state repeated: its tape, what it
-/// added to every count, and the frames it sent.
+/// added to every count, the frames it sent and the events it traced.
 #[derive(Debug)]
 pub(crate) struct Iteration {
     /// Cycles per iteration.
@@ -321,6 +321,10 @@ pub(crate) struct Iteration {
     deltas: Vec<u64>,
     /// The frames sent, each with its cycles before the iteration's end.
     pub frames: Vec<(u64, Vec<u8>)>,
+    /// The trace events kept, stamped as `frames` are.
+    pub trace: Vec<TraceEvent>,
+    /// The trace events recorded, kept or dropped.
+    pub traced: u64,
 }
 
 impl Iteration {
@@ -340,8 +344,8 @@ impl Iteration {
 enum Recording {
     /// None yet, or the last was tainted: the next iteration is recorded.
     Due,
-    /// Under way since the totals and the outbox length given.
-    From(Snapshot, usize),
+    /// Under way since the totals, outbox length and trace marks given.
+    From(Snapshot, usize, (usize, u64)),
     /// Done.
     Done(Iteration),
 }
@@ -441,14 +445,15 @@ impl Periods {
 
     /// The node is at the repeat's state (see
     /// [`observe`](Periods::observe)), with `outbox` the frames collected
-    /// so far and `read` the totals: start recording the iteration from
-    /// here, or end the recording. Returns the iteration to repeat from
-    /// here, once one is recorded.
+    /// so far, `trace` its trace buffer and `totals` its totals: start
+    /// recording the iteration from here, or end the recording. Returns
+    /// the iteration to repeat from here, once one is recorded.
     pub fn come_back(
         &mut self,
         now: u64,
         outbox: &[(Cycles, Vec<u8>)],
-        read: impl FnOnce() -> Snapshot,
+        trace: &TraceBuffer,
+        totals: Snapshot,
     ) -> Option<&Iteration> {
         if self.tape.as_ref().is_some_and(|tape| tape.full) {
             self.forget();
@@ -457,15 +462,16 @@ impl Periods {
         }
         let c = self.cycle.as_mut().expect("a repeat found");
         c.at = now;
+        let marks = (trace.len(), trace.len() as u64 + trace.dropped());
         c.recording = match std::mem::replace(&mut c.recording, Recording::Due) {
             Recording::Due => {
                 self.tape = Some(Tape::default());
-                Recording::From(read(), outbox.len())
+                Recording::From(totals, outbox.len(), marks)
             }
-            Recording::From(start, sent) => {
+            Recording::From(start, sent, (kept, recorded)) => {
                 let mut tape = self.tape.take().expect("recorded since the start");
                 tape.finish();
-                let deltas = read()
+                let deltas = totals
                     .counts
                     .iter()
                     .zip(&start.counts)
@@ -475,12 +481,18 @@ impl Periods {
                     .iter()
                     .map(|(at, bytes)| (now - at.0, bytes.clone()))
                     .collect();
+                let events = trace.events().skip(kept).map(|e| TraceEvent {
+                    at: Cycles(now - e.at.0),
+                    ..e.clone()
+                });
                 Recording::Done(Iteration {
                     len: c.len,
                     periods: c.periods,
                     tape,
                     deltas,
                     frames,
+                    trace: events.collect(),
+                    traced: marks.1 - recorded,
                 })
             }
             done => done,
@@ -491,11 +503,10 @@ impl Periods {
         }
     }
 
-    /// Drop the iteration being recorded: its charges were not those of
-    /// the node's own run. The next iteration is recorded instead.
+    /// Drop the iteration being recorded, if any: its charges were not
+    /// those of the node's own run. The next one is recorded instead.
     pub fn taint(&mut self) {
-        self.tape = None;
-        if let Some(c) = &mut self.cycle {
+        if let (Some(_), Some(c)) = (self.tape.take(), &mut self.cycle) {
             c.recording = Recording::Due;
         }
     }
@@ -538,7 +549,7 @@ mod tests {
         if !periods.observe(at, key, memory) {
             return None;
         }
-        let it = periods.come_back(at, &[], || totals(count))?;
+        let it = periods.come_back(at, &[], &TraceBuffer::default(), totals(count))?;
         Some((it.len, it.deltas[0]))
     }
 
@@ -608,6 +619,8 @@ mod tests {
             tape: Tape::default(),
             deltas: vec![3, 4u64.wrapping_sub(65_530), 0],
             frames: Vec::new(),
+            trace: Vec::new(),
+            traced: 0,
         };
         let sums = [2.5; SUMS];
         let mut advance = it.advance(&sums, 3);

@@ -825,13 +825,22 @@ impl System {
         self.mem_energy_mark = Energy(sums[8]);
     }
 
+    /// The cycle of the next input from outside the node's own run: the
+    /// earlier of the next rx frame and the next scheduled fault.
+    fn next_input(&self) -> Option<Cycles> {
+        let rx = self.rx_queue.front().map(|(at, _)| *at);
+        match self.fault_plan.as_ref().and_then(FaultPlan::next_at) {
+            Some(fault) => Some(rx.map_or(fault, |rx| rx.min(fault))),
+            None => rx,
+        }
+    }
+
     /// Whether the next cycle is quiet: no compute is in flight, a frame
     /// on air does not complete on it, the timers' next tick raises no
-    /// interrupt, and no rx frame or fault is due. Such a cycle — a
-    /// silent underflow, or a cycle of airtime — steps with no master
-    /// running, nothing traced and nothing busy, and returns `Idle`.
+    /// interrupt, and no input is due. Such a cycle — a silent underflow,
+    /// or a cycle of airtime — steps with no master running, nothing
+    /// traced and nothing busy, and returns `Idle`.
     fn silent_next(&self) -> bool {
-        let next = self.now.0 + 1;
         self.slaves.timer.next_tick_is_silent()
             && self
                 .slaves
@@ -839,28 +848,28 @@ impl System {
                 .cycles_to_tx_done()
                 .is_none_or(|left| left > 1 && self.prev_transmitting)
             && self.compute_idle()
-            && self.rx_queue.front().is_none_or(|(at, _)| at.0 > next)
-            && self
-                .fault_plan
-                .as_ref()
-                .and_then(FaultPlan::next_at)
-                .is_none_or(|at| at.0 > next)
+            && self.next_input().is_none_or(|at| at.0 > self.now.0 + 1)
+    }
+
+    /// How many iterations of `len` cycles one jump may repeat from
+    /// `now`: all of them end by `horizon` and before the next input is
+    /// due.
+    fn jump_bound(&self, len: u64, horizon: Cycles) -> u64 {
+        let now = self.now.0;
+        let k = horizon.0.saturating_sub(now) / len;
+        self.next_input()
+            .map_or(k, |at| k.min(at.0.saturating_sub(now + 1) / len))
     }
 
     /// How many quiet iterations of `period` cycles (a skip of
     /// `period − 1`, then a quiet cycle) one jump may repeat from the
-    /// end of one: all of them end by `horizon` and before the next rx
-    /// frame is due, and the slaves can take them
-    /// (`Slaves::quiet_repeats`). Nothing else changes in a quiet
-    /// iteration, so each one repeated would have been quiet and of the
-    /// same shape.
+    /// end of one: as many as [`jump_bound`](System::jump_bound) lets
+    /// and the slaves can take (`Slaves::quiet_repeats`). Nothing else
+    /// changes in a quiet iteration, so each one repeated would have
+    /// been quiet and of the same shape.
     fn quiet_repeats(&self, period: u64, horizon: Cycles) -> u64 {
-        let now = self.now.0;
-        let mut k = horizon.0.saturating_sub(now) / period;
-        if let Some((at, _)) = self.rx_queue.front() {
-            k = k.min(at.0.saturating_sub(now + 1) / period);
-        }
-        k.min(self.slaves.quiet_repeats(period))
+        self.jump_bound(period, horizon)
+            .min(self.slaves.quiet_repeats(period))
     }
 
     // ------------------------------------------------------------------
@@ -939,9 +948,8 @@ impl System {
         self.periods.scratch = key;
         if repeated {
             let mut periods = std::mem::take(&mut self.periods);
-            let outbox = std::mem::take(&mut self.outbox);
-            let iteration = periods.come_back(now, &outbox, || self.read_totals());
-            self.outbox = outbox;
+            let totals = self.read_totals();
+            let iteration = periods.come_back(now, &self.outbox, &self.trace, totals);
             if iteration.is_some_and(|it| self.repeat_periods(it, horizon, run)) {
                 periods.jumped(self.now.0);
             }
@@ -950,18 +958,15 @@ impl System {
     }
 
     /// Repeat `k` more iterations like the recorded `it` from the
-    /// boundary the node is at, all of them ending by `horizon` and
-    /// before the next rx frame is due. The state is what it was; every
-    /// count grows by `k` times what the iteration added, the sums take
-    /// the iteration's addends `k` times more, and the outbox gets its
-    /// frames again, shifted by whole iterations. Returns whether it
-    /// jumped.
+    /// boundary the node is at, as many as
+    /// [`jump_bound`](System::jump_bound) lets. The state is what it was;
+    /// every count grows by `k` times what the iteration added, the sums
+    /// take the iteration's addends `k` times more, and the outbox and
+    /// the trace get the iteration's frames and events again, shifted by
+    /// whole iterations. Returns whether it jumped.
     fn repeat_periods(&mut self, it: &Iteration, horizon: Cycles, run: &mut IdleAdvance) -> bool {
         let now = self.now.0;
-        let mut k = (horizon.0 - now) / it.len;
-        if let Some((at, _)) = self.rx_queue.front() {
-            k = k.min(at.0.saturating_sub(now + 1) / it.len);
-        }
+        let k = self.jump_bound(it.len, horizon);
         if k == 0 {
             return false;
         }
@@ -973,6 +978,7 @@ impl System {
                     .map(|(before, bytes)| (Cycles(end - before), bytes.clone())),
             );
         }
+        self.trace.repeat(&it.trace, it.traced, self.now, it.len, k);
         let mut sums = self.read_totals().sums();
         it.tape.replay(&mut sums, self.ids.memory.index(), k);
         let (busy, skipped) = (self.busy_cycles, self.skipped);
@@ -996,11 +1002,13 @@ impl System {
     /// Inject every fault due at `now`, recording each as a
     /// `FaultInjected`/`FaultAbsorbed` pair. Returns `true` when a fatal
     /// fault halted the machine (remaining faults never land on a dead
-    /// node).
+    /// node). A fault is input from outside, so a recording of the
+    /// period watch in progress is dropped, as at an epoch boundary.
     fn apply_due_faults(&mut self, now: Cycles) -> bool {
         let mut plan = self.fault_plan.take().expect("caller checked is_some");
         let mut halted = false;
         while let Some(e) = plan.next_due(now) {
+            self.periods.taint();
             self.trace
                 .record(now, "fault", TraceKind::FaultInjected { fault: e.kind });
             let disposition = self.apply_fault(now, e.kind);
@@ -1133,8 +1141,8 @@ impl Simulatable for System {
     }
 
     /// `now` while a frame is on air, so no skip covers airtime;
-    /// otherwise the cycle before the next timer underflow, rx frame or
-    /// fault, so the stepped cycle lands it.
+    /// otherwise the cycle before the next timer underflow or input (an
+    /// rx frame or a fault), so the stepped cycle lands it.
     fn next_wakeup(&self) -> Option<Cycles> {
         if self.slaves.radio.transmitting() {
             return Some(self.now);
@@ -1144,18 +1152,10 @@ impl Simulatable for System {
             .timer
             .cycles_to_next_alarm()
             .map(|d| Cycles(self.now.0 + d.saturating_sub(1)));
-        let rx = self
-            .rx_queue
-            .front()
-            .map(|(at, _)| Cycles(at.0.saturating_sub(1).max(self.now.0)));
-        // Idle-skip must never fast-forward past a scheduled fault: stop
-        // one cycle short so the stepped cycle lands the injection.
-        let fault = self
-            .fault_plan
-            .as_ref()
-            .and_then(|p| p.next_at())
+        let input = self
+            .next_input()
             .map(|at| Cycles(at.0.saturating_sub(1).max(self.now.0)));
-        [timer, rx, fault].into_iter().flatten().min()
+        [timer, input].into_iter().flatten().min()
     }
 
     fn skip_to(&mut self, target: Cycles) {
@@ -1182,22 +1182,24 @@ impl Simulatable for System {
     /// bulk. A frame on air has no skip (`next_wakeup` is `now`), so a
     /// chain through airtime only steps.
     ///
-    /// Without a `stop` predicate or a fault plan, a run of identical
-    /// iterations (a skip, then a quiet cycle) is repeated in one jump
-    /// once three in a row have kept every running total in its binade
-    /// (`ulp_sim::repeat`), so the sums keep every bit they would have
-    /// had; `quiet_repeats` bounds the jump so that each iteration it
-    /// covers would have been quiet and of the same shape. The watch
+    /// Without a `stop` predicate — the one switch that turns jumps off —
+    /// a run of identical iterations (a skip, then a quiet cycle) is
+    /// repeated in one jump once three in a row have kept every running
+    /// total in its binade (`ulp_sim::repeat`), so the sums keep every
+    /// bit they would have had; `quiet_repeats` bounds the jump so that
+    /// each iteration it covers would have been quiet and of the same
+    /// shape, and ends before the next rx frame or fault. The watch
     /// restarts whenever the draws change: a timer without `REPEAT` that
     /// stops changes the timer block's.
     ///
     /// Where the chain stops at a period boundary (the next tick raises a
-    /// timer interrupt, compute is idle and nothing is on air), and with
-    /// tracing off too, the state key goes to the period watch
-    /// (`crate::periods`). Once the node is back in a state it was in at
-    /// an earlier boundary, it records the next iteration, and from then
-    /// on `repeat_periods` repeats whole iterations, busy steps and
-    /// telemetry histograms included, in one jump.
+    /// timer interrupt, compute is idle and nothing is on air), the state
+    /// key goes to the period watch (`crate::periods`). Once the node is
+    /// back in a state it was in at an earlier boundary, it records the
+    /// next iteration, and from then on `repeat_periods` repeats whole
+    /// iterations, busy steps, telemetry histograms and trace events
+    /// included, in one jump that ends before the next input. A fault
+    /// plan or a trace turns no jump off.
     fn idle_advance(
         &mut self,
         deadline: Cycles,
@@ -1208,8 +1210,7 @@ impl Simulatable for System {
         if self.now >= deadline {
             return run;
         }
-        let jumps = stop.is_none() && self.fault_plan.is_none();
-        let periods = jumps && !self.trace.is_enabled();
+        let jumps = stop.is_none();
         let mut watch = RepeatWatch::new(self.sums());
         let mut timers_counting = self.slaves.timer.active_count();
         let mut repeated = 0;
@@ -1274,7 +1275,7 @@ impl Simulatable for System {
                 }
             }
         }
-        if !periods {
+        if !jumps {
             self.periods.forget();
         } else if self.now < horizon
             && self.compute_idle()
@@ -1302,9 +1303,7 @@ impl Simulatable for System {
         let busy = self.busy_cycles - self.epoch_busy_mark;
         self.epoch_busy_mark = self.busy_cycles;
         self.bus_occupancy_hist.record(busy.0);
-        if self.periods.tape.is_some() {
-            self.periods.taint();
-        }
+        self.periods.taint();
     }
 }
 

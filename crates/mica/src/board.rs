@@ -327,7 +327,7 @@ impl Mica2Board {
         &self.trace
     }
 
-    /// Mutable trace buffer (enable/disable, set overflow policy).
+    /// Mutable trace buffer (enable/disable).
     pub fn trace_mut(&mut self) -> &mut TraceBuffer {
         &mut self.trace
     }

@@ -116,8 +116,10 @@ pub fn skip_target(now: Cycles, wakeup: Option<Cycles>, deadline: Cycles) -> Opt
 /// What one [`Simulatable::idle_advance`] covered.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IdleAdvance {
-    /// Cycles stepped after the first skip (each a silent `Idle` step),
-    /// one per quiet iteration, stepped or repeated.
+    /// Cycles stepped after the first skip: one per quiet iteration
+    /// (a silent `Idle` step), stepped or repeated, and every cycle a
+    /// repeat of whole stretches covered that the engine would have
+    /// stepped, busy ones included.
     pub stepped: Cycles,
     /// Cycles covered by skips.
     pub skipped: Cycles,

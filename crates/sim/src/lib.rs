@@ -49,5 +49,5 @@ pub use fault::{FaultDisposition, FaultEvent, FaultKind, FaultPlan, FaultStats};
 pub use perf::{PerfSnapshot, Profiler};
 pub use power::{PowerMode, PowerSpec};
 pub use telemetry::{ChromeTrace, Log2Histogram, Metric, Metrics};
-pub use trace::{OverflowPolicy, TraceBuffer, TraceEvent, TraceKind};
+pub use trace::{TraceBuffer, TraceEvent, TraceKind};
 pub use units::{Cycles, Energy, Frequency, Power, Seconds, Voltage};

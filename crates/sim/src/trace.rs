@@ -229,37 +229,23 @@ impl fmt::Display for TraceEvent {
     }
 }
 
-/// How a full [`TraceBuffer`] treats new events.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum OverflowPolicy {
-    /// Keep the *first* `capacity` events; count later ones as dropped
-    /// (the historical behaviour — best for "how did it start?").
-    #[default]
-    DropNewest,
-    /// Ring buffer: evict the oldest event to make room; count each
-    /// eviction as dropped (best for post-mortems — "how did it end?").
-    KeepNewest,
-}
-
 /// A bounded in-memory trace buffer. Disabled by default so the hot path
 /// pays only a branch.
 #[derive(Debug, Clone)]
 pub struct TraceBuffer {
     enabled: bool,
     capacity: usize,
-    policy: OverflowPolicy,
     events: VecDeque<TraceEvent>,
     dropped: u64,
     peak: usize,
 }
 
 impl TraceBuffer {
-    /// A disabled buffer with the given capacity (drop-newest policy).
+    /// A disabled buffer with the given capacity.
     pub fn new(capacity: usize) -> TraceBuffer {
         TraceBuffer {
             enabled: false,
             capacity,
-            policy: OverflowPolicy::default(),
             events: VecDeque::new(),
             dropped: 0,
             peak: 0,
@@ -276,39 +262,42 @@ impl TraceBuffer {
         self.enabled
     }
 
-    /// Select the overflow policy.
-    pub fn set_policy(&mut self, policy: OverflowPolicy) {
-        self.policy = policy;
-    }
-
-    /// The active overflow policy.
-    pub fn policy(&self) -> OverflowPolicy {
-        self.policy
-    }
-
-    /// Record an event if enabled. At capacity, [`OverflowPolicy`]
-    /// decides whether the new or the oldest event is lost; either way
-    /// the loss is counted, not silent.
+    /// Record an event if enabled. At capacity the buffer keeps the
+    /// first `capacity` events and counts each later one as dropped.
     pub fn record(&mut self, at: Cycles, component: &'static str, kind: impl Into<TraceKind>) {
         if !self.enabled {
             return;
         }
         if self.events.len() >= self.capacity {
             self.dropped += 1;
-            match self.policy {
-                OverflowPolicy::DropNewest => return,
-                OverflowPolicy::KeepNewest => {
-                    if self.events.pop_front().is_none() {
-                        return; // zero capacity: nothing can be kept
-                    }
-                }
-            }
+            return;
         }
         self.events.push_back(TraceEvent {
             at,
             component,
             kind: kind.into(),
         });
+        self.peak = self.peak.max(self.events.len());
+    }
+
+    /// Record `k` more iterations of `len` cycles like the one that ended
+    /// at `end`, which recorded `recorded` events: `events` are the ones
+    /// it kept, each stamped with its cycles before that end. Copies
+    /// shifted by whole iterations go in until the buffer is full and the
+    /// rest count as dropped, as recording them one by one would.
+    pub fn repeat(&mut self, events: &[TraceEvent], recorded: u64, end: Cycles, len: u64, k: u64) {
+        let kept = self.events.len();
+        if !events.is_empty() {
+            let room = self.capacity.saturating_sub(kept);
+            let copies = (1..=k).flat_map(|j| {
+                events.iter().map(move |e| TraceEvent {
+                    at: Cycles(end.0 + j * len - e.at.0),
+                    ..e.clone()
+                })
+            });
+            self.events.extend(copies.take(room));
+        }
+        self.dropped += recorded * k - (self.events.len() - kept) as u64;
         self.peak = self.peak.max(self.events.len());
     }
 
@@ -332,8 +321,7 @@ impl TraceBuffer {
         self.events.get(i)
     }
 
-    /// Number of events lost to the capacity limit (whether the new or
-    /// the oldest event was discarded, per the policy).
+    /// Number of events lost to the capacity limit.
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
@@ -345,7 +333,7 @@ impl TraceBuffer {
         self.peak
     }
 
-    /// Clear all recorded events (keeps the enabled flag and policy).
+    /// Clear all recorded events (keeps the enabled flag).
     pub fn clear(&mut self) {
         self.events.clear();
         self.dropped = 0;
@@ -437,20 +425,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_policy_keeps_newest_and_counts_evictions() {
-        let mut t = TraceBuffer::new(3);
-        t.set_enabled(true);
-        t.set_policy(OverflowPolicy::KeepNewest);
-        for i in 0..10u64 {
-            t.record(Cycles(i), "a", "e");
-        }
-        assert_eq!(t.len(), 3);
-        let kept: Vec<u64> = t.events().map(|e| e.at.0).collect();
-        assert_eq!(kept, vec![7, 8, 9], "the *end* of the run survives");
-        assert_eq!(t.dropped(), 7, "each eviction is accounted");
-    }
-
-    #[test]
     fn peak_tracks_high_water_mark() {
         let mut t = TraceBuffer::new(8);
         t.set_enabled(true);
@@ -462,26 +436,42 @@ mod tests {
         assert_eq!(t.peak(), 0, "clear resets the mark");
         t.record(Cycles(9), "a", "e");
         assert_eq!(t.peak(), 1);
-        // A full KeepNewest ring saturates at capacity, not beyond.
-        let mut r = TraceBuffer::new(2);
-        r.set_enabled(true);
-        r.set_policy(OverflowPolicy::KeepNewest);
-        for i in 0..6u64 {
-            r.record(Cycles(i), "a", "e");
-        }
-        assert_eq!(r.peak(), 2);
     }
 
+    /// Repeating an iteration gives the buffer recording each copy one
+    /// by one would: kept events, drops and peak, at every capacity from
+    /// none to more than the copies need, the iteration itself recorded
+    /// in full or cut short by the capacity.
     #[test]
-    fn ring_policy_with_zero_capacity_drops_everything() {
-        let mut t = TraceBuffer::new(0);
-        t.set_enabled(true);
-        t.set_policy(OverflowPolicy::KeepNewest);
-        for i in 0..5u64 {
-            t.record(Cycles(i), "a", "e");
+    fn repeat_matches_recording_each_iteration() {
+        // Two events 3 and 9 cycles into each 10-cycle iteration; the
+        // first iteration ends at cycle 25.
+        let iteration = |t: &mut TraceBuffer, end: u64| {
+            t.record(Cycles(end - 7), "a", "x");
+            t.record(Cycles(end - 1), "b", "y");
+        };
+        for capacity in 0..12 {
+            let mut want = TraceBuffer::new(capacity);
+            want.set_enabled(true);
+            want.record(Cycles(1), "c", "z");
+            let mut got = want.clone();
+            for i in 0..4 {
+                iteration(&mut want, 25 + 10 * i);
+            }
+            iteration(&mut got, 25);
+            let events: Vec<TraceEvent> = got
+                .events()
+                .skip(1)
+                .map(|e| TraceEvent {
+                    at: Cycles(25 - e.at.0),
+                    ..e.clone()
+                })
+                .collect();
+            got.repeat(&events, 2, Cycles(25), 10, 3);
+            assert_eq!(got.listing(), want.listing(), "capacity {capacity}");
+            assert_eq!(got.dropped(), want.dropped(), "capacity {capacity}");
+            assert_eq!(got.peak(), want.peak(), "capacity {capacity}");
         }
-        assert!(t.is_empty());
-        assert_eq!(t.dropped(), 5);
     }
 
     #[test]

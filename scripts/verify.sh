@@ -47,9 +47,12 @@ echo "== chained idle advance: bit-exact against one wake at a time =="
 # engine's loop one wake at a time) and compare every energy bit:
 # GDI-style nodes whose chains are mostly silent underflows,
 # airtime-heavy nodes whose chains mostly run through a frame on air,
-# fault-free GDI-style and airtime nodes over millions of cycles, where
-# the quiet jumps happen, and constant-sensor nodes whose whole state
-# repeats every 256 frames, where whole periods are repeated in one jump.
+# traced GDI-style and airtime nodes with up to three faults over
+# millions of cycles, where the quiet jumps happen, and constant-sensor
+# nodes whose whole state repeats every 256 frames, where whole periods
+# are repeated in one jump, with up to three faults and the trace off,
+# on, or on at a capacity the run may fill partway through a jump.
+# Neither a fault plan nor tracing turns a jump off.
 # Here they run on the release build the benchmarks use, with more cases
 # than the tier-1 default.
 ULP_PROPTEST_CASES=256 cargo test -q --release --offline --test reference_models -- \

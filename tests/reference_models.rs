@@ -16,7 +16,9 @@ use ulp_node::core_arch::slaves::{timer_ctrl as ctrl, ConstSensor, RandomWalkSen
 use ulp_node::core_arch::{InterruptArbiter, System, SystemConfig};
 use ulp_node::isa::ep::{encode_program, Instruction};
 use ulp_node::net::Frame;
-use ulp_node::sim::{Cycles, Engine, FaultPlan, Profiler, RunStats, Simulatable, StepOutcome};
+use ulp_node::sim::{
+    Cycles, Engine, FaultKind, FaultPlan, Profiler, RunStats, Simulatable, StepOutcome, TraceBuffer,
+};
 use ulp_testkit::{any_bool, any_u8, prop_assert, prop_assert_eq, props, vec_of};
 
 // ---------------------------------------------------------------------
@@ -461,8 +463,10 @@ fn random_node(
         t.write(b + map::TIMER_CTRL, bits & 0x0F);
     }
     // Half the frames and faults land on a base-timer underflow (while
-    // timer 0 keeps the program's period), right where a chain steps.
-    let on_underflow = |at: u64| (1 + at % (horizon / base as u64)) * base as u64;
+    // timer 0 keeps the program's period), right where a chain steps;
+    // with a horizon under one base period, on the first.
+    let underflows = (horizon / base as u64).max(1);
+    let on_underflow = |at: u64| (1 + at % underflows) * base as u64;
     for (seq, &(at, byte)) in rx.iter().enumerate() {
         let frame = Frame::data(0x22, 0x0009, 0x0001, seq as u8, &[byte]).unwrap();
         let at = if byte & 1 == 1 {
@@ -518,6 +522,8 @@ fn assert_same_node(a: &System, b: &System) {
     prop_assert_eq!(a.slaves().radio.stats(), b.slaves().radio.stats());
     let trace = |s: &System| s.trace().events().cloned().collect::<Vec<_>>();
     prop_assert_eq!(trace(a), trace(b));
+    prop_assert_eq!(a.trace().dropped(), b.trace().dropped(), "trace drops");
+    prop_assert_eq!(a.trace().peak(), b.trace().peak(), "trace peak");
     prop_assert_eq!(
         a.telemetry_snapshot().summary(),
         b.telemetry_snapshot().summary()
@@ -591,30 +597,31 @@ props! {
 props! {
     #![cases(24)]
 
-    /// Fault-free nodes over segments of millions of cycles, where the
-    /// idle advance repeats runs of identical quiet iterations in one
-    /// jump (no predicate, no fault plan): GDI-style nodes on a chained
-    /// period (`base` × `count` cycles, hundreds of silent underflows
-    /// per sample) and deaf airtime nodes on a cycle-counted period
-    /// (long chains of airtime), with epochs on or off, agree bit for
-    /// bit with the engine's loop one wake at a time.
+    /// Traced nodes with a fault plan of up to three faults over segments
+    /// of millions of cycles, where the idle advance repeats runs of
+    /// identical quiet iterations in one jump (no predicate): GDI-style
+    /// nodes on a chained period (`base` × `count` cycles, hundreds of
+    /// silent underflows per sample) and deaf airtime nodes on a
+    /// cycle-counted period (long chains of airtime), with epochs on or
+    /// off, agree bit for bit with the engine's loop one wake at a time.
     /// Jumps are cut by binade crossings, epoch boundaries, deadlines,
-    /// the chained timer's last silent underflow, timer underflows on
-    /// air and the frame's end.
+    /// faults, the chained timer's last silent underflow, timer
+    /// underflows on air and the frame's end.
     #[test]
     fn long_quiet_chains_match_wake_by_wake(
         gdi in any_bool(),
         chained in (50u16..12_000, 2u16..800),
         airtime in (2_000u16..60_000, 1u8..22),
+        faults in (ulp_testkit::any_u64(), 0u8..4),
         epoch in (any_bool(), 1u64..3_000_000),
         segments in vec_of(1u32..4_000_000, 1..3),
     ) {
         let horizon: u64 = segments.iter().map(|&n| n as u64).sum();
         let node = || {
             if gdi {
-                random_node(chained.0, chained.1, &[], &[], (0, 0), horizon)
+                random_node(chained.0, chained.1, &[], &[], faults, horizon)
             } else {
-                airtime_node(airtime.0, airtime.1, false, &[], (0, 0), horizon)
+                airtime_node(airtime.0, airtime.1, false, &[], faults, horizon)
             }
         };
         let epoch = epoch.0.then_some(epoch.1);
@@ -658,20 +665,24 @@ props! {
     /// Constant-sensor nodes over segments of millions of cycles, where
     /// the idle advance repeats whole 256-frame iterations of periods in
     /// one jump, agree with the engine's loop one wake at a time in
-    /// every energy bit, count, frame, SRAM byte and telemetry
-    /// histogram. Jumps are cut by deadlines, epoch boundaries and rx
-    /// frames (forwarded by a listening node, missed by a deaf one).
+    /// every energy bit, count, frame, SRAM byte, telemetry histogram
+    /// and trace event, drop and peak. Jumps are cut by deadlines, epoch
+    /// boundaries, up to three faults and rx frames (forwarded by a
+    /// listening node, missed by a deaf one). The trace is off, on at
+    /// its default capacity, or on at a capacity the run may fill
+    /// partway through a jump.
     #[test]
     fn repeated_periods_match_wake_by_wake(
-        stage in 0u8..3,
-        chained in any_bool(),
+        program in (0u8..3, any_bool()),
         period in (100u16..250, 3u16..5),
         samples in 1u8..5,
         rx in vec_of((ulp_testkit::any_u32(), any_u8()), 0..3),
+        faults in (ulp_testkit::any_u64(), 0u8..4),
+        trace in (0u8..3, 1usize..40_000),
         epoch in (any_bool(), 1u64..8_000_000),
         segments in vec_of(1_000_000u32..3_000_000, 1..3),
     ) {
-        let (base, count) = period;
+        let ((stage, chained), (base, count)) = (program, period);
         let stage = [AppStage::SampleSend, AppStage::Filtered, AppStage::Forwarding][stage as usize];
         let horizon: u64 = segments.iter().map(|&n| n as u64).sum();
         let node = || {
@@ -679,6 +690,15 @@ props! {
             for (seq, &(at, byte)) in rx.iter().enumerate() {
                 let frame = Frame::data(0x22, 0x0009, 0x0000, seq as u8, &[byte]).unwrap();
                 sys.schedule_rx(Cycles(1 + at as u64 % horizon), frame.encode());
+            }
+            sys.set_fault_plan(FaultPlan::generate(faults.0, horizon, faults.1 as usize));
+            match trace.0 {
+                0 => {}
+                1 => sys.trace_mut().set_enabled(true),
+                _ => {
+                    *sys.trace_mut() = TraceBuffer::new(trace.1);
+                    sys.trace_mut().set_enabled(true);
+                }
             }
             sys
         };
@@ -697,21 +717,57 @@ props! {
     }
 }
 
+/// Faults a constant-sensor node absorbs between samples: a dropped
+/// interrupt on a line it does not use, radio noise while its radio is
+/// off, and a short brownout while nothing is in flight.
+const ABSORBED: [FaultKind; 3] = [
+    FaultKind::DroppedIrq { line: 40 },
+    FaultKind::RadioByteError { burst: 1 },
+    FaultKind::Brownout { duration: 8 },
+];
+
+/// A fault every `spacing` cycles, 77 cycles past each multiple, `n` of
+/// them, of `kinds` in turn.
+fn spaced_faults(spacing: u64, n: u64, kinds: &[FaultKind]) -> FaultPlan {
+    let mut plan = FaultPlan::new();
+    for i in 1..=n {
+        plan.push(Cycles(i * spacing + 77), kinds[i as usize % kinds.len()]);
+    }
+    plan
+}
+
+/// [`ABSORBED`], then a bit flip in a byte of SRAM a constant-sensor
+/// node leaves alone, which changes its state for good.
+fn with_flip() -> Vec<FaultKind> {
+    let flip = FaultKind::SramBitFlip {
+        bank: 7,
+        addr: 0x07F8,
+        bit: 3,
+    };
+    [&ABSORBED[..], &[flip]].concat()
+}
+
 /// A predicate turns jumps off, and a jump counts every step it covers:
 /// a node run with `run_for` (which repeats whole periods) and with
 /// `run_until(.., |_| false)` (which steps them) leaves the same profiler
-/// call counts, and the same node.
+/// call counts, `sys.fault_apply`'s on a node with a fault plan included,
+/// and the same node.
 #[test]
 fn jumps_count_every_step_they_cover() {
     for chained in [false, true] {
-        jumps_count_every_step_on(chained);
+        for faulted in [false, true] {
+            jumps_count_every_step_on(chained, faulted);
+        }
     }
 }
 
-fn jumps_count_every_step_on(chained: bool) {
+fn jumps_count_every_step_on(chained: bool, faulted: bool) {
     let run = |jump: bool| {
         let prof = Profiler::new();
         let mut sys = const_node(AppStage::SampleSend, chained, 150, 4, 1);
+        if faulted {
+            sys.set_fault_plan(spaced_faults(400_000, 2, &with_flip()));
+        }
         sys.set_profiler(&prof);
         let mut engine = Engine::new(sys);
         engine.set_profiler(&prof);
@@ -726,6 +782,7 @@ fn jumps_count_every_step_on(chained: bool) {
     let (stats_b, b, prof_b) = run(false);
     assert_eq!(stats_a, stats_b);
     assert_same_node(&a, &b);
+    assert_eq!(a.fault_stats().injected, 2 * faulted as u64);
     assert!(prof_a.counter("sys.periods_repeated").unwrap() >= 512);
     assert_eq!(prof_b.counter("sys.periods_repeated"), None);
     let calls = |p: &ulp_node::sim::PerfSnapshot| {
@@ -759,6 +816,79 @@ fn an_epoch_inside_the_recorded_iteration_is_not_repeated() {
         engine.set_epoch(Cycles(EPOCH));
         let a = engine.run_for(Cycles(RUN));
         let mut reference = WakeByWake::new(node(), Some(EPOCH));
+        let (b, _) = reference.run_until(Cycles(RUN), |_| false);
+        assert_eq!(a, b);
+        assert_same_node(engine.machine(), &reference.sys);
+        let repeated = prof.snapshot().counter("sys.periods_repeated");
+        assert_eq!(repeated, Some(768), "chained {chained}");
+    }
+}
+
+/// Tracing and a fault plan turn no jump off. A traced constant-sensor
+/// node (600-cycle periods, 153,600-cycle iterations) with a fault every
+/// 400,000 cycles, more than two iterations apart, repeats as many
+/// periods in jumps as the same node untraced, and agrees with the
+/// engine's loop one wake at a time, in its trace ring, drops and peak
+/// too. The node traces 11,520 events an iteration, so its
+/// 50,000-event ring, about 34,600 full when the first jump (of two
+/// iterations) starts, fills partway through it.
+#[test]
+fn a_traced_faulted_node_jumps() {
+    const RUN: u64 = 3_000_000;
+    for chained in [false, true] {
+        let node = |traced: bool| {
+            let mut sys = const_node(AppStage::SampleSend, chained, 150, 4, 1);
+            sys.set_fault_plan(spaced_faults(400_000, 7, &with_flip()));
+            *sys.trace_mut() = TraceBuffer::new(50_000);
+            sys.trace_mut().set_enabled(traced);
+            sys
+        };
+        let run = |traced: bool| {
+            let prof = Profiler::new();
+            let mut sys = node(traced);
+            sys.set_profiler(&prof);
+            let mut engine = Engine::new(sys);
+            let stats = engine.run_for(Cycles(RUN));
+            let repeated = prof.snapshot().counter("sys.periods_repeated");
+            (stats, engine.into_machine(), repeated)
+        };
+        let (a, traced, repeated) = run(true);
+        let mut reference = WakeByWake::new(node(true), None);
+        let (b, _) = reference.run_until(Cycles(RUN), |_| false);
+        assert_eq!(a, b);
+        assert_same_node(&traced, &reference.sys);
+        assert_eq!(traced.fault_stats().injected, 7);
+        assert_eq!(traced.trace().len(), 50_000);
+        assert_eq!(repeated, Some(2_048), "chained {chained}");
+        assert_eq!(run(false).2, repeated, "chained {chained}: untraced");
+    }
+}
+
+/// A fault inside the iteration the period watch records drops the
+/// recording, as an epoch boundary does: a fault is input from outside,
+/// and the iterations a jump repeats land none (a jump stops before the
+/// next one), so an iteration recorded across one would repeat its
+/// injection, trace events and all. A traced constant-sensor node
+/// (600-cycle periods, 153,600-cycle iterations) with a fault every
+/// 200,000 cycles, fewer than two iterations apart, records across a
+/// fault more often than not, still repeats 768 periods in jumps, and must
+/// agree with the engine's loop one wake at a time.
+#[test]
+fn a_fault_inside_the_recorded_iteration_is_not_repeated() {
+    const RUN: u64 = 3_000_000;
+    for chained in [false, true] {
+        let node = || {
+            let mut sys = const_node(AppStage::SampleSend, chained, 150, 4, 1);
+            sys.set_fault_plan(spaced_faults(200_000, 14, &ABSORBED));
+            sys.trace_mut().set_enabled(true);
+            sys
+        };
+        let prof = Profiler::new();
+        let mut sys = node();
+        sys.set_profiler(&prof);
+        let mut engine = Engine::new(sys);
+        let a = engine.run_for(Cycles(RUN));
+        let mut reference = WakeByWake::new(node(), None);
         let (b, _) = reference.run_until(Cycles(RUN), |_| false);
         assert_eq!(a, b);
         assert_same_node(engine.machine(), &reference.sys);
@@ -906,7 +1036,7 @@ fn events_mid_frame_cut_the_airtime_chain() {
             }
             MidFrame::Fault => {
                 let mut plan = FaultPlan::new();
-                plan.push(at, ulp_node::sim::FaultKind::RadioByteError { burst: 1 });
+                plan.push(at, FaultKind::RadioByteError { burst: 1 });
                 sys.set_fault_plan(plan);
             }
             MidFrame::EpochBoundary => {}
