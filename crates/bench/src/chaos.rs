@@ -231,7 +231,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosSummary {
     ));
 
     let mut engine = Engine::new(sys);
-    engine.set_fast_forward(true);
     // Invariant 5 (monotonic energy): sample the meter mid-run.
     engine.run_for(Cycles(cfg.horizon / 2));
     let energy_mid = engine.machine().meter().total_energy().joules();

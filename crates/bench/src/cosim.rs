@@ -431,7 +431,7 @@ fn advance_node(node: &mut System, target: Cycles, endpoint: usize) -> StepOutco
             StepOutcome::Busy => {}
             StepOutcome::Halted => panic!("node at endpoint {endpoint} halted: {:?}", node.fault()),
             StepOutcome::Idle => {
-                node.idle_advance(target, target, None);
+                node.idle_advance(target, target);
             }
         }
     }

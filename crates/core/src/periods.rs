@@ -399,6 +399,14 @@ impl Periods {
         self.off || inside
     }
 
+    /// Count a boundary passed unkeyed (the idle advance stopped on it
+    /// at its horizon): a repeat due there is missed, since the next
+    /// boundary breaks the match, but an iteration's boundaries are all
+    /// counted.
+    pub fn miss(&mut self) {
+        self.seen += 1;
+    }
+
     /// See the boundary at cycle `now`, one [`pass`](Periods::pass) did
     /// not let by, with state key `key` and SRAM bytes `memory`. Returns
     /// whether the node is at a repeat's state: found at an anchor just

@@ -51,15 +51,18 @@ echo "== chained idle advance: bit-exact against one wake at a time =="
 # millions of cycles, where the quiet jumps happen, and constant-sensor
 # nodes whose whole state repeats every 256 frames, where whole periods
 # are repeated in one jump, with up to three faults and the trace off,
-# on, or on at a capacity the run may fill partway through a jump.
-# Neither a fault plan nor tracing turns a jump off.
+# on, or on at a capacity the run may fill partway through a jump. The
+# last property interleaves run_for and run_until segments on all three
+# kinds of node: the chain has no switch, and under a run_until
+# predicate the engine's own loop steps one wake at a time.
 # Here they run on the release build the benchmarks use, with more cases
 # than the tier-1 default.
 ULP_PROPTEST_CASES=256 cargo test -q --release --offline --test reference_models -- \
   chained_idle_advance_matches_wake_by_wake \
   airtime_heavy_idle_advance_matches_wake_by_wake \
   long_quiet_chains_match_wake_by_wake \
-  repeated_periods_match_wake_by_wake > /dev/null
+  repeated_periods_match_wake_by_wake \
+  predicate_and_plain_segments_match_wake_by_wake > /dev/null
 
 echo "== event queue: pop order matches a sorted reference model =="
 # Every multi-node driver replays byte for byte only because the event

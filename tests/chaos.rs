@@ -69,7 +69,6 @@ fn run(plan: Option<FaultPlan>, horizon: u64) -> Fingerprint {
         sys.set_fault_plan(plan);
     }
     let mut engine = Engine::new(sys);
-    engine.set_fast_forward(true);
     engine.run_for(Cycles(horizon));
     let mut sys = engine.into_machine();
     let stats = sys.fault_stats();
