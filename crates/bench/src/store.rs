@@ -947,6 +947,91 @@ mod tests {
         assert_eq!(p.cells, cells);
     }
 
+    /// `body` in a sound frame: its byte length, its checksum, a newline.
+    /// Only the body's own rules can then reject the record.
+    fn frame(body: &[u8]) -> Vec<u8> {
+        let mut out = format!("{} {} ", body.len(), hex16(digest64(body))).into_bytes();
+        out.extend_from_slice(body);
+        out.push(b'\n');
+        out
+    }
+
+    /// A record body with the digest text, key text and cells text given
+    /// as they appear between the quotes and brackets.
+    fn body(digest: &str, key: &str, cells: &str) -> Vec<u8> {
+        format!("{{\"digest\":\"{digest}\",\"key\":\"{key}\",\"cells\":[{cells}]}}").into_bytes()
+    }
+
+    /// What the record reader accepts, pinned rule by rule: each body
+    /// below breaks exactly one rule and must count as corrupt and never
+    /// be served, while a digest spelled with `\u00XX` escapes is still
+    /// a valid JSON string for the same digest and is accepted.
+    #[test]
+    fn record_reader_rejects_every_broken_rule() {
+        const KEY: &str = "a=1;|p|v0";
+        let digest = hex16(digest64(KEY.as_bytes()));
+        let good = body(&digest, KEY, r#"["u","5"],["f","0.5"],["t","x"]"#);
+        let cells = |c: &str| body(&digest, KEY, c);
+        let mut invalid_utf8 = cells(r#"["t","@"]"#);
+        let at = invalid_utf8.iter().position(|&b| b == b'@').unwrap();
+        invalid_utf8[at] = 0xff;
+        let broken: Vec<(&str, Vec<u8>)> = vec![
+            ("u64 +5", cells(r#"["u","+5"]"#)),
+            ("u64 05", cells(r#"["u","05"]"#)),
+            ("u64 -1", cells(r#"["u","-1"]"#)),
+            ("u64 empty", cells(r#"["u",""]"#)),
+            ("u64 2^64", cells(r#"["u","18446744073709551616"]"#)),
+            ("f64 1.0", cells(r#"["f","1.0"]"#)),
+            ("f64 1e-7", cells(r#"["f","1e-7"]"#)),
+            ("f64 NaN", cells(r#"["f","NaN"]"#)),
+            ("f64 inf", cells(r#"["f","inf"]"#)),
+            ("unknown tag", cells(r#"["x","1"]"#)),
+            (
+                "digest/key mismatch",
+                body(&hex16(digest64(b"other")), KEY, r#"["u","1"]"#),
+            ),
+            (
+                "whitespace after a colon",
+                format!("{{\"digest\": \"{digest}\",\"key\":\"{KEY}\",\"cells\":[]}}").into_bytes(),
+            ),
+            ("whitespace inside a cell", cells(r#"["u", "1"]"#)),
+            ("whitespace between cells", cells(r#"["u","1"], ["u","2"]"#)),
+            ("trailing bytes", [&good[..], b" "].concat()),
+            ("invalid UTF-8", invalid_utf8),
+        ];
+        for (rule, body) in &broken {
+            let scan = scan_segment(&frame(body));
+            assert_eq!(
+                (scan.records.len(), scan.torn, scan.corrupt),
+                (0, 0, 1),
+                "{rule}"
+            );
+        }
+        let escaped: String = digest.bytes().map(|b| format!("\\u{b:04x}")).collect();
+        assert!(escaped.contains("\\u0030") || !digest.contains('0'));
+        let accepted = body(&escaped, KEY, r#"["u","5"]"#);
+        let scan = scan_segment(&frame(&accepted));
+        assert_eq!((scan.records.len(), scan.corrupt), (1, 0));
+        assert_eq!(scan.records[0].0, digest64(KEY.as_bytes()));
+
+        // In a store, the good record is served and no broken one is,
+        // whichever order they were written in.
+        let dir = tmp_dir("rules");
+        fs::create_dir_all(&dir).unwrap();
+        let mut seg = frame(&good);
+        for (_, body) in &broken {
+            seg.extend(frame(body));
+        }
+        fs::write(dir.join("seg-main.ndjson"), &seg).unwrap();
+        let mut store = Store::open(&dir).unwrap();
+        assert_eq!(store.stats().corrupt, broken.len() as u64);
+        assert_eq!((store.stats().records, store.len()), (1, 1));
+        let served = store.lookup(digest64(KEY.as_bytes()), KEY, 3);
+        let expected = [Cell::U64(5), Cell::F64(0.5), Cell::Text("x".into())];
+        assert_eq!(served.as_deref(), Some(&expected[..]));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn empty_cells_record_roundtrips() {
         let bytes = encode_record(digest64(b"k"), "k", &[]);
