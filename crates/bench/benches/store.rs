@@ -7,15 +7,24 @@
 //! the two is asserted elsewhere (`tests/store.rs`); here only the
 //! wall-clock is interesting.
 //!
+//! Two more ids time the store alone on a resumed chaos campaign, the
+//! one the benchmark's `campaign_resume` workload resumes at seed 0:
+//! `store/open/resume_torn` restores the interrupted segment (5,759
+//! records and a torn tail, 1,921,871 B) and opens it, which repairs
+//! it, and `store/lookup/chaos_6144` builds every grid point's key and
+//! looks it up in the opened store, as `run_stored`'s hit path does.
+//!
 //! Runs on the in-tree `ulp_testkit::bench` harness (offline, zero
 //! external crates).
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use ulp_bench::chaos::{self, ChaosApp, ChaosConfig};
 use ulp_bench::cosim::{run_cosim, CosimConfig};
 use ulp_bench::fleet::{Cell, Coords, Sweep};
-use ulp_bench::store::{run_stored, Store};
+use ulp_bench::store::{canonical_key, run_stored, Store};
+use ulp_testkit::digest::digest64;
 
 /// The small co-sim grid `benches/fleet.rs` also uses (8 points, a few
 /// ms each), so the cold/warm split here reads directly against the
@@ -77,6 +86,54 @@ fn run_warm(sweep: &Sweep<CosimConfig>, store: &mut Store) -> usize {
     results.rows().len()
 }
 
+/// The chaos campaign `campaign_resume` resumes at seed 0, filled into
+/// a store with every 16th seed missing and the last record cut in
+/// half, as a kill mid-append leaves it. Returns the whole grid and the
+/// torn segment's bytes.
+fn interrupted_chaos() -> (Sweep<ChaosConfig>, Vec<u8>) {
+    let apps = [ChaosApp::Sample, ChaosApp::Filtered, ChaosApp::Forwarding];
+    let sweep = chaos::campaign(&apps, &[0.0, 1e-4, 1e-3, 1e-2], 512, 30_000);
+    let mut filled = Sweep::new(sweep.name(), chaos::METRICS);
+    for (coords, cfg) in sweep.points().filter(|(_, c)| c.seed % 16 != 0) {
+        filled.push(coords.clone(), cfg.clone());
+    }
+    let dir = fresh_dir();
+    let mut store = Store::open(&dir).expect("open scratch store");
+    run_stored(
+        &filled,
+        &mut store,
+        2,
+        None,
+        |_, c: &ChaosConfig| c.store_key(),
+        |_, c: &ChaosConfig| chaos::cells(&chaos::run_chaos(c)),
+        &(),
+    )
+    .expect("chaos points do not fail");
+    drop(store);
+    let bytes = std::fs::read(dir.join("seg-main.ndjson")).expect("read the filled segment");
+    let _ = std::fs::remove_dir_all(&dir);
+    let last = bytes[..bytes.len() - 1]
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .map_or(0, |i| i + 1);
+    let torn = bytes[..last + (bytes.len() - last) / 2].to_vec();
+    (sweep, torn)
+}
+
+/// Every point's key built and looked up, as on `run_stored`'s hit
+/// path; returns the hits.
+fn lookup_all(sweep: &Sweep<ChaosConfig>, store: &mut Store) -> usize {
+    let fingerprint = store.fingerprint().to_string();
+    sweep
+        .points()
+        .filter(|(coords, cfg)| {
+            let key = canonical_key(coords, &cfg.store_key(), &fingerprint);
+            let hit = store.lookup(digest64(key.as_bytes()), &key, chaos::METRICS.len());
+            hit.is_some()
+        })
+        .count()
+}
+
 fn main() {
     use ulp_testkit::bench::{Harness, Throughput};
     let sweep = build_small_cosim_sweep();
@@ -93,7 +150,25 @@ fn main() {
     h.bench("campaign_small/warm_hit", || {
         run_warm(&sweep, &mut warm_store)
     });
+
+    let (chaos_sweep, torn) = interrupted_chaos();
+    let resume_dir = fresh_dir();
+    std::fs::create_dir_all(&resume_dir).expect("create resume store");
+    let segment = resume_dir.join("seg-main.ndjson");
+    let records = chaos_sweep.len() - chaos_sweep.len() / 16 - 1;
+    h.throughput(Throughput::Elements(records as u64));
+    h.bench("open/resume_torn", || {
+        std::fs::write(&segment, &torn).expect("restore the torn segment");
+        Store::open(&resume_dir).expect("open resume store").len()
+    });
+    let mut resumed = Store::open(&resume_dir).expect("open resume store");
+    assert_eq!(resumed.len(), records, "the resumed store lost records");
+    h.throughput(Throughput::Elements(chaos_sweep.len() as u64));
+    h.bench("lookup/chaos_6144", || {
+        lookup_all(&chaos_sweep, &mut resumed)
+    });
     h.finish();
     drop(warm_store);
     let _ = std::fs::remove_dir_all(&warm_dir);
+    let _ = std::fs::remove_dir_all(&resume_dir);
 }

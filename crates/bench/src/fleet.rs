@@ -423,11 +423,9 @@ impl<P: Sync> Sweep<P> {
         let rows = done
             .into_iter()
             .map(|(i, cells)| {
-                let mut row: Vec<Cell> = self.points[i]
-                    .0
-                    .values()
-                    .map(|v| Cell::Text(v.to_string()))
-                    .collect();
+                let coords = &self.points[i].0;
+                let mut row = Vec::with_capacity(coords.pairs.len() + cells.len());
+                row.extend(coords.values().map(|v| Cell::Text(v.to_string())));
                 row.extend(cells);
                 row
             })

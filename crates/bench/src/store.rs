@@ -75,13 +75,18 @@ pub fn code_fingerprint() -> String {
 
 /// Escape one key component so that the `; = |` separators of
 /// [`canonical_key`] can never be forged by a value containing them.
+/// Plain runs are copied whole; each separator starts the next run
+/// after its backslash.
 fn esc_component(out: &mut String, s: &str) {
-    for c in s.chars() {
-        if matches!(c, ';' | '=' | '|' | '\\') {
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if matches!(b, b';' | b'=' | b'|' | b'\\') {
+            out.push_str(&s[run..i]);
             out.push('\\');
+            run = i;
         }
-        out.push(c);
     }
+    out.push_str(&s[run..]);
 }
 
 /// The canonical key string of one grid point: the `Coords` pairs
@@ -100,7 +105,15 @@ fn esc_component(out: &mut String, s: &str) {
 pub fn canonical_key(coords: &Coords, payload_key: &str, fingerprint: &str) -> String {
     let mut pairs: Vec<(&str, &str)> = coords.axes().zip(coords.values()).collect();
     pairs.sort_unstable();
-    let mut out = String::new();
+    // The unescaped length plus room for a few escapes.
+    let len = pairs
+        .iter()
+        .map(|(a, v)| a.len() + v.len() + 2)
+        .sum::<usize>()
+        + payload_key.len()
+        + fingerprint.len()
+        + 2;
+    let mut out = String::with_capacity(len + 16);
     for (axis, value) in pairs {
         esc_component(&mut out, axis);
         out.push('=');
@@ -232,6 +245,25 @@ fn encode_record(digest: u64, key: &str, cells: &[Cell]) -> Vec<u8> {
     out
 }
 
+/// `text` as a `u64` if it is exactly how that `u64` displays: only
+/// digits, no leading zero unless it is `0`, and in range. This is the
+/// set `n.to_string() == text` accepts, checked without allocating.
+fn canonical_u64(text: &str) -> Option<u64> {
+    let b = text.as_bytes();
+    let canonical = b.iter().all(u8::is_ascii_digit) && (b.first() != Some(&b'0') || b.len() == 1);
+    canonical.then(|| text.parse().ok())?
+}
+
+/// Buffers a segment scan reuses from record to record, so a record
+/// allocates only what it keeps: its key, its cell list and its text
+/// cells.
+#[derive(Default)]
+struct Scratch {
+    cells: Vec<Cell>,
+    /// An `f64` cell's value as it displays, to compare with its text.
+    shown: String,
+}
+
 /// Decode one record's JSON into `(digest, key, cells)`. The shape must
 /// be exactly what [`encode_record`] writes — the pull primitives skip
 /// no whitespace — the digest/key cross-check must hold, and every
@@ -239,14 +271,16 @@ fn encode_record(digest: u64, key: &str, cells: &[Cell]) -> Vec<u8> {
 /// byte-identity contract). Anything else is a corrupt record: the
 /// checksum already vouches for the bytes, this guards the semantic
 /// layer. Strings are borrowed; only the key and text cells are copied.
-fn parse_record(json: &[u8]) -> Option<(u64, StoredPoint)> {
+fn parse_record(json: &[u8], scratch: &mut Scratch) -> Option<(u64, StoredPoint)> {
+    use std::fmt::Write as _;
     let mut r = Reader::new(std::str::from_utf8(json).ok()?);
     r.expect("{\"digest\":").ok()?;
     let digest = parse_hex16(&r.string().ok()?)?;
     r.expect(",\"key\":").ok()?;
     let key = r.string().ok()?.into_owned();
     r.expect(",\"cells\":[").ok()?;
-    let mut cells = Vec::new();
+    let cells = &mut scratch.cells;
+    cells.clear();
     while !r.eat(b']') {
         if !cells.is_empty() {
             r.expect(",").ok()?;
@@ -257,13 +291,12 @@ fn parse_record(json: &[u8]) -> Option<(u64, StoredPoint)> {
         let value = r.string().ok()?;
         r.expect("]").ok()?;
         cells.push(match &*tag {
-            "u" => {
-                let n: u64 = value.parse().ok()?;
-                (n.to_string() == value).then_some(Cell::U64(n))?
-            }
+            "u" => Cell::U64(canonical_u64(&value)?),
             "f" => {
-                let x: f64 = value.parse().ok()?;
-                (x.is_finite() && x.to_string() == value).then_some(Cell::F64(x))?
+                let x = value.parse().ok().filter(|x: &f64| x.is_finite())?;
+                scratch.shown.clear();
+                write!(scratch.shown, "{x}").ok()?;
+                (scratch.shown == value).then_some(Cell::F64(x))?
             }
             "t" => Cell::Text(value.into_owned()),
             _ => return None,
@@ -271,7 +304,10 @@ fn parse_record(json: &[u8]) -> Option<(u64, StoredPoint)> {
     }
     r.expect("}").ok()?;
     r.end().ok()?;
-    (digest == digest64(key.as_bytes())).then_some((digest, StoredPoint { key, cells }))
+    // One exact-size allocation; the scratch list keeps its capacity.
+    let mut kept = Vec::with_capacity(cells.len());
+    kept.append(cells);
+    (digest == digest64(key.as_bytes())).then_some((digest, StoredPoint { key, cells: kept }))
 }
 
 /// Why a frame could not be read at some position.
@@ -336,7 +372,8 @@ fn parse_frame(bytes: &[u8], pos: usize) -> Result<(u64, Range<usize>, usize), F
 #[derive(Default)]
 struct SegmentScan {
     records: Vec<(u64, StoredPoint)>,
-    /// Byte spans of the valid records, for atomic repair.
+    /// Byte spans of the runs of adjacent valid records, for atomic
+    /// repair: one write per run.
     keep: Vec<Range<usize>>,
     torn: u64,
     corrupt: u64,
@@ -344,18 +381,25 @@ struct SegmentScan {
 
 fn scan_segment(bytes: &[u8]) -> SegmentScan {
     let mut scan = SegmentScan::default();
+    let mut scratch = Scratch::default();
     let mut pos = 0usize;
     while pos < bytes.len() {
         let start = pos;
         match parse_frame(bytes, pos) {
             Ok((checksum, json_span, next)) => {
                 let json = &bytes[json_span];
-                match parse_record(json) {
-                    Some(rec) if digest64(json) == checksum => {
+                let record = (digest64(json) == checksum)
+                    .then(|| parse_record(json, &mut scratch))
+                    .flatten();
+                match record {
+                    Some(rec) => {
                         scan.records.push(rec);
-                        scan.keep.push(start..next);
+                        match scan.keep.last_mut() {
+                            Some(run) if run.end == start => run.end = next,
+                            _ => scan.keep.push(start..next),
+                        }
                     }
-                    _ => scan.corrupt += 1,
+                    None => scan.corrupt += 1,
                 }
                 pos = next;
             }
@@ -438,17 +482,19 @@ impl Store {
             store.stats.corrupt += scan.corrupt;
             store.stats.records += scan.records.len() as u64;
             if scan.torn + scan.corrupt > 0 {
-                // Atomic repair: rewrite only the valid spans, commit by
-                // rename, so a kill mid-repair leaves either the old
-                // segment or the repaired one — never a torn repair.
+                // Atomic repair: rewrite only the valid spans, one write
+                // per run of adjacent records, and commit by rename, so a
+                // kill mid-repair leaves either the old segment or the
+                // repaired one — never a torn repair.
                 let tmp = path.with_extension("ndjson.tmp");
                 let mut out = File::create(&tmp)?;
-                for span in &scan.keep {
-                    out.write_all(&bytes[span.clone()])?;
+                for run in &scan.keep {
+                    out.write_all(&bytes[run.clone()])?;
                 }
                 out.sync_all()?;
                 fs::rename(&tmp, &path)?;
             }
+            store.index.reserve(scan.records.len());
             for (digest, point) in scan.records {
                 // Later segments/records win: an append that superseded
                 // a dropped or stale record is the fresher result.
@@ -898,6 +944,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ulp_testkit::{from_fn, prop_assert, prop_assert_eq, props, Rng};
 
     fn squares(n: u64) -> Sweep<u64> {
         let mut s = Sweep::new("sq", &["square", "half", "label"]);
@@ -1030,6 +1077,278 @@ mod tests {
         let expected = [Cell::U64(5), Cell::F64(0.5), Cell::Text("x".into())];
         assert_eq!(served.as_deref(), Some(&expected[..]));
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A torn tail and a corrupt record in mid-file: the repaired
+    /// segment is exactly the kept frames, in order, and reopens clean.
+    #[test]
+    fn repair_writes_exactly_the_kept_frames() {
+        let frames: Vec<Vec<u8>> = (0..6u64)
+            .map(|i| {
+                let key = format!("k{i}");
+                encode_record(digest64(key.as_bytes()), &key, &[Cell::U64(i)])
+            })
+            .collect();
+        let mut rotten = frames[2].clone();
+        let at = rotten.len() - 5;
+        rotten[at] ^= 1;
+        let torn = &frames[5][..frames[5].len() / 2];
+        let seg = [
+            &frames[0][..],
+            &frames[1],
+            &rotten,
+            &frames[3],
+            &frames[4],
+            torn,
+        ]
+        .concat();
+        let dir = tmp_dir("repair");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("seg-main.ndjson");
+        fs::write(&path, &seg).unwrap();
+        let store = Store::open(&dir).unwrap();
+        assert_eq!((store.stats().corrupt, store.stats().torn), (1, 1));
+        let kept = [&frames[0][..], &frames[1], &frames[3], &frames[4]].concat();
+        assert!(fs::read(&path).unwrap() == kept, "repair wrote other bytes");
+        let store = Store::open(&dir).unwrap();
+        assert_eq!(store.stats().corrupt + store.stats().torn, 0);
+        assert_eq!(store.len(), 4);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The record decoder before it reused buffers: every numeric cell
+    /// re-serialized through `to_string`. The fuzz below holds
+    /// [`parse_record`] to it.
+    fn reference_record(json: &[u8]) -> Option<(u64, StoredPoint)> {
+        let mut r = Reader::new(std::str::from_utf8(json).ok()?);
+        r.expect("{\"digest\":").ok()?;
+        let digest = parse_hex16(&r.string().ok()?)?;
+        r.expect(",\"key\":").ok()?;
+        let key = r.string().ok()?.into_owned();
+        r.expect(",\"cells\":[").ok()?;
+        let mut cells = Vec::new();
+        while !r.eat(b']') {
+            if !cells.is_empty() {
+                r.expect(",").ok()?;
+            }
+            r.expect("[").ok()?;
+            let tag = r.string().ok()?;
+            r.expect(",").ok()?;
+            let value = r.string().ok()?;
+            r.expect("]").ok()?;
+            cells.push(match &*tag {
+                "u" => {
+                    let n: u64 = value.parse().ok()?;
+                    (n.to_string() == value).then_some(Cell::U64(n))?
+                }
+                "f" => {
+                    let x: f64 = value.parse().ok()?;
+                    (x.is_finite() && x.to_string() == value).then_some(Cell::F64(x))?
+                }
+                "t" => Cell::Text(value.into_owned()),
+                _ => return None,
+            });
+        }
+        r.expect("}").ok()?;
+        r.end().ok()?;
+        (digest == digest64(key.as_bytes())).then_some((digest, StoredPoint { key, cells }))
+    }
+
+    /// A decoded record in a comparable form (`Debug` tells -0.0 from 0.0).
+    fn shown(record: &Option<(u64, StoredPoint)>) -> Option<String> {
+        record
+            .as_ref()
+            .map(|(d, p)| format!("{d:016x} {:?} {:?}", p.key, p.cells))
+    }
+
+    /// The segments the fuzz mutates: the pinned golden records (hostile
+    /// text, extreme integers, subnormal floats) and a small chaos
+    /// campaign's segment, whose keys and cells have the shape of a real
+    /// resumed campaign's.
+    fn seed_segments() -> &'static [Vec<u8>; 2] {
+        static SEEDS: std::sync::OnceLock<[Vec<u8>; 2]> = std::sync::OnceLock::new();
+        SEEDS.get_or_init(|| {
+            let golden = include_bytes!(concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/../../tests/golden/store_record.ndjson"
+            ));
+            use crate::chaos::{self, ChaosApp};
+            let apps = [ChaosApp::Sample, ChaosApp::Filtered, ChaosApp::Forwarding];
+            let sweep = chaos::campaign(&apps, &[0.0, 1e-3], 2, 3_000);
+            let dir = tmp_dir("fuzz-seed");
+            let mut store = Store::open(&dir).unwrap();
+            let key_of = |_: &Coords, c: &chaos::ChaosConfig| c.store_key();
+            let eval = |_: &Coords, c: &chaos::ChaosConfig| chaos::cells(&chaos::run_chaos(c));
+            run_stored(&sweep, &mut store, 1, None, key_of, eval, &()).unwrap();
+            let segment = fs::read(dir.join("seg-main.ndjson")).unwrap();
+            let _ = fs::remove_dir_all(&dir);
+            [golden.to_vec(), segment]
+        })
+    }
+
+    /// One seeded damage to a segment. Positions and lengths are taken
+    /// modulo the bytes at hand.
+    #[derive(Debug, Clone)]
+    enum Damage {
+        /// XOR one byte.
+        Flip { at: usize, xor: u8 },
+        /// Replace `len` bytes at `at` with `take` bytes of a seed
+        /// segment from `from`.
+        Splice {
+            at: usize,
+            len: usize,
+            seed: usize,
+            from: usize,
+            take: usize,
+        },
+        /// Cut the bytes at `at`.
+        Truncate { at: usize },
+    }
+
+    fn damage(bytes: &mut Vec<u8>, d: &Damage) {
+        let n = bytes.len().max(1);
+        match *d {
+            Damage::Flip { at, xor } => {
+                if let Some(b) = bytes.get_mut(at % n) {
+                    *b ^= xor;
+                }
+            }
+            Damage::Splice {
+                at,
+                len,
+                seed,
+                from,
+                take,
+            } => {
+                let src = &seed_segments()[seed % 2];
+                let from = from % src.len();
+                let piece = &src[from..(from + take).min(src.len())];
+                let at = at % (bytes.len() + 1);
+                let end = (at + len).min(bytes.len());
+                bytes.splice(at..end, piece.iter().copied());
+            }
+            Damage::Truncate { at } => bytes.truncate(at % n),
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    struct Mutant {
+        seed: usize,
+        /// Which record of the seed segment the body-level check damages.
+        record: usize,
+        damages: Vec<Damage>,
+    }
+
+    fn arb_mutant(rng: &mut Rng) -> Mutant {
+        let damages = (0..rng.gen_range(1usize..4))
+            .map(|_| match rng.gen_range(0u32..4) {
+                0 | 1 => Damage::Flip {
+                    at: rng.gen_range(0usize..1 << 20),
+                    xor: rng.gen_range(1u8..=255),
+                },
+                2 => Damage::Splice {
+                    at: rng.gen_range(0usize..1 << 20),
+                    len: rng.gen_range(0usize..64),
+                    seed: rng.gen_range(0usize..2),
+                    from: rng.gen_range(0usize..1 << 20),
+                    take: rng.gen_range(0usize..400),
+                },
+                _ => Damage::Truncate {
+                    at: rng.gen_range(0usize..1 << 20),
+                },
+            })
+            .collect();
+        Mutant {
+            seed: rng.gen_range(0usize..2),
+            record: rng.gen_range(0usize..64),
+            damages,
+        }
+    }
+
+    /// Every frame `scan_segment` walks: its start, checksum, JSON span
+    /// and end.
+    fn frames(bytes: &[u8]) -> Vec<(usize, u64, Range<usize>, usize)> {
+        let mut out = Vec::new();
+        let mut pos = 0;
+        while let Ok((checksum, json, next)) = parse_frame(bytes, pos) {
+            out.push((pos, checksum, json, next));
+            pos = next;
+            if pos == bytes.len() {
+                break;
+            }
+        }
+        out
+    }
+
+    /// The index a store serves, in a comparable form.
+    fn served(store: &Store) -> Vec<(u64, String)> {
+        let mut index: Vec<(u64, String)> = store
+            .index
+            .iter()
+            .map(|(d, p)| (*d, format!("{:?} {:?}", p.key, p.cells)))
+            .collect();
+        index.sort();
+        index
+    }
+
+    props! {
+        #![cases(24)]
+        /// Seeded byte flips, splices and truncations of real segments:
+        /// decoding never panics, accepts exactly the records the
+        /// reference decoder accepts (same digest, key and cells), and
+        /// the repaired segment is exactly the accepted frames, reopens
+        /// clean and serves the same index.
+        #[test]
+        fn damaged_segments_decode_as_the_reference_does(m in from_fn(arb_mutant)) {
+            let seed = &seed_segments()[m.seed];
+            let mut scratch = Scratch::default();
+
+            // One record body, damaged on its own, so most damage lands
+            // inside the JSON rather than in the frame.
+            let seed_frames = frames(seed);
+            let (_, _, span, _) = &seed_frames[m.record % seed_frames.len()];
+            let mut body = seed[span.clone()].to_vec();
+            for d in &m.damages {
+                damage(&mut body, d);
+            }
+            prop_assert_eq!(
+                shown(&parse_record(&body, &mut scratch)),
+                shown(&reference_record(&body))
+            );
+
+            // The whole segment, damaged.
+            let mut bytes = seed.clone();
+            for d in &m.damages {
+                damage(&mut bytes, d);
+            }
+            let mut kept = Vec::new();
+            let mut expected = Vec::new();
+            for (start, checksum, json, end) in frames(&bytes) {
+                let reference = reference_record(&bytes[json.clone()]);
+                prop_assert_eq!(
+                    shown(&parse_record(&bytes[json.clone()], &mut scratch)),
+                    shown(&reference)
+                );
+                if digest64(&bytes[json]) == checksum && reference.is_some() {
+                    kept.extend_from_slice(&bytes[start..end]);
+                    expected.push(shown(&reference));
+                }
+            }
+            let scan = scan_segment(&bytes);
+            let decoded: Vec<_> = scan.records.into_iter().map(Some).collect();
+            prop_assert_eq!(decoded.iter().map(shown).collect::<Vec<_>>(), expected);
+
+            let dir = tmp_dir(&format!("fuzz-{:016x}", digest64(&bytes)));
+            fs::create_dir_all(&dir).unwrap();
+            let path = dir.join("seg-main.ndjson");
+            fs::write(&path, &bytes).unwrap();
+            let first = Store::open(&dir).unwrap();
+            prop_assert!(fs::read(&path).unwrap() == kept, "repair wrote other bytes");
+            let second = Store::open(&dir).unwrap();
+            prop_assert_eq!((second.stats().torn, second.stats().corrupt), (0, 0));
+            prop_assert_eq!(served(&first), served(&second));
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

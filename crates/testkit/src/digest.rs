@@ -93,12 +93,15 @@ pub fn hex16(v: u64) -> String {
     format!("{v:016x}")
 }
 
-/// Parse the [`hex16`] rendering back into a digest value.
+/// Parse the [`hex16`] rendering back into a digest value: exactly 16
+/// hex digits, either case.
 pub fn parse_hex16(s: &str) -> Option<u64> {
-    if s.len() != 16 || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
+    if s.len() != 16 {
         return None;
     }
-    u64::from_str_radix(s, 16).ok()
+    s.bytes().try_fold(0, |v, b| {
+        Some(v << 4 | u64::from((b as char).to_digit(16)?))
+    })
 }
 
 #[cfg(test)]
@@ -154,5 +157,8 @@ mod tests {
         assert_eq!(parse_hex16("short"), None);
         assert_eq!(parse_hex16("zzzzzzzzzzzzzzzz"), None);
         assert_eq!(parse_hex16("0123456789abcdef0"), None);
+        assert_eq!(parse_hex16("00000000DEADBEEF"), Some(0xdead_beef));
+        assert_eq!(parse_hex16("+123456789abcdef"), None);
+        assert_eq!(parse_hex16("0123456789abcdé"), None);
     }
 }

@@ -167,6 +167,7 @@ impl<'a> Reader<'a> {
         Reader { src, pos: 0 }
     }
 
+    #[inline]
     fn peek(&self) -> Option<u8> {
         self.src.as_bytes().get(self.pos).copied()
     }
@@ -189,6 +190,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Consume `byte` if it is next, and say whether it was.
+    #[inline]
     pub fn eat(&mut self, byte: u8) -> bool {
         let hit = self.peek() == Some(byte);
         self.pos += hit as usize;
@@ -196,18 +198,19 @@ impl<'a> Reader<'a> {
     }
 
     /// Consume exactly `text`, or fail at its first mismatching byte.
+    #[inline]
     pub fn expect(&mut self, text: &'static str) -> Result<(), Error> {
         let rest = &self.src.as_bytes()[self.pos..];
-        let matched = text.bytes().zip(rest).take_while(|(a, b)| a == *b).count();
-        self.pos += matched;
-        if matched == text.len() {
-            Ok(())
-        } else {
-            Err(self.fail(ErrorKind::Expected(text)))
+        if rest.starts_with(text.as_bytes()) {
+            self.pos += text.len();
+            return Ok(());
         }
+        self.pos += text.bytes().zip(rest).take_while(|(a, b)| a == *b).count();
+        Err(self.fail(ErrorKind::Expected(text)))
     }
 
     /// Require the cursor to be at the end of the input.
+    #[inline]
     pub fn end(&self) -> Result<(), Error> {
         match self.peek() {
             None => Ok(()),
@@ -215,22 +218,32 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Read a string literal, borrowed unless it holds an escape.
+    /// Read a string literal, borrowed unless it holds an escape. Each
+    /// run of plain bytes is scanned in one pass, and an escaped literal
+    /// is unescaped into one allocation.
+    #[inline]
     pub fn string(&mut self) -> Result<Cow<'a, str>, Error> {
         self.expect("\"")?;
+        let bytes = self.src.as_bytes();
         let mut unescaped = String::new();
         let mut run = self.pos;
         loop {
+            self.pos += bytes[self.pos..]
+                .iter()
+                .position(|&b| matches!(b, b'"' | b'\\' | 0..=0x1f))
+                .unwrap_or(bytes.len() - self.pos);
             match self.peek() {
                 Some(b'"') => break,
                 Some(b'\\') => {
+                    if unescaped.capacity() == 0 {
+                        unescaped.reserve(self.literal_len(run));
+                    }
                     unescaped.push_str(&self.src[run..self.pos]);
                     unescaped.push(self.escape()?);
                     run = self.pos;
                 }
                 // Past the end of input `fail` reports `Eof`.
-                Some(0..=0x1f) | None => return Err(self.fail(ErrorKind::ControlChar)),
-                Some(_) => self.pos += 1,
+                _ => return Err(self.fail(ErrorKind::ControlChar)),
             }
         }
         let tail = &self.src[run..self.pos];
@@ -240,6 +253,15 @@ impl<'a> Reader<'a> {
         } else {
             Cow::Owned(unescaped + tail)
         })
+    }
+
+    /// The bytes from `from` to the next `"`, the written length of a
+    /// string literal whose text starts at `from` unless it holds an
+    /// escaped quote. No escape decodes to more bytes than it is written
+    /// with, so this is room enough to unescape all but such a literal.
+    fn literal_len(&self, from: usize) -> usize {
+        let text = &self.src.as_bytes()[from..];
+        text.iter().position(|&b| b == b'"').unwrap_or(text.len())
     }
 
     /// Decode the escape at the cursor, pairing UTF-16 surrogates.
@@ -582,7 +604,96 @@ mod tests {
         }
     }
 
+    /// `Reader::string` as it was before it scanned runs: one byte at a
+    /// time, growing its buffer per escape.
+    fn reference_string<'a>(r: &mut Reader<'a>) -> Result<Cow<'a, str>, Error> {
+        r.expect("\"")?;
+        let mut unescaped = String::new();
+        let mut run = r.pos;
+        loop {
+            match r.peek() {
+                Some(b'"') => break,
+                Some(b'\\') => {
+                    unescaped.push_str(&r.src[run..r.pos]);
+                    unescaped.push(r.escape()?);
+                    run = r.pos;
+                }
+                Some(0..=0x1f) | None => return Err(r.fail(ErrorKind::ControlChar)),
+                Some(_) => r.pos += 1,
+            }
+        }
+        let tail = &r.src[run..r.pos];
+        r.pos += 1;
+        Ok(if unescaped.is_empty() {
+            Cow::Borrowed(tail)
+        } else {
+            Cow::Owned(unescaped + tail)
+        })
+    }
+
+    /// `Reader::expect` as it was before its `starts_with` fast path.
+    fn reference_expect(r: &mut Reader<'_>, text: &'static str) -> Result<(), Error> {
+        let rest = &r.src.as_bytes()[r.pos..];
+        let matched = text.bytes().zip(rest).take_while(|(a, b)| a == *b).count();
+        r.pos += matched;
+        if matched == text.len() {
+            Ok(())
+        } else {
+            Err(r.fail(ErrorKind::Expected(text)))
+        }
+    }
+
+    /// Text that starts like a string literal and goes on with the
+    /// pieces the string reader branches on.
+    fn arb_literal(rng: &mut Rng) -> String {
+        const PIECES: &[&str] = &[
+            "\"",
+            "\\",
+            "\\\\",
+            "\\\"",
+            "\\u",
+            "\\n",
+            "\\q",
+            "d83d",
+            "dc00",
+            "00e9",
+            "0041",
+            "a",
+            "é",
+            "😀",
+            "\u{1}",
+            "\t",
+            ",\"key\":",
+            "\u{7f}",
+        ];
+        let mut text = String::from(if rng.gen_bool(0.9) { "\"" } else { "x" });
+        for _ in 0..rng.gen_range(0usize..12) {
+            text.push_str(rng.choose(PIECES).unwrap());
+        }
+        text
+    }
+
     props! {
+        /// The scanning string reader and the fast-path `expect` give
+        /// the byte-at-a-time reference's result, borrowed or owned as
+        /// it was, and leave the cursor where it left it, errors and
+        /// their offsets included.
+        #[test]
+        fn reader_matches_the_byte_at_a_time_reference(src in from_fn(arb_literal)) {
+            let (mut fast, mut slow) = (Reader::new(&src), Reader::new(&src));
+            let (got, want) = (fast.string(), reference_string(&mut slow));
+            let borrowed = |r: &Result<Cow<str>, Error>| matches!(r, Ok(Cow::Borrowed(_)));
+            prop_assert_eq!(borrowed(&got), borrowed(&want));
+            prop_assert_eq!((got, fast.pos), (want, slow.pos));
+            for text in ["\"", "\"a", "\",\"key\":", "\"\\\\u"] {
+                let (mut fast, mut slow) = (Reader::new(&src), Reader::new(&src));
+                prop_assert_eq!(
+                    (fast.expect(text), fast.pos),
+                    (reference_expect(&mut slow, text), slow.pos)
+                );
+            }
+        }
+
         /// The writer and the reader agree: any value survives a
         /// write-then-parse round trip unchanged.
         #[test]
