@@ -73,6 +73,16 @@ echo "== event queue: pop order matches a sorted reference model =="
 ULP_PROPTEST_CASES=256 cargo test -q --release --offline -p ulp-net --lib -- \
   queue::tests::random_interleavings_match_reference_model > /dev/null
 
+echo "== campaign store: damaged segments decode as the reference does =="
+# Seeded byte flips, splices and truncations of the pinned golden records
+# and a chaos campaign's segment: the store's record decoder must accept
+# exactly what the previous decoder (kept as a test reference) accepts,
+# with the same digest, key and cells, and a repaired segment must be
+# exactly the accepted frames and reopen clean, on the release build
+# with more cases than the tier-1 default.
+ULP_PROPTEST_CASES=256 cargo test -q --release --offline -p ulp-bench --lib -- \
+  store::tests::damaged_segments_decode_as_the_reference_does > /dev/null
+
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
