@@ -236,7 +236,12 @@ impl<'a> Reader<'a> {
                 Some(b'"') => break,
                 Some(b'\\') => {
                     if unescaped.capacity() == 0 {
-                        unescaped.reserve(self.literal_len(run));
+                        // No escape decodes to more bytes than it is
+                        // written with, so the bytes up to the next `"`
+                        // hold the literal unless it has an escaped quote.
+                        let text = &bytes[run..];
+                        unescaped
+                            .reserve(text.iter().position(|&b| b == b'"').unwrap_or(text.len()));
                     }
                     unescaped.push_str(&self.src[run..self.pos]);
                     unescaped.push(self.escape()?);
@@ -253,15 +258,6 @@ impl<'a> Reader<'a> {
         } else {
             Cow::Owned(unescaped + tail)
         })
-    }
-
-    /// The bytes from `from` to the next `"`, the written length of a
-    /// string literal whose text starts at `from` unless it holds an
-    /// escaped quote. No escape decodes to more bytes than it is written
-    /// with, so this is room enough to unescape all but such a literal.
-    fn literal_len(&self, from: usize) -> usize {
-        let text = &self.src.as_bytes()[from..];
-        text.iter().position(|&b| b == b'"').unwrap_or(text.len())
     }
 
     /// Decode the escape at the cursor, pairing UTF-16 surrogates.
