@@ -72,7 +72,11 @@ pub trait Simulatable {
     /// stretches of the engine's loop, busy steps included, from a state
     /// the machine has been in before: the result then also counts, in
     /// `busy`, the steps the engine would have stepped as
-    /// [`StepOutcome::Busy`].
+    /// [`StepOutcome::Busy`]. A machine may also step the engine's loop
+    /// itself, busy steps included, each step and skip as the engine
+    /// would take it, counting the busy steps in `busy`; it stops
+    /// before a step that could return [`StepOutcome::Halted`], which is
+    /// the engine's own step to report.
     fn idle_advance(&mut self, deadline: Cycles, horizon: Cycles) -> IdleAdvance {
         let _ = horizon;
         let now = self.now();
@@ -113,14 +117,13 @@ pub fn skip_target(now: Cycles, wakeup: Option<Cycles>, deadline: Cycles) -> Opt
 pub struct IdleAdvance {
     /// Cycles stepped after the first skip: one per quiet iteration
     /// (a silent `Idle` step), stepped or repeated, and every cycle a
-    /// repeat of whole stretches covered that the engine would have
-    /// stepped, busy ones included.
+    /// repeat of whole stretches covered, or the machine stepped, that
+    /// the engine would have stepped, busy ones included.
     pub stepped: Cycles,
     /// Cycles covered by skips.
     pub skipped: Cycles,
-    /// Of `stepped`, the cycles a repeat covered that the engine would
-    /// have stepped as [`StepOutcome::Busy`] (each a step, but no idle
-    /// skip).
+    /// Of `stepped`, the cycles the engine would have stepped as
+    /// [`StepOutcome::Busy`] (each a step, but no idle skip).
     pub busy: Cycles,
 }
 

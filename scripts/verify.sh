@@ -63,6 +63,12 @@ ULP_PROPTEST_CASES=256 cargo test -q --release --offline --test reference_models
   long_quiet_chains_match_wake_by_wake \
   repeated_periods_match_wake_by_wake \
   predicate_and_plain_segments_match_wake_by_wake > /dev/null
+# The Mica2 board steps each wake's instructions inside its idle
+# advance; random applications, rx frames, traces and run segments must
+# match the engine's loop one step at a time in every observable and
+# profiler count.
+ULP_PROPTEST_CASES=256 cargo test -q --release --offline --test mica_board -- \
+  burst_matches_one_step_at_a_time > /dev/null
 
 echo "== event queue: pop order matches a sorted reference model =="
 # Every multi-node driver replays byte for byte only because the event
